@@ -14,6 +14,7 @@ q(s) = s * exp(i*angle).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -121,6 +122,15 @@ def delta_scale_ok(a: complex, q: complex, eps: complex
     return ok, abs(lhs - rhs)
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per size."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def rotated_path(angle: float, half_width: float,
                  n_nodes: int = DEFAULT_NODES) -> ContourPath:
     """Gauss-Legendre discretization of q(s) = s*e^{i angle}, |s| <= half_width."""
@@ -130,7 +140,7 @@ def rotated_path(angle: float, half_width: float,
         raise ValueError(f"half_width must be positive, got {half_width!r}")
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _legendre_rule(n_nodes)
     direction = cmath.exp(1j * angle)
     return ContourPath(
         nodes=half_width * x * direction,

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from ._kernels import hermite_table, poly_gauss_eval
 from .contour import DEFAULT_NODES, ContourPath, rotated_path
@@ -296,8 +295,9 @@ def gram_and_metric(params: ModelParams, n_max: int,
         warnings.warn(f"Gram matrix condition number {cond:.3e} exceeds "
                       f"{COND_LIMIT:g}", IllConditionedWarning)
     try:
-        factor = scipy.linalg.cho_factor(s_mat)
-        q_mat = scipy.linalg.cho_solve(factor, np.eye(n_max, dtype=np.complex128))
+        chol = np.linalg.cholesky(s_mat)
+        chol_inv = np.linalg.solve(chol, np.eye(n_max, dtype=np.complex128))
+        q_mat = chol_inv.conj().T @ chol_inv
     except np.linalg.LinAlgError:
         warnings.warn("Cholesky failed; falling back to a generic inverse",
                       IllConditionedWarning)

@@ -1,15 +1,29 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import cxho
 from cxho.cli import main, parse_complex
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(cxho.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import cxho.cli; import sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestParseComplex:

@@ -1,8 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
+from cxho import contour
 from cxho.contour import (
     ContourPath,
     SmearedDelta,
@@ -19,6 +21,8 @@ from cxho.errors import (
     InvalidPathError,
     NonFiniteSampleError,
 )
+from cxho.params import validate
+from cxho.wavefunctions import cross_gram, gram_and_metric
 
 PI = math.pi
 SQRT_PI = math.sqrt(PI)
@@ -132,6 +136,42 @@ class TestRotatedPath:
             rotated_path(0.0, -1.0)
         with pytest.raises(ValueError):
             rotated_path(0.0, 1.0, n_nodes=1)
+
+
+class TestLegendreRuleCache:
+    def test_one_build_per_node_count(self, monkeypatch):
+        leggauss = np.polynomial.legendre.leggauss
+        calls = []
+
+        def counted(deg):
+            calls.append(deg)
+            return leggauss(deg)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        contour._legendre_rule.cache_clear()
+        try:
+            params = validate(1, cmath.exp(-1j * PI / 6))
+            gram_and_metric(params, 12)
+            cross_gram(params, 12)
+        finally:
+            contour._legendre_rule.cache_clear()
+        assert calls == [contour.DEFAULT_NODES]
+
+    def test_cached_rule_is_read_only(self):
+        x, w = contour._legendre_rule(64)
+        assert not x.flags.writeable
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_paths_do_not_share_nodes(self):
+        first = rotated_path(0.0, 2.0, 64)
+        first.nodes[:] = 0.0
+        first.weights[:] = 0.0
+        x, w = np.polynomial.legendre.leggauss(64)
+        second = rotated_path(0.0, 2.0, 64)
+        np.testing.assert_array_equal(second.nodes, 2.0 * x)
+        np.testing.assert_array_equal(second.weights, 2.0 * w)
 
 
 class TestContourIntegrate:

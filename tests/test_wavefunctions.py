@@ -293,6 +293,28 @@ class TestGramAndMetric:
         assert np.abs(g.S - g.S.conj().T).max() == 0.0
         assert np.abs(g.cross - np.eye(10)).max() < 1e-8
 
+    @pytest.mark.filterwarnings("ignore::cxho.errors.IllConditionedWarning")
+    @pytest.mark.parametrize("n_max", [4, 8, 12, 16])
+    def test_metric_matches_inverse_over_plane(self, n_max):
+        checked = 0
+        for theta_m in np.linspace(0.0, PI, 7):
+            for tilt in np.linspace(-PI, 0.0, 7):
+                for r_m, r_omega in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.7)):
+                    p = validate(r_m * cmath.exp(1j * theta_m),
+                                 r_omega * cmath.exp(0.5j * (tilt - theta_m)))
+                    if not p.normalizable:
+                        continue
+                    g = gram_and_metric(p, n_max)
+                    if g.condition_number >= 1e8:
+                        continue
+                    checked += 1
+                    assert np.abs(g.Qmat - g.Qmat.conj().T).max() == 0.0
+                    assert np.abs(g.S @ g.Qmat - np.eye(n_max)).max() <= 1e-8
+                    inv = np.linalg.inv(g.S)
+                    rel = np.abs(g.Qmat - inv).max() / np.abs(inv).max()
+                    assert rel <= g.condition_number * 1e-13
+        assert checked >= 100
+
     def test_ill_conditioning_reported_not_fatal(self):
         p = validate(cmath.exp(1j * (PI - 0.1)), cmath.exp(-1j * PI / 2))
         assert p.theta == pytest.approx(PI / 2 - 0.1)
