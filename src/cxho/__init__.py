@@ -12,8 +12,10 @@ from .params import (
     ModelParams,
     DerivedScales,
     PhaseClassification,
+    PhaseGrid,
     Potential,
     Theory,
+    classify_grid,
     classify_phase,
     derived,
     eigenvalue,
@@ -31,8 +33,10 @@ __all__ = [
     "ModelParams",
     "DerivedScales",
     "PhaseClassification",
+    "PhaseGrid",
     "Potential",
     "Theory",
+    "classify_grid",
     "classify_phase",
     "derived",
     "eigenvalue",

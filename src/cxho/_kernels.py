@@ -1,19 +1,16 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy over the nodes.
 
-Set ``CXHO_NUMBA=0`` in the environment to force the numpy path.  When numba
-is absent the numpy path is used silently.  Both implementations are exported
-(``*_numpy`` / ``*_numba``) so the benchmark and the equivalence tests can
-compare them directly; ``BACKEND`` records which one the package dispatches to.
+``BACKEND`` names the implementation in use; it is always ``"numpy"``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+BACKEND = "numpy"
 
-def hermite_table_numpy(n_max: int, z: np.ndarray) -> np.ndarray:
+
+def hermite_table(n_max: int, z: np.ndarray) -> np.ndarray:
     """Values H_k(z_i) of the first ``n_max`` Hermite polynomials.
 
     Three-term recurrence H_{k+1} = 2 z H_k - 2 k H_{k-1}, vectorized over
@@ -29,8 +26,8 @@ def hermite_table_numpy(n_max: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def poly_gauss_eval_numpy(coeffs: np.ndarray, gauss_scale: complex,
-                          shift: complex, z: np.ndarray) -> np.ndarray:
+def poly_gauss_eval(coeffs: np.ndarray, gauss_scale: complex,
+                    shift: complex, z: np.ndarray) -> np.ndarray:
     """Evaluate p(z - shift) * exp(-gauss_scale*(z - shift)^2 / 2).
 
     ``coeffs`` are ascending polynomial coefficients.
@@ -41,68 +38,3 @@ def poly_gauss_eval_numpy(coeffs: np.ndarray, gauss_scale: complex,
     for c in coeffs[::-1]:
         p = p * w + c
     return p * np.exp(-0.5 * gauss_scale * w * w)
-
-
-# loop orderings below keep the inner loop contiguous so LLVM can vectorize
-
-def _hermite_table_loops(n_max, z):
-    out = np.empty((n_max, z.size), dtype=np.complex128)
-    for i in range(z.size):
-        out[0, i] = 1.0 + 0.0j
-    if n_max > 1:
-        for i in range(z.size):
-            out[1, i] = 2.0 * z[i]
-    for k in range(1, n_max - 1):
-        two_k = 2.0 * k
-        for i in range(z.size):
-            out[k + 1, i] = 2.0 * z[i] * out[k, i] - two_k * out[k - 1, i]
-    return out
-
-
-def _poly_gauss_eval_loops(coeffs, gauss_scale, shift, z):
-    n = z.size
-    w = np.empty(n, dtype=np.complex128)
-    out = np.empty(n, dtype=np.complex128)
-    top = coeffs[coeffs.size - 1]
-    for i in range(n):
-        w[i] = z[i] - shift
-        out[i] = top
-    for k in range(coeffs.size - 2, -1, -1):
-        c = coeffs[k]
-        for i in range(n):
-            out[i] = out[i] * w[i] + c
-    for i in range(n):
-        out[i] = out[i] * np.exp(-0.5 * gauss_scale * w[i] * w[i])
-    return out
-
-
-_want_numba = os.environ.get("CXHO_NUMBA", "1").lower() not in ("0", "false", "no")
-hermite_table_numba = None
-poly_gauss_eval_numba = None
-if _want_numba:
-    try:
-        from numba import njit
-    except ImportError:
-        _want_numba = False
-    else:
-        hermite_table_numba = njit(cache=True)(_hermite_table_loops)
-        poly_gauss_eval_numba = njit(cache=True)(_poly_gauss_eval_loops)
-
-if _want_numba:
-    BACKEND = "numba"
-
-    def hermite_table(n_max: int, z: np.ndarray) -> np.ndarray:
-        return hermite_table_numba(n_max, np.ascontiguousarray(z, dtype=np.complex128))
-
-    def poly_gauss_eval(coeffs, gauss_scale, shift, z):
-        return poly_gauss_eval_numba(
-            np.ascontiguousarray(coeffs, dtype=np.complex128),
-            complex(gauss_scale), complex(shift),
-            np.ascontiguousarray(z, dtype=np.complex128))
-else:
-    BACKEND = "numpy"
-    hermite_table = hermite_table_numpy
-    poly_gauss_eval = poly_gauss_eval_numpy
-
-hermite_table.__doc__ = hermite_table_numpy.__doc__
-poly_gauss_eval.__doc__ = poly_gauss_eval_numpy.__doc__

@@ -18,11 +18,15 @@ import numpy as np
 from . import dynamics, fock, maximize as mx, wavefunctions
 from .contour import rotated_path
 from .errors import CxhoError
-from .params import ModelParams, phase_grid, validate
+from .params import (POTENTIALS, THEORIES, ModelParams, PhaseGrid, phase_grid,
+                     validate)
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
+
+PHASE_HEADER = ["theta_m", "theta_omega", "theory", "region", "potential",
+                "normalizable", "excluded_corner"]
 
 
 def parse_complex(text: str) -> complex:
@@ -99,17 +103,53 @@ def _json_dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    def cell(v):
-        if isinstance(v, bool):
-            return "true" if v else "false"
-        if isinstance(v, (float, np.floating)):
-            return _fmt(v)
-        return str(v)
+def _float_cells(values: np.ndarray) -> list[str]:
+    """Each value of a 1-D float array as its ``.17g`` text."""
+    return [f"{x:.17g}" for x in values.tolist()]
 
+
+def _csv_text(header: list[str], columns: list[list[str]]) -> str:
+    """CSV text from a header and equal-length columns of formatted cells."""
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(map(",".join, zip(*columns)))
     return "\n".join(lines) + "\n"
+
+
+def _phase_text(grid: PhaseGrid, resolution: int, fmt: str) -> str:
+    """Phase-diagram rows as CSV or JSON text.
+
+    The five label fields of a point follow from its (theory, region,
+    normalizable) class, so each class's text is built once, from its first
+    point; theta_m is formatted once per grid row.
+    """
+    key = (grid.theory * 6 + grid.region) * 2 + grid.normalizable
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    excluded_corner = grid.excluded_corner
+    tails = []
+    for i in first.tolist():
+        labels = {"theory": THEORIES[grid.theory[i]].value,
+                  "region": int(grid.region[i]),
+                  "potential": POTENTIALS[grid.potential[i]].value,
+                  "normalizable": bool(grid.normalizable[i]),
+                  "excluded_corner": bool(excluded_corner[i])}
+        if fmt == "csv":
+            # CSV cells are the JSON scalars without string quotes
+            tails.append(",".join(_json_dumps(v).strip('"')
+                                  for v in labels.values()))
+        else:
+            # the record after its two angles, in _json_dumps' layout for a
+            # record nested one level deep
+            tails.append(_json_dumps(labels, indent=2)[2:])
+    theta_m = [s for s in _float_cells(grid.theta_m[::resolution])
+               for _ in range(resolution)]
+    theta_omega = _float_cells(grid.theta_omega)
+    tail = [tails[k] for k in inverse.tolist()]
+    if fmt == "csv":
+        return _csv_text(PHASE_HEADER, [theta_m, theta_omega, tail])
+    records = ",\n".join(
+        f'  {{\n    "theta_m": {m},\n    "theta_omega": {w},\n{t}'
+        for m, w, t in zip(theta_m, theta_omega, tail))
+    return "[\n" + records + "\n]\n"
 
 
 def _write_output(path: str, text: str) -> None:
@@ -212,24 +252,11 @@ def cmd_phase_diagram(ctx, grid, fmt, output, config):
     values = _apply_config(ctx, config, {"grid": grid, "fmt": fmt,
                                          "output": output})
     try:
-        rows = phase_grid(values["grid"])
+        grid = phase_grid(values["grid"])
     except ValueError as exc:
         _fail_config(str(exc))
-    header = ["theta_m", "theta_omega", "theory", "region", "potential",
-              "normalizable", "excluded_corner"]
-    if values["fmt"] == "csv":
-        table = [[tm, tw, c.theory.value, c.region, c.potential.value,
-                  c.normalizable, c.excluded_corner] for tm, tw, c in rows]
-        text = _csv_text(header, table)
-    else:
-        records = [{"theta_m": tm, "theta_omega": tw,
-                    "theory": c.theory.value, "region": c.region,
-                    "potential": c.potential.value,
-                    "normalizable": c.normalizable,
-                    "excluded_corner": c.excluded_corner}
-                   for tm, tw, c in rows]
-        text = _json_dumps(records) + "\n"
-    _write_output(values["output"], text)
+    _write_output(values["output"],
+                  _phase_text(grid, values["grid"], values["fmt"]))
 
 
 def _verify_checks(params: ModelParams, n_max: int, seed: int,
@@ -442,19 +469,22 @@ def cmd_evolve(ctx, m, omega, hbar, eps, eps_prime, config, lambda_a,
     header = ["t", "amplitude_re", "amplitude_im", "q_op_re", "q_op_im",
               "p_op_re", "p_op_im", "q_herm_re", "q_herm_im", "p_herm_re",
               "p_herm_im", "h_herm_re", "h_herm_im", "status"]
-    rows = []
-    for t in times:
+    weak = np.zeros((times.size, 6), dtype=complex)
+    ok = []
+    for k, t in enumerate(times):
         samples = dynamics.trajectory(system, [t])
-        if not samples:
-            rows.append([float(t)] + [""] * 12 + ["vanishing_overlap"])
-            continue
-        s = samples[0]
-        rows.append([
-            s.t, s.amplitude.real, s.amplitude.imag,
-            s.q_op.real, s.q_op.imag, s.p_op.real, s.p_op.imag,
-            s.q_herm.real, s.q_herm.imag, s.p_herm.real, s.p_herm.imag,
-            s.h_herm.real, s.h_herm.imag, "ok"])
-    _write_output(values["output"], _csv_text(header, rows))
+        ok.append(bool(samples))
+        if samples:
+            s = samples[0]
+            weak[k] = [s.amplitude, s.q_op, s.p_op, s.q_herm, s.p_herm,
+                       s.h_herm]
+    # (re, im) pairs side by side, in header order
+    parts = np.stack([weak.real, weak.imag], axis=-1).reshape(times.size, 12)
+    columns = [_float_cells(times)]
+    columns += [[c if good else "" for c, good in zip(_float_cells(col), ok)]
+                for col in parts.T]
+    columns.append(["ok" if good else "vanishing_overlap" for good in ok])
+    _write_output(values["output"], _csv_text(header, columns))
 
 
 @main.command("wavefunction")
@@ -491,9 +521,10 @@ def cmd_wavefunction(ctx, m, omega, hbar, eps, eps_prime, config, n, basis,
                                           qs, params)
     except (CxhoError, ValueError) as exc:
         _fail_config(str(exc))
-    rows = [[q.real, q.imag, v.real, v.imag] for q, v in zip(qs, psi)]
+    columns = [_float_cells(part)
+               for part in (qs.real, qs.imag, psi.real, psi.imag)]
     _write_output(values["output"],
-                  _csv_text(["q_re", "q_im", "psi_re", "psi_im"], rows))
+                  _csv_text(["q_re", "q_im", "psi_re", "psi_im"], columns))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import (
     DegenerateDivisionError,
     KineticDivergenceError,
@@ -286,21 +288,89 @@ def eigenvalue(params: ModelParams, n: int) -> complex:
     return params.hbar * params.omega * (n + 0.5)
 
 
-def phase_grid(resolution: int
-               ) -> list[tuple[float, float, PhaseClassification]]:
+@dataclass(frozen=True)
+class PhaseGrid:
+    """Phase classification of many angle-plane points, one array per field.
+
+    All columns have the shape of the classified points.  ``theory`` indexes
+    :data:`THEORIES` and ``potential`` indexes :data:`POTENTIALS`; ``region``
+    holds the region numbers 1..5 themselves.
+    """
+
+    theta_m: np.ndarray
+    theta_omega: np.ndarray
+    theory: np.ndarray
+    region: np.ndarray
+    potential: np.ndarray
+    normalizable: np.ndarray
+
+    @property
+    def excluded_corner(self) -> np.ndarray:
+        return ~self.normalizable
+
+    def __len__(self) -> int:
+        return self.theta_m.size
+
+
+#: Label tables for the integer codes of :class:`PhaseGrid`.
+THEORIES = tuple(Theory)
+POTENTIALS = tuple(Potential)
+
+# _POTENTIAL_CODE[theory code, region] is the potential code; column 0 unused.
+_POTENTIAL_CODE = np.array(
+    [[0] + [POTENTIALS.index(POTENTIAL_TABLE[theory][region])
+            for region in range(1, 6)] for theory in THEORIES],
+    dtype=np.intp)
+
+
+def classify_grid(theta_m, theta_omega, tol: float = ANGLE_TOL) -> PhaseGrid:
+    """Vectorized :func:`classify_phase` over broadcast arrays of angles.
+
+    Applies the same tests in the same floating-point order, so every point
+    gets the labels the scalar function gives it.  Raises OutOfDomainError
+    if any point lies outside the parallelogram.
+    """
+    theta_m, theta_omega = np.broadcast_arrays(
+        np.asarray(theta_m, dtype=float), np.asarray(theta_omega, dtype=float))
+    bad = (theta_m < -tol) | (theta_m > math.pi + tol)
+    if bad.any():
+        raise OutOfDomainError(
+            f"theta_m = {theta_m[bad].flat[0]:.6g} outside [0, pi]")
+    s = theta_m + 2 * theta_omega
+    bad = (s < -math.pi - 2 * tol) | (s > 2 * tol)
+    if bad.any():
+        raise OutOfDomainError(
+            f"theta_m + 2*theta_omega = {s[bad].flat[0]:.6g} outside [-pi, 0]")
+
+    region = np.select(
+        [np.abs(s) <= tol, np.abs(s + math.pi / 2) <= tol,
+         np.abs(s + math.pi) <= tol, s > -math.pi / 2],
+        [1, 3, 5, 2], 4)
+    theory = np.select(
+        [np.abs(theta_m - math.pi / 2) <= tol, theta_m < math.pi / 2],
+        [THEORIES.index(Theory.ITT), THEORIES.index(Theory.UTT)],
+        THEORIES.index(Theory.FTT))
+    normalizable = np.abs(theta_m + theta_omega) < math.pi / 2 - tol
+    return PhaseGrid(theta_m=theta_m, theta_omega=theta_omega, theory=theory,
+                     region=region,
+                     potential=np.asarray(_POTENTIAL_CODE[theory, region]),
+                     normalizable=normalizable)
+
+
+def phase_grid(resolution: int) -> PhaseGrid:
     """Uniform grid over the closed parallelogram with classifications.
 
-    Rows are ordered by theta_m, then theta_omega ascending inside each row.
-    ``resolution = 2`` yields exactly the four corners.
+    Points are ordered by theta_m, then theta_omega ascending inside each
+    row, and the columns are flat.  ``resolution = 2`` yields exactly the
+    four corners.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    out = []
-    for i in range(resolution):
-        theta_m = math.pi * i / (resolution - 1)
-        hi = -theta_m / 2
-        lo = hi - math.pi / 2
-        for j in range(resolution):
-            theta_omega = lo + (hi - lo) * j / (resolution - 1)
-            out.append((theta_m, theta_omega, classify_phase(theta_m, theta_omega)))
-    return out
+    steps = np.arange(resolution)
+    # Same operation order as the scalar formulas theta_m = pi*i/(res-1) and
+    # theta_omega = lo + (hi - lo)*j/(res-1), so every angle is bit-identical.
+    theta_m = math.pi * steps / (resolution - 1)
+    hi = -theta_m / 2
+    lo = hi - math.pi / 2
+    theta_omega = lo[:, None] + (hi - lo)[:, None] * steps / (resolution - 1)
+    return classify_grid(np.repeat(theta_m, resolution), theta_omega.ravel())

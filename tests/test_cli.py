@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -24,6 +25,46 @@ def test_cli_import_does_not_load_scipy():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "False"
+
+
+# sha256 of stdout, recorded from the per-point phase classifier and the
+# per-cell CSV/JSON formatting; the vectorized writers must reproduce them
+# byte for byte.  The evolve and wavefunction digests also depend on numpy's
+# floating-point results, so a different numpy build may change them.
+REFERENCE_DIGESTS = {
+    "phase-diagram --grid 2":
+        "c8f18257021e552b3fc898a5ebd09f7711ba05500f000ce4918e1a43a51e9434",
+    "phase-diagram --grid 2 --format json":
+        "d22e0e5e721ca0136c383c5123086696e090bbb3124c8c8cfb06efd55f0c6cd8",
+    "phase-diagram --grid 3":
+        "b3b2a960de07febf65dd4332a9db2ed2523673a2eb56c9badfa81ffddc1b40de",
+    "phase-diagram --grid 3 --format json":
+        "920856ca228398a50fadb61782eaef6ef0f4af38fc2b12299c2699d3e8a45341",
+    "phase-diagram --grid 33":
+        "034abeec5d3392b50805caa9006a36f28f763d22938acb8b8ab3e835c3977f6b",
+    "phase-diagram --grid 33 --format json":
+        "f914457dd0700eb4cca9a6f48812c4ed1864bc132ca545c8be8097cfd3330a81",
+    "phase-diagram --grid 64":
+        "73f7d9efa6e14ca3f0ea2e5c0aee638d7fab9e6549c3d05670c922da4ff3eb83",
+    "phase-diagram --grid 64 --format json":
+        "64cad0bc0eb3e838e5df8ef285e3041a0fdbe9b8d559ca269e96d51f0c0f9591",
+    "phase-diagram --grid 201":
+        "af6faae1d65ff4c08877c32413876bb35035348377686b0e1901fed87577e292",
+    "phase-diagram --grid 201 --format json":
+        "a227cfdc1e0fdc1127c47856e451a5e04dc910b2211db71b769f16726215c412",
+    "evolve --lambda-a 1+0i --lambda-b 1+0i --omega 1-0.1i --steps 200":
+        "044b1648d3362d63ed865440c878d6c802d39fae9ba5467e1ea7359b48c08968",
+    "wavefunction --n 3 --omega 0.9-0.3i --points 801":
+        "99319b74cd35bb6bef3c2141ea24c471acd07c933c1dbed9c8fe2d76a68e4c9f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(REFERENCE_DIGESTS))
+def test_output_matches_reference_digest(runner, command):
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == 0
+    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert digest == REFERENCE_DIGESTS[command]
 
 
 class TestParseComplex:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cxho.errors import (
     DegenerateDivisionError,
@@ -12,8 +14,12 @@ from cxho.errors import (
     RegulatorError,
 )
 from cxho.params import (
+    ANGLE_TOL,
+    POTENTIALS,
+    THEORIES,
     Potential,
     Theory,
+    classify_grid,
     classify_phase,
     derived,
     eigenvalue,
@@ -271,26 +277,163 @@ class TestPhaseGrid:
     def test_resolution_two_gives_corners(self):
         grid = phase_grid(2)
         assert len(grid) == 4
-        excluded = [(tm, tw) for tm, tw, c in grid if c.excluded_corner]
+        corner = grid.excluded_corner
+        excluded = list(zip(grid.theta_m[corner].tolist(),
+                            grid.theta_omega[corner].tolist()))
         assert excluded == [(0.0, -PI / 2), (PI, -PI / 2)]
 
     def test_resolution_three_matches_hand_enumeration(self):
         grid = phase_grid(3)
         assert len(grid) == 9
-        for (tm, tw, c), (etm, etw, etheory, eregion, epot, eexcl) in zip(
-                grid, GRID3_EXPECTED):
-            assert tm == pytest.approx(etm, abs=1e-15)
-            assert tw == pytest.approx(etw, abs=1e-15)
-            assert c.theory == etheory
-            assert c.region == eregion
-            assert c.potential == epot
-            assert c.excluded_corner == eexcl
+        for k, (etm, etw, etheory, eregion, epot, eexcl) in enumerate(
+                GRID3_EXPECTED):
+            assert grid.theta_m[k] == pytest.approx(etm, abs=1e-15)
+            assert grid.theta_omega[k] == pytest.approx(etw, abs=1e-15)
+            assert THEORIES[grid.theory[k]] == etheory
+            assert grid.region[k] == eregion
+            assert POTENTIALS[grid.potential[k]] == epot
+            assert grid.excluded_corner[k] == eexcl
 
     def test_every_grid_point_classifies(self):
         for resolution in (2, 5, 17):
             grid = phase_grid(resolution)
             assert len(grid) == resolution * resolution
+            for column in (grid.theta_m, grid.theta_omega, grid.theory,
+                           grid.region, grid.potential, grid.normalizable,
+                           grid.excluded_corner):
+                assert column.shape == (resolution * resolution,)
+
+    def test_angles_bit_identical_to_scalar_formulas(self):
+        for resolution in (2, 3, 33, 101):
+            grid = phase_grid(resolution)
+            expected = []
+            for i in range(resolution):
+                theta_m = math.pi * i / (resolution - 1)
+                hi = -theta_m / 2
+                lo = hi - math.pi / 2
+                expected.extend(
+                    (theta_m, lo + (hi - lo) * j / (resolution - 1))
+                    for j in range(resolution))
+            got = list(zip(grid.theta_m.tolist(), grid.theta_omega.tolist()))
+            assert got == expected
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
             phase_grid(1)
+
+
+def assert_matches_scalar(grid, theta_m, theta_omega):
+    """Every point of a PhaseGrid carries classify_phase's labels."""
+    for k, (tm, tw) in enumerate(zip(theta_m, theta_omega)):
+        c = classify_phase(tm, tw)
+        got = (THEORIES[grid.theory[k]], int(grid.region[k]),
+               POTENTIALS[grid.potential[k]], bool(grid.normalizable[k]),
+               bool(grid.excluded_corner[k]))
+        assert got == (c.theory, c.region, c.potential, c.normalizable,
+                       c.excluded_corner), (tm, tw)
+
+
+# Values of s = theta_m + 2*theta_omega on the region boundary lines, and of
+# theta_m on the domain edges and the imaginary-mass line.
+S_LINES = (0.0, -PI / 2, -PI)
+THETA_M_LINES = (0.0, PI / 2, PI)
+CORNERS = ((0.0, -PI / 2), (PI, -PI / 2), (0.0, 0.0), (PI, -PI))
+
+
+def _on_or_near(lines, interval):
+    """Floats in the interval, exactly on a line, or close to one.
+
+    Offsets within tol/2 stay on the line; offsets up to 3*tol straddle the
+    tolerance edge, where the two classifiers would first disagree.
+    """
+    offset = st.one_of(st.floats(-0.5, 0.5), st.floats(-3.0, 3.0)).map(
+        lambda f: f * ANGLE_TOL)
+    near = st.tuples(st.sampled_from(lines), offset).map(sum)
+    return st.one_of(st.floats(*interval), st.sampled_from(lines), near)
+
+
+@st.composite
+def plane_points(draw):
+    """A point of the closed parallelogram, boundaries weighted up.
+
+    Draws past an edge are pulled back inside the tolerance band, which the
+    classifiers accept as part of the domain.
+    """
+    corner = draw(st.one_of(st.none(), st.sampled_from(CORNERS)))
+    if corner is not None:
+        return corner
+    theta_m = min(max(draw(_on_or_near(THETA_M_LINES, (0.0, PI))), -ANGLE_TOL),
+                  PI + ANGLE_TOL)
+    s = min(max(draw(_on_or_near(S_LINES, (-PI, 0.0))), -PI - ANGLE_TOL),
+            ANGLE_TOL)
+    return theta_m, (s - theta_m) / 2
+
+
+@st.composite
+def outside_points(draw):
+    """A point past the classifier's tolerance band around the domain."""
+    if draw(st.booleans()):
+        theta_m = draw(st.one_of(st.floats(-1.0, -1.01 * ANGLE_TOL),
+                                 st.floats(PI + 1.01 * ANGLE_TOL, PI + 1.0)))
+        s = draw(st.floats(-PI, 0.0))
+    else:
+        theta_m = draw(st.floats(0.0, PI))
+        s = draw(st.one_of(st.floats(-PI - 1.0, -PI - 2.01 * ANGLE_TOL),
+                           st.floats(2.01 * ANGLE_TOL, 1.0)))
+    return theta_m, (s - theta_m) / 2
+
+
+class TestClassifyGrid:
+    @pytest.mark.parametrize("resolution", [2, 3, 5, 17, 33, 101])
+    def test_matches_scalar_on_every_grid_cell(self, resolution):
+        grid = phase_grid(resolution)
+        assert_matches_scalar(grid, grid.theta_m.tolist(),
+                              grid.theta_omega.tolist())
+
+    def test_matches_scalar_at_tolerance_edges(self):
+        steps = np.array([0.0, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 2.01, 3.0])
+        offsets = np.concatenate([-steps, steps]) * ANGLE_TOL
+        theta_m = np.clip(np.add.outer(THETA_M_LINES, offsets).ravel(),
+                          -ANGLE_TOL, PI + ANGLE_TOL)
+        s = np.clip(np.add.outer(S_LINES, offsets).ravel(),
+                    -PI - ANGLE_TOL, ANGLE_TOL)
+        theta_m, s = (a.ravel() for a in np.meshgrid(theta_m, s))
+        theta_omega = (s - theta_m) / 2
+        assert_matches_scalar(classify_grid(theta_m, theta_omega),
+                              theta_m.tolist(), theta_omega.tolist())
+
+    def test_points_just_outside_raise(self):
+        for theta_m, s in ((-1.01 * ANGLE_TOL, -1.0), (PI + 1.01 * ANGLE_TOL, -2.0),
+                           (1.0, 2.01 * ANGLE_TOL), (1.0, -PI - 2.01 * ANGLE_TOL)):
+            theta_omega = (s - theta_m) / 2
+            with pytest.raises(OutOfDomainError):
+                classify_phase(theta_m, theta_omega)
+            with pytest.raises(OutOfDomainError):
+                classify_grid([0.0, theta_m], [0.0, theta_omega])
+
+    @settings(deadline=None)
+    @given(st.lists(plane_points(), min_size=1, max_size=40))
+    def test_matches_scalar_over_closed_parallelogram(self, points):
+        theta_m, theta_omega = map(list, zip(*points))
+        grid = classify_grid(np.array(theta_m), np.array(theta_omega))
+        assert len(grid) == len(points)
+        assert_matches_scalar(grid, theta_m, theta_omega)
+
+    @settings(deadline=None)
+    @given(st.lists(plane_points(), max_size=20), outside_points(),
+           st.integers(0, 20))
+    def test_out_of_domain_raises(self, points, bad, where):
+        with pytest.raises(OutOfDomainError):
+            classify_phase(*bad)
+        points.insert(where, bad)
+        theta_m, theta_omega = map(np.array, zip(*points))
+        with pytest.raises(OutOfDomainError):
+            classify_grid(theta_m, theta_omega)
+
+    def test_broadcasts_and_keeps_shape(self):
+        grid = classify_grid(np.array([[0.0], [PI]]), -PI / 2)
+        for column in (grid.theta_m, grid.theta_omega, grid.theory,
+                       grid.region, grid.potential, grid.excluded_corner):
+            assert column.shape == (2, 1)
+        assert grid.excluded_corner.tolist() == [[True], [True]]
+        assert classify_grid(0.0, 0.0).potential.shape == ()
