@@ -311,8 +311,7 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     system = dynamics.TwoStateSystem(
         fock.coherent_coeffs(lam_a, n_dyn), fock.coherent_coeffs(lam_b, n_dyn),
         0.0, duration, params, rep_dyn)
-    samples = dynamics.trajectory(system, np.linspace(0.0, duration, 5))
-    amps = np.array([s.amplitude for s in samples])
+    amps = dynamics.trajectory(system, np.linspace(0.0, duration, 5)).amplitude
     add("amplitude_time_independence",
         np.abs(amps - amps[0]).max() / abs(amps[0]), 1e-12)
     closed = dynamics.coherent_state_at(lam_a, 1.0, "A", n_dyn, params)
@@ -466,24 +465,25 @@ def cmd_evolve(ctx, m, omega, hbar, eps, eps_prime, config, lambda_a,
     except (CxhoError, ValueError) as exc:
         _fail_config(str(exc))
     times = np.linspace(values["t_a"], values["t_b"], values["steps"] + 1)
+    try:
+        traj = dynamics.trajectory(system, times)
+    except ValueError as exc:
+        _fail_config(str(exc))
     header = ["t", "amplitude_re", "amplitude_im", "q_op_re", "q_op_im",
               "p_op_re", "p_op_im", "q_herm_re", "q_herm_im", "p_herm_re",
               "p_herm_im", "h_herm_re", "h_herm_im", "status"]
-    weak = np.zeros((times.size, 6), dtype=complex)
-    ok = []
-    for k, t in enumerate(times):
-        samples = dynamics.trajectory(system, [t])
-        ok.append(bool(samples))
-        if samples:
-            s = samples[0]
-            weak[k] = [s.amplitude, s.q_op, s.p_op, s.q_herm, s.p_herm,
-                       s.h_herm]
-    # (re, im) pairs side by side, in header order
-    parts = np.stack([weak.real, weak.imag], axis=-1).reshape(times.size, 12)
+
+    def cells(kept_values: np.ndarray) -> list[str]:
+        """Cells of a kept-sample column, blank at the skipped times."""
+        out = np.full(times.size, "", dtype=object)
+        out[traj.kept] = _float_cells(kept_values)
+        return out.tolist()
+
     columns = [_float_cells(times)]
-    columns += [[c if good else "" for c, good in zip(_float_cells(col), ok)]
-                for col in parts.T]
-    columns.append(["ok" if good else "vanishing_overlap" for good in ok])
+    for name in ("amplitude",) + dynamics.WEAK_VALUE_OPERATORS:
+        column = getattr(traj, name)
+        columns += [cells(column.real), cells(column.imag)]
+    columns.append(np.where(traj.kept, "ok", "vanishing_overlap").tolist())
     _write_output(values["output"], _csv_text(header, columns))
 
 

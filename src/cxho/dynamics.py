@@ -21,19 +21,23 @@ from .params import ModelParams
 #: Smallest overlap magnitude we are willing to divide by.
 OVERLAP_GUARD = 1e-300
 
+#: FockRep operators whose weak values a Trajectory holds, in column order.
+WEAK_VALUE_OPERATORS = ("q_op", "p_op", "q_herm", "p_herm", "h_herm")
 
-def _phases(params: ModelParams, omega: complex, dt: float, n: int) -> np.ndarray:
+
+def _phases(omega: complex, dt, n: int) -> np.ndarray:
+    """Level phases exp(-i*omega*(k+1/2)*dt); a column of dt gives one row each."""
     return np.exp(-1j * omega * (np.arange(n) + 0.5) * dt)
 
 
 def evolve_a(a0: StateVec, dt: float, params: ModelParams) -> StateVec:
     """Propagate a forward state by dt (level phases exp(-i*omega*(n+1/2)*dt))."""
-    return StateVec(a0.coeffs * _phases(params, params.omega, dt, len(a0)))
+    return StateVec(a0.coeffs * _phases(params.omega, dt, len(a0)))
 
 
 def evolve_b(b0: StateVec, dt: float, params: ModelParams) -> StateVec:
     """Propagate a backward state by dt; uses the conjugate frequency."""
-    return StateVec(b0.coeffs * _phases(params, np.conj(params.omega), dt, len(b0)))
+    return StateVec(b0.coeffs * _phases(np.conj(params.omega), dt, len(b0)))
 
 
 def coherent_lambda(lambda0: complex, dt: float, which: str,
@@ -107,14 +111,24 @@ class TwoStateSystem:
 
 
 @dataclass(frozen=True)
-class WeakValueSample:
-    t: float
-    amplitude: complex
-    q_op: complex
-    p_op: complex
-    q_herm: complex
-    p_herm: complex
-    h_herm: complex
+class Trajectory:
+    """Amplitude and weak values along a time grid, one array per field.
+
+    ``kept`` has one entry per input time and is False where the overlap
+    vanishes; every other column holds only the kept samples, in input order.
+    """
+
+    t: np.ndarray
+    amplitude: np.ndarray
+    q_op: np.ndarray
+    p_op: np.ndarray
+    q_herm: np.ndarray
+    p_herm: np.ndarray
+    h_herm: np.ndarray
+    kept: np.ndarray
+
+    def __len__(self) -> int:
+        return self.t.size
 
 
 def ehrenfest_residual(system: TwoStateSystem, t: float,
@@ -141,27 +155,38 @@ def ehrenfest_residual(system: TwoStateSystem, t: float,
     return dq - p_mid / m, dp + m * omega * omega * q_mid
 
 
-def trajectory(system: TwoStateSystem, times) -> list[WeakValueSample]:
+def trajectory(system: TwoStateSystem, times) -> Trajectory:
     """Weak values and amplitude along a time grid inside [t_a, t_b].
 
-    Times where the overlap vanishes are skipped (no sample is recorded for
-    them); everything else is deterministic in the input order.
+    Every time is evaluated in one batched pass whose per-time arithmetic is
+    that of ``states_at``, ``q_inner`` and ``weak_value``, so each value is
+    bit-identical to the per-time route.  Times where the overlap vanishes
+    are skipped (``kept`` is False there).  Raises ValueError for a NaN time
+    or one outside the window.
     """
-    rep = system.rep
-    out = []
-    for t in times:
-        if t < system.t_a - 1e-12 or t > system.t_b + 1e-12:
-            raise ValueError(f"time {t!r} outside [{system.t_a}, {system.t_b}]")
-        a, b = system.states_at(t)
-        amplitude = q_inner(b, a)
-        if abs(amplitude) <= OVERLAP_GUARD:
-            continue
-        out.append(WeakValueSample(
-            t=float(t), amplitude=complex(amplitude),
-            q_op=weak_value(rep.q_op, a, b),
-            p_op=weak_value(rep.p_op, a, b),
-            q_herm=weak_value(rep.q_herm, a, b),
-            p_herm=weak_value(rep.p_herm, a, b),
-            h_herm=weak_value(rep.h_herm, a, b),
-        ))
-    return out
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be one-dimensional, got shape {times.shape}")
+    # written so that NaN fails it
+    inside = (times >= system.t_a - 1e-12) & (times <= system.t_b + 1e-12)
+    if not inside.all():
+        raise ValueError(f"time {float(times[~inside][0])!r} outside "
+                         f"[{system.t_a}, {system.t_b}]")
+    omega, n = system.params.omega, len(system.a0)
+    # (times x levels) states; row k is states_at(times[k])
+    a = system.a0.coeffs * _phases(omega, (times - system.t_a)[:, None], n)
+    b = system.b0.coeffs * _phases(np.conj(omega), (times - system.t_b)[:, None], n)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("evolved states must be finite")
+    np.conj(b, out=b)  # rows of conj(b), the left factor np.vdot forms
+    # Stacked matmul runs the BLAS dot and gemv kernels once per time, as
+    # np.vdot and op @ a do, so every sum keeps its order.  A single gemm
+    # over all times would not.
+    amplitude = np.matmul(b[:, None, :], a[:, :, None])[:, 0, 0]
+    kept = np.abs(amplitude) > OVERLAP_GUARD
+    a, b, amplitude = a[kept], b[kept], amplitude[kept]
+    weak = {}
+    for name in WEAK_VALUE_OPERATORS:
+        op_a = np.matmul(getattr(system.rep, name), a[:, :, None])
+        weak[name] = np.matmul(b[:, None, :], op_a)[:, 0, 0] / amplitude
+    return Trajectory(t=times[kept], amplitude=amplitude, kept=kept, **weak)

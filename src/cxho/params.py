@@ -184,12 +184,14 @@ def classify_phase(theta_m: float, theta_omega: float,
     [0, pi/2), ITT on the line theta_m = pi/2, FTT for (pi/2, pi].  The
     region index 1..5 follows s = theta_m + 2*theta_omega through
     {0}, (-pi/2, 0), {-pi/2}, (-pi, -pi/2), {-pi}; the boundary lines own
-    their labels.  Raises OutOfDomainError outside the parallelogram.
+    their labels.  Raises OutOfDomainError outside the parallelogram or for
+    a NaN angle.
     """
-    if theta_m < -tol or theta_m > math.pi + tol:
+    # both tests are written so that a NaN angle fails them
+    if not -tol <= theta_m <= math.pi + tol:
         raise OutOfDomainError(f"theta_m = {theta_m:.6g} outside [0, pi]")
     s = theta_m + 2 * theta_omega
-    if s < -math.pi - 2 * tol or s > 2 * tol:
+    if not -math.pi - 2 * tol <= s <= 2 * tol:
         raise OutOfDomainError(
             f"theta_m + 2*theta_omega = {s:.6g} outside [-pi, 0]")
 
@@ -328,16 +330,17 @@ def classify_grid(theta_m, theta_omega, tol: float = ANGLE_TOL) -> PhaseGrid:
 
     Applies the same tests in the same floating-point order, so every point
     gets the labels the scalar function gives it.  Raises OutOfDomainError
-    if any point lies outside the parallelogram.
+    if any point lies outside the parallelogram or has a NaN angle.
     """
     theta_m, theta_omega = np.broadcast_arrays(
         np.asarray(theta_m, dtype=float), np.asarray(theta_omega, dtype=float))
-    bad = (theta_m < -tol) | (theta_m > math.pi + tol)
+    # both tests are written so that a NaN angle fails them
+    bad = ~((theta_m >= -tol) & (theta_m <= math.pi + tol))
     if bad.any():
         raise OutOfDomainError(
             f"theta_m = {theta_m[bad].flat[0]:.6g} outside [0, pi]")
     s = theta_m + 2 * theta_omega
-    bad = (s < -math.pi - 2 * tol) | (s > 2 * tol)
+    bad = ~((s >= -math.pi - 2 * tol) & (s <= 2 * tol))
     if bad.any():
         raise OutOfDomainError(
             f"theta_m + 2*theta_omega = {s[bad].flat[0]:.6g} outside [-pi, 0]")

@@ -93,13 +93,11 @@ def test_c03_classical_solution():
         ("h value", abs(h_wv - h_target) <= 1e-12),
     ]
     system = TwoStateSystem(res.a, res.b, 0.0, 10.0, params, rep)
-    for sample in trajectory(system, [0.0, 5.0, 10.0]):
-        checks.append((f"q constant at t={sample.t}",
-                       abs(sample.q_herm - q_wv) <= 1e-12))
-        checks.append((f"p constant at t={sample.t}",
-                       abs(sample.p_herm - p_wv) <= 1e-12))
-        checks.append((f"h constant at t={sample.t}",
-                       abs(sample.h_herm - h_wv) <= 1e-12))
+    traj = trajectory(system, [0.0, 5.0, 10.0])
+    for t, q, p, h in zip(traj.t.tolist(), traj.q_herm, traj.p_herm, traj.h_herm):
+        checks.append((f"q constant at t={t}", abs(q - q_wv) <= 1e-12))
+        checks.append((f"p constant at t={t}", abs(p - p_wv) <= 1e-12))
+        checks.append((f"h constant at t={t}", abs(h - h_wv) <= 1e-12))
     report(3, "classical solution: coordinate weak values vanish", checks)
 
 

@@ -27,10 +27,13 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
-# sha256 of stdout, recorded from the per-point phase classifier and the
-# per-cell CSV/JSON formatting; the vectorized writers must reproduce them
-# byte for byte.  The evolve and wavefunction digests also depend on numpy's
-# floating-point results, so a different numpy build may change them.
+# sha256 of stdout, recorded from the per-point phase classifier, the
+# per-time trajectory loop and the per-cell CSV/JSON formatting; the
+# vectorized code must reproduce them byte for byte.  The evolve and
+# wavefunction digests also depend on numpy's floating-point results, so a
+# different numpy build may change them.  Of the evolve runs, omega 1-200i
+# has a vanishing overlap at every time, and omega 1-137.955...i one that
+# sits at the overlap guard, so rounding blanks some rows and not others.
 REFERENCE_DIGESTS = {
     "phase-diagram --grid 2":
         "c8f18257021e552b3fc898a5ebd09f7711ba05500f000ce4918e1a43a51e9434",
@@ -54,6 +57,13 @@ REFERENCE_DIGESTS = {
         "a227cfdc1e0fdc1127c47856e451a5e04dc910b2211db71b769f16726215c412",
     "evolve --lambda-a 1+0i --lambda-b 1+0i --omega 1-0.1i --steps 200":
         "044b1648d3362d63ed865440c878d6c802d39fae9ba5467e1ea7359b48c08968",
+    "evolve --m 0.9+0.3i --omega 1.1-0.3i --lambda-a 1+0.5i --lambda-b 0.3-0.7i "
+    "--nmax 64 --steps 2000":
+        "091a79a1ab79078323cede3c91b5f7c375de744fd25333809fbd1de24bc73f0a",
+    "evolve --omega 1-200i --steps 4":
+        "7827439fa728222a86f4428a4773f0b25b8e35065db6270db515df3760636ebe",
+    "evolve --omega 1-137.95510557964275i --steps 400":
+        "6c11e5b92addabddd8f408c11e21932b60fe50f2e18720a687caa007edf67dbf",
     "wavefunction --n 3 --omega 0.9-0.3i --points 801":
         "99319b74cd35bb6bef3c2141ea24c471acd07c933c1dbed9c8fe2d76a68e4c9f",
 }
@@ -191,6 +201,11 @@ class TestEvolve:
     def test_config_error(self, runner):
         result = runner.invoke(main, ["evolve", "--steps", "0"])
         assert result.exit_code == 2
+
+    def test_nan_time_rejected(self, runner):
+        result = runner.invoke(main, ["evolve", "--t-a", "nan", "--steps", "3"])
+        assert result.exit_code == 2
+        assert "time nan outside" in result.output
 
 
 class TestWavefunction:

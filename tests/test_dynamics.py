@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cxho.dynamics import (
+    OVERLAP_GUARD,
+    WEAK_VALUE_OPERATORS,
     TwoStateSystem,
     coherent_lambda,
     coherent_state_at,
@@ -194,13 +198,13 @@ class TestTrajectory:
         sys = TwoStateSystem(coherent_coeffs(lam_a, n_max),
                              coherent_coeffs(lam_b, n_max),
                              0.0, t_b, params_damped, rep)
-        (sample,) = trajectory(sys, [0.0])
+        (amplitude,) = trajectory(sys, [0.0]).amplitude
         omega = params_damped.omega
         phase = cmath.exp(-1j * omega * t_b)
         expected = cmath.exp(-0.5j * omega * t_b) * cmath.exp(
             -0.5 * (abs(lam_a) ** 2 + abs(lam_b) ** 2)
             + np.conj(lam_b) * lam_a * phase)
-        assert sample.amplitude == pytest.approx(expected, rel=1e-12)
+        assert amplitude == pytest.approx(expected, rel=1e-12)
 
     def test_amplitude_time_independent(self, params_damped):
         n_max = 30
@@ -208,35 +212,136 @@ class TestTrajectory:
         sys = TwoStateSystem(coherent_coeffs(0.9, n_max),
                              coherent_coeffs(-0.2 + 0.5j, n_max),
                              0.0, 3.0, params_damped, rep)
-        samples = trajectory(sys, np.linspace(0.0, 3.0, 5))
-        amps = [s.amplitude for s in samples]
+        amps = trajectory(sys, np.linspace(0.0, 3.0, 5)).amplitude
         for amp in amps[1:]:
             assert amp == pytest.approx(amps[0], rel=1e-12)
 
     def test_ground_pair_constant_samples(self, params_damped):
         rep = build(params_damped, 6)
         sys = TwoStateSystem(unit(6, 0), unit(6, 0), 0.0, 2.0, params_damped, rep)
-        samples = trajectory(sys, [0.0, 1.0, 2.0])
-        for s in samples[1:]:
-            assert s.amplitude == pytest.approx(samples[0].amplitude, rel=1e-13)
-            assert s.h_herm == pytest.approx(samples[0].h_herm, rel=1e-13)
-            assert s.q_op == samples[0].q_op == 0.0
+        traj = trajectory(sys, [0.0, 1.0, 2.0])
+        for k in range(1, len(traj)):
+            assert traj.amplitude[k] == pytest.approx(traj.amplitude[0], rel=1e-13)
+            assert traj.h_herm[k] == pytest.approx(traj.h_herm[0], rel=1e-13)
+            assert traj.q_op[k] == traj.q_op[0] == 0.0
 
     def test_empty_times(self, params_damped):
         rep = build(params_damped, 4)
         sys = TwoStateSystem(unit(4, 0), unit(4, 0), 0.0, 1.0, params_damped, rep)
-        assert trajectory(sys, []) == []
+        traj = trajectory(sys, [])
+        assert len(traj) == 0 and traj.kept.size == 0
 
     def test_orthogonal_pair_skipped(self, params_real):
         rep = build(params_real, 4)
         sys = TwoStateSystem(unit(4, 0), unit(4, 1), 0.0, 1.0, params_real, rep)
-        assert trajectory(sys, [0.5]) == []
+        traj = trajectory(sys, [0.5])
+        assert len(traj) == 0 and traj.kept.tolist() == [False]
 
     def test_time_window_enforced(self, params_real):
         rep = build(params_real, 4)
         sys = TwoStateSystem(unit(4, 0), unit(4, 0), 0.0, 1.0, params_real, rep)
         with pytest.raises(ValueError):
             trajectory(sys, [1.5])
+
+    def test_non_finite_states_rejected(self):
+        # Im(omega) = 400 lies inside the angle tolerance of the real axis but
+        # overflows the forward phases of the upper levels
+        params = validate(1, 1e12 + 400j)
+        rep = build(params, 8)
+        sys = TwoStateSystem(unit(8, 0), unit(8, 0), 0.0, 1.0, params, rep)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                sys.states_at(1.0)
+            with pytest.raises(ValueError):
+                trajectory(sys, [0.0, 1.0])
+
+
+@st.composite
+def two_state_systems(draw):
+    """A boundary pair anywhere on the normalizable part of the closed
+    parallelogram, the domain edges and region lines weighted up.
+
+    The pair is random or orthogonal (every overlap vanishes).  Windows of
+    100-400 time units let damping underflow the overlap at some or all times.
+    """
+    theta_m = draw(st.one_of(st.floats(0.0, PI), st.sampled_from((0.0, PI / 2, PI))))
+    s = draw(st.one_of(st.floats(-PI, 0.0), st.sampled_from((0.0, -PI / 2, -PI))))
+    radius = st.floats(0.25, 4.0)
+    params = validate(draw(radius) * cmath.exp(1j * theta_m),
+                      draw(radius) * cmath.exp(0.5j * (s - theta_m)))
+    assume(params.normalizable)
+    n_max = draw(st.integers(2, 96))
+    kind = draw(st.sampled_from(("random", "orthogonal")))
+    if kind == "orthogonal":
+        a0, b0 = unit(n_max, 0), unit(n_max, 1)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a0, b0 = (StateVec(v / np.linalg.norm(v)) for v in
+                  rng.standard_normal((2, n_max)) + 1j * rng.standard_normal((2, n_max)))
+    t_a = draw(st.floats(-5.0, 5.0))
+    t_b = t_a + draw(st.one_of(st.floats(0.01, 10.0), st.floats(100.0, 400.0)))
+    return TwoStateSystem(a0, b0, t_a, t_b, params, build(params, n_max))
+
+
+def window_times(system, max_size=30):
+    """Times inside the window, its ends and the 1e-12 slack past them."""
+    edges = (system.t_a, system.t_b, system.t_a - 5e-13, system.t_b + 5e-13)
+    return st.lists(st.one_of(st.floats(system.t_a, system.t_b),
+                              st.sampled_from(edges)), max_size=max_size)
+
+
+def per_time_reference(system, times):
+    """The trajectory columns built one time at a time from states_at,
+    q_inner and weak_value, and the kept mask."""
+    kept, rows = [], []
+    for t in times:
+        a, b = system.states_at(t)
+        amplitude = q_inner(b, a)
+        kept.append(abs(amplitude) > OVERLAP_GUARD)
+        if kept[-1]:
+            rows.append([t, amplitude] + [weak_value(getattr(system.rep, name), a, b)
+                                          for name in WEAK_VALUE_OPERATORS])
+    columns = [np.array(col) for col in zip(*rows)] or [np.array([])] * 7
+    return dict(zip(("t", "amplitude") + WEAK_VALUE_OPERATORS, columns)), kept
+
+
+class TestTrajectoryMatchesPerTimeRoute:
+    @given(st.data())
+    def test_every_column_bit_identical(self, data):
+        system = data.draw(two_state_systems())
+        times = data.draw(window_times(system))
+        traj = trajectory(system, times)
+        expected, kept = per_time_reference(system, times)
+        assert traj.kept.tolist() == kept
+        assert len(traj) == sum(kept)
+        for name, column in expected.items():
+            got = getattr(traj, name)
+            assert got.shape == column.shape, name
+            assert (got == column).all(), name
+
+    def test_partly_vanishing_overlap(self):
+        # |amplitude| sits at OVERLAP_GUARD here, so rounding keeps some times
+        # and skips others
+        params = validate(1, 1 - 137.95510557964275j)
+        state = coherent_coeffs(1.0, 32).normalized()
+        system = TwoStateSystem(state, state, 0.0, 10.0, params, build(params, 32))
+        times = np.linspace(0.0, 10.0, 401)
+        traj = trajectory(system, times)
+        expected, kept = per_time_reference(system, times.tolist())
+        assert 0 < sum(kept) < len(kept)
+        assert traj.kept.tolist() == kept
+        for name, column in expected.items():
+            assert (getattr(traj, name) == column).all(), name
+
+    @given(st.data())
+    def test_nan_or_outside_time_rejected(self, data):
+        system = data.draw(two_state_systems())
+        times = data.draw(window_times(system, max_size=10))
+        bad = data.draw(st.sampled_from((
+            math.nan, math.inf, -math.inf, system.t_a - 1e-9, system.t_b + 1e-9)))
+        times.insert(data.draw(st.integers(0, len(times))), bad)
+        with pytest.raises(ValueError, match="outside"):
+            trajectory(system, times)
 
 
 class TestTwoStateSystem:

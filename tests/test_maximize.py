@@ -170,10 +170,11 @@ class TestMaxWeakValues:
         rep = build(params_damped, 8)
         q0, p0, h0 = max_weak_values(res, rep)
         sys = TwoStateSystem(res.a, res.b, 0.0, 10.0, params_damped, rep)
-        for sample in trajectory(sys, [0.0, 4.0, 10.0]):
-            assert sample.q_herm == pytest.approx(q0, abs=1e-12)
-            assert sample.p_herm == pytest.approx(p0, abs=1e-12)
-            assert sample.h_herm == pytest.approx(h0, abs=1e-12)
+        traj = trajectory(sys, [0.0, 4.0, 10.0])
+        for q, p, h in zip(traj.q_herm, traj.p_herm, traj.h_herm):
+            assert q == pytest.approx(q0, abs=1e-12)
+            assert p == pytest.approx(p0, abs=1e-12)
+            assert h == pytest.approx(h0, abs=1e-12)
 
     def test_degenerate_values_returned(self, params_real):
         res = maximize(5.0, params_real, 6, seed=0)

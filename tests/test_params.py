@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cxho.errors import (
@@ -371,8 +371,14 @@ def plane_points(draw):
 
 @st.composite
 def outside_points(draw):
-    """A point past the classifier's tolerance band around the domain."""
-    if draw(st.booleans()):
+    """A point past the classifier's tolerance band around the domain, or
+    one with a NaN angle."""
+    kind = draw(st.sampled_from(("theta_m", "s", "nan")))
+    if kind == "nan":
+        theta_m, theta_omega = draw(plane_points())
+        return draw(st.sampled_from(((math.nan, theta_omega), (theta_m, math.nan),
+                                     (math.nan, math.nan))))
+    if kind == "theta_m":
         theta_m = draw(st.one_of(st.floats(-1.0, -1.01 * ANGLE_TOL),
                                  st.floats(PI + 1.01 * ANGLE_TOL, PI + 1.0)))
         s = draw(st.floats(-PI, 0.0))
@@ -411,7 +417,6 @@ class TestClassifyGrid:
             with pytest.raises(OutOfDomainError):
                 classify_grid([0.0, theta_m], [0.0, theta_omega])
 
-    @settings(deadline=None)
     @given(st.lists(plane_points(), min_size=1, max_size=40))
     def test_matches_scalar_over_closed_parallelogram(self, points):
         theta_m, theta_omega = map(list, zip(*points))
@@ -419,7 +424,6 @@ class TestClassifyGrid:
         assert len(grid) == len(points)
         assert_matches_scalar(grid, theta_m, theta_omega)
 
-    @settings(deadline=None)
     @given(st.lists(plane_points(), max_size=20), outside_points(),
            st.integers(0, 20))
     def test_out_of_domain_raises(self, points, bad, where):
@@ -429,6 +433,25 @@ class TestClassifyGrid:
         theta_m, theta_omega = map(np.array, zip(*points))
         with pytest.raises(OutOfDomainError):
             classify_grid(theta_m, theta_omega)
+
+    @pytest.mark.parametrize("theta_m, theta_omega, failed_test", [
+        (math.nan, -1.0, r"outside \[0, pi\]"),
+        (1.0, math.nan, r"outside \[-pi, 0\]"),
+        (math.nan, math.nan, r"outside \[0, pi\]")])
+    def test_nan_angle_raises(self, theta_m, theta_omega, failed_test):
+        with pytest.raises(OutOfDomainError, match=failed_test):
+            classify_phase(theta_m, theta_omega)
+        with pytest.raises(OutOfDomainError, match=failed_test):
+            classify_grid(theta_m, theta_omega)
+
+    def test_nan_in_valid_grid_raises(self):
+        grid = phase_grid(5)
+        for column in ("theta_m", "theta_omega"):
+            angles = {"theta_m": grid.theta_m.copy(),
+                      "theta_omega": grid.theta_omega.copy()}
+            angles[column][7] = math.nan
+            with pytest.raises(OutOfDomainError):
+                classify_grid(**angles)
 
     def test_broadcasts_and_keeps_shape(self):
         grid = classify_grid(np.array([[0.0], [PI]]), -PI / 2)
