@@ -169,50 +169,50 @@ def _fail_config(message: str) -> None:
     sys.exit(EXIT_CONFIG)
 
 
-def _apply_config(ctx: click.Context, config_path: str | None,
-                  values: dict) -> dict:
-    """Merge a JSON config file under the command-line flags.
+def _load_config(ctx: click.Context, param: click.Parameter,
+                 path: str | None) -> None:
+    """Load a JSON config file into ``ctx.default_map``.
 
-    Keys mirror the flag names with dashes replaced by underscores; flags
-    given explicitly win.  Unknown keys are rejected.
+    Keys are parameter or flag names, dashes or underscores alike; a null
+    leaves the default and flags given explicitly win.  Unknown keys, and
+    two keys naming one parameter, are rejected.
     """
-    if config_path is None:
-        return values
+    if path is None:
+        return
     try:
-        with open(config_path) as fh:
+        with open(path) as fh:
             config = json.load(fh)
     except OSError as exc:
-        click.echo(f"error: cannot read config {config_path}: {exc}", err=True)
+        click.echo(f"error: cannot read config {path}: {exc}", err=True)
         sys.exit(EXIT_IO)
     except json.JSONDecodeError as exc:
-        _fail_config(f"config {config_path} is not valid JSON: {exc}")
+        _fail_config(f"config {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
-        _fail_config(f"config {config_path} must hold a JSON object")
-    by_flag = {}
-    for param in ctx.command.params:
-        by_flag[param.name] = param
-        for opt in param.opts:
-            if opt.startswith("--"):
-                by_flag[opt[2:].replace("-", "_")] = param
-    merged = dict(values)
+        _fail_config(f"config {path} must hold a JSON object")
+    by_key = {name.lstrip("-").replace("-", "_"): option
+              for option in ctx.command.params if option.expose_value
+              for name in [option.name, *option.opts]}
+    default_map, key_of = {}, {}
     for key, raw in config.items():
-        param = by_flag.get(key.replace("-", "_"))
-        if param is None or param.name not in values:
+        option = by_key.get(key.replace("-", "_"))
+        if option is None:
             _fail_config(f"unknown config field {key!r}")
-        if ctx.get_parameter_source(param.name) is click.core.ParameterSource.DEFAULT:
+        if option.name in key_of:
+            _fail_config(f"config fields {key_of[option.name]!r} and {key!r} "
+                         f"both set {option.name!r}")
+        key_of[option.name] = key
+        if raw is not None:
             try:
-                merged[param.name] = param.type.convert(raw, param, ctx)
-            except click.UsageError as exc:
+                default_map[option.name] = option.type.convert(raw, option, ctx)
+            except click.BadParameter as exc:
                 _fail_config(f"config field {key!r}: {exc}")
-    return merged
+    ctx.default_map = default_map
 
 
-def _validated(values: dict) -> ModelParams:
-    try:
-        return validate(values["m"], values["omega"], hbar=values["hbar"],
-                        eps=values["eps"], eps_prime=values["eps_prime"])
-    except (CxhoError, ValueError) as exc:
-        _fail_config(str(exc))
+_config_option = click.option(
+    "--config", type=click.Path(), is_eager=True, expose_value=False,
+    callback=_load_config,
+    help="JSON file mirroring the flags; flags override it.")
 
 
 def _model_options(func):
@@ -226,14 +226,28 @@ def _model_options(func):
                      help="Coordinate regulator."),
         click.option("--eps-prime", type=float, default=1e-3, show_default=True,
                      help="Momentum regulator."),
-        click.option("--config", type=click.Path(), default=None,
-                     help="JSON file mirroring the flags; flags override it."),
+        _config_option,
     ]):
         func = option(func)
     return func
 
 
-@click.group()
+class _Group(click.Group):
+    """Command group that turns the package's errors into exit code 2.
+
+    A ``CxhoError`` or ``ValueError`` from any command leaves through
+    ``_fail_config``, with one ``error:`` line, also when called with
+    ``standalone_mode=False``.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (CxhoError, ValueError) as exc:
+            _fail_config(str(exc))
+
+
+@click.group(cls=_Group)
 def main():
     """Complex-mass, complex-frequency harmonic oscillator toolkit."""
 
@@ -244,19 +258,10 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
 @click.option("--output", type=click.Path(), default="-", show_default=True)
-@click.option("--config", type=click.Path(), default=None,
-              help="JSON file mirroring the flags; flags override it.")
-@click.pass_context
-def cmd_phase_diagram(ctx, grid, fmt, output, config):
+@_config_option
+def cmd_phase_diagram(grid, fmt, output):
     """Classify a uniform grid over the allowed angle parallelogram."""
-    values = _apply_config(ctx, config, {"grid": grid, "fmt": fmt,
-                                         "output": output})
-    try:
-        grid = phase_grid(values["grid"])
-    except ValueError as exc:
-        _fail_config(str(exc))
-    _write_output(values["output"],
-                  _phase_text(grid, values["grid"], values["fmt"]))
+    _write_output(output, _phase_text(phase_grid(grid), grid, fmt))
 
 
 def _verify_checks(params: ModelParams, n_max: int, seed: int,
@@ -365,28 +370,18 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
               help="Override every per-check tolerance.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default="-", show_default=True)
-@click.pass_context
-def cmd_verify(ctx, m, omega, hbar, eps, eps_prime, config, nmax, tol, seed,
-               output):
+def cmd_verify(m, omega, hbar, eps, eps_prime, nmax, tol, seed, output):
     """Run the cross-module property suite and report defects."""
-    values = _apply_config(ctx, config, {
-        "m": m, "omega": omega, "hbar": hbar, "eps": eps,
-        "eps_prime": eps_prime, "nmax": nmax, "tol": tol, "seed": seed,
-        "output": output})
-    params = _validated(values)
-    try:
-        checks = _verify_checks(params, values["nmax"], values["seed"],
-                                values["tol"])
-    except (CxhoError, ValueError) as exc:
-        _fail_config(str(exc))
+    params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
+    checks = _verify_checks(params, nmax, seed, tol)
     report = {
         "m": params.m, "omega": params.omega, "hbar": params.hbar,
         "eps": params.eps, "eps_prime": params.eps_prime,
-        "nmax": values["nmax"], "seed": values["seed"],
+        "nmax": nmax, "seed": seed,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }
-    _write_output(values["output"], _json_dumps(report) + "\n")
+    _write_output(output, _json_dumps(report) + "\n")
     if not report["all_passed"]:
         sys.exit(EXIT_VERIFY)
 
@@ -400,21 +395,12 @@ def cmd_verify(ctx, m, omega, hbar, eps, eps_prime, config, nmax, tol, seed,
 @click.option("--max-iters", type=int, default=10000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", type=click.Path(), default="-", show_default=True)
-@click.pass_context
-def cmd_maximize(ctx, m, omega, hbar, eps, eps_prime, config, duration, nmax,
-                 tol, max_iters, seed, output):
+def cmd_maximize(m, omega, hbar, eps, eps_prime, duration, nmax, tol,
+                 max_iters, seed, output):
     """Maximize the transition amplitude over boundary states."""
-    values = _apply_config(ctx, config, {
-        "m": m, "omega": omega, "hbar": hbar, "eps": eps,
-        "eps_prime": eps_prime, "duration": duration, "nmax": nmax,
-        "tol": tol, "max_iters": max_iters, "seed": seed, "output": output})
-    params = _validated(values)
-    try:
-        result = mx.maximize(values["duration"], params, values["nmax"],
-                             tol=values["tol"], max_iters=values["max_iters"],
-                             seed=values["seed"])
-    except (CxhoError, ValueError) as exc:
-        _fail_config(str(exc))
+    params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
+    result = mx.maximize(duration, params, nmax, tol=tol, max_iters=max_iters,
+                         seed=seed)
     payload = {
         "duration": result.duration,
         "amplitude_abs": result.amplitude_abs,
@@ -427,7 +413,7 @@ def cmd_maximize(ctx, m, omega, hbar, eps, eps_prime, config, duration, nmax,
         "a": list(result.a.coeffs),
         "b": list(result.b.coeffs),
     }
-    _write_output(values["output"], _json_dumps(payload) + "\n")
+    _write_output(output, _json_dumps(payload) + "\n")
 
 
 @main.command("evolve")
@@ -442,33 +428,21 @@ def cmd_maximize(ctx, m, omega, hbar, eps, eps_prime, config, duration, nmax,
               help="Number of grid intervals between t-a and t-b.")
 @click.option("--nmax", type=int, default=32, show_default=True)
 @click.option("--output", type=click.Path(), default="-", show_default=True)
-@click.pass_context
-def cmd_evolve(ctx, m, omega, hbar, eps, eps_prime, config, lambda_a,
-               lambda_b, t_a, t_b, steps, nmax, output):
+def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
+               steps, nmax, output):
     """Weak-value time series for a coherent boundary pair (CSV)."""
-    values = _apply_config(ctx, config, {
-        "m": m, "omega": omega, "hbar": hbar, "eps": eps,
-        "eps_prime": eps_prime, "lambda_a": lambda_a, "lambda_b": lambda_b,
-        "t_a": t_a, "t_b": t_b, "steps": steps, "nmax": nmax,
-        "output": output})
-    params = _validated(values)
-    if values["steps"] < 1:
-        _fail_config(f"steps must be >= 1, got {values['steps']}")
-    if values["t_b"] <= values["t_a"]:
+    params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
+    if steps < 1:
+        _fail_config(f"steps must be >= 1, got {steps}")
+    if t_b <= t_a:
         _fail_config("t-b must exceed t-a")
-    try:
-        rep = fock.build(params, values["nmax"])
-        system = dynamics.TwoStateSystem(
-            fock.coherent_coeffs(values["lambda_a"], values["nmax"]).normalized(),
-            fock.coherent_coeffs(values["lambda_b"], values["nmax"]).normalized(),
-            values["t_a"], values["t_b"], params, rep)
-    except (CxhoError, ValueError) as exc:
-        _fail_config(str(exc))
-    times = np.linspace(values["t_a"], values["t_b"], values["steps"] + 1)
-    try:
-        traj = dynamics.trajectory(system, times)
-    except ValueError as exc:
-        _fail_config(str(exc))
+    rep = fock.build(params, nmax)
+    system = dynamics.TwoStateSystem(
+        fock.coherent_coeffs(lambda_a, nmax).normalized(),
+        fock.coherent_coeffs(lambda_b, nmax).normalized(),
+        t_a, t_b, params, rep)
+    times = np.linspace(t_a, t_b, steps + 1)
+    traj = dynamics.trajectory(system, times)
     header = ["t", "amplitude_re", "amplitude_im", "q_op_re", "q_op_im",
               "p_op_re", "p_op_im", "q_herm_re", "q_herm_im", "p_herm_re",
               "p_herm_im", "h_herm_re", "h_herm_im", "status"]
@@ -484,7 +458,7 @@ def cmd_evolve(ctx, m, omega, hbar, eps, eps_prime, config, lambda_a,
         column = getattr(traj, name)
         columns += [cells(column.real), cells(column.imag)]
     columns.append(np.where(traj.kept, "ok", "vanishing_overlap").tolist())
-    _write_output(values["output"], _csv_text(header, columns))
+    _write_output(output, _csv_text(header, columns))
 
 
 @main.command("wavefunction")
@@ -499,32 +473,19 @@ def cmd_evolve(ctx, m, omega, hbar, eps, eps_prime, config, lambda_a,
               help="Half-extent of the ray; defaults to a level-scaled value.")
 @click.option("--points", type=int, default=401, show_default=True)
 @click.option("--output", type=click.Path(), default="-", show_default=True)
-@click.pass_context
-def cmd_wavefunction(ctx, m, omega, hbar, eps, eps_prime, config, n, basis,
-                     ray_angle, half_width, points, output):
+def cmd_wavefunction(m, omega, hbar, eps, eps_prime, n, basis, ray_angle,
+                     half_width, points, output):
     """Sample a level wavefunction along a ray (CSV)."""
-    values = _apply_config(ctx, config, {
-        "m": m, "omega": omega, "hbar": hbar, "eps": eps,
-        "eps_prime": eps_prime, "n": n, "basis": basis,
-        "ray_angle": ray_angle, "half_width": half_width, "points": points,
-        "output": output})
-    params = _validated(values)
-    if values["points"] < 2:
-        _fail_config(f"points must be >= 2, got {values['points']}")
-    width = values["half_width"]
-    if width is None:
-        width = 12.0 * math.sqrt(params.hbar * (values["n"] + 1) / params.r)
-    qs = (np.linspace(-width, width, values["points"])
-          * np.exp(1j * values["ray_angle"]))
-    try:
-        psi = wavefunctions.eigenfunction(int(values["basis"]), values["n"],
-                                          qs, params)
-    except (CxhoError, ValueError) as exc:
-        _fail_config(str(exc))
+    params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
+    if points < 2:
+        _fail_config(f"points must be >= 2, got {points}")
+    if half_width is None:
+        half_width = 12.0 * math.sqrt(params.hbar * (n + 1) / params.r)
+    qs = np.linspace(-half_width, half_width, points) * np.exp(1j * ray_angle)
+    psi = wavefunctions.eigenfunction(int(basis), n, qs, params)
     columns = [_float_cells(part)
                for part in (qs.real, qs.imag, psi.real, psi.imag)]
-    _write_output(values["output"],
-                  _csv_text(["q_re", "q_im", "psi_re", "psi_im"], columns))
+    _write_output(output, _csv_text(["q_re", "q_im", "psi_re", "psi_im"], columns))
 
 
 if __name__ == "__main__":

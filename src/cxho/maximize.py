@@ -28,6 +28,21 @@ def _kernel(params: ModelParams, duration: float, n: int) -> np.ndarray:
     return np.exp(-1j * params.omega * (np.arange(n) + 0.5) * duration)
 
 
+def _level0_scale(params: ModelParams, duration: float) -> float:
+    """|exp(-i*omega*T/2)|, the kernel's level-zero magnitude."""
+    return math.exp(0.5 * duration * params.omega.imag)
+
+
+def _scaled_kernel(params: ModelParams, duration: float, n: int) -> np.ndarray:
+    """The kernel divided by its level-zero magnitude.
+
+    Entries are exp(-i*omega*n*T) times a unit phase, so level zero has
+    modulus 1 where the kernel itself may underflow at every level.
+    """
+    return np.exp(-1j * params.omega * (np.arange(n) + 0.5) * duration
+                  - 0.5 * duration * params.omega.imag)
+
+
 def amplitude(a: StateVec, b: StateVec, duration: float,
               params: ModelParams) -> complex:
     """Transition amplitude between boundary states for the given duration.
@@ -50,7 +65,7 @@ def analytic_max(duration: float, params: ModelParams,
         raise ValueError(f"duration must be positive, got {duration!r}")
     if is_degenerate(params):
         return 1.0, tuple(range(n_max))
-    return math.exp(0.5 * duration * params.omega.imag), (0,)
+    return _level0_scale(params, duration), (0,)
 
 
 @dataclass(frozen=True)
@@ -86,6 +101,9 @@ def maximize(duration: float, params: ModelParams, n_max: int,
     Each sweep sets a to the normalized adjoint-kernel image of b and b to
     the normalized kernel image of a, which is power iteration for the top
     singular pair of the diagonal kernel; |amplitude| never decreases.
+    The iteration runs on the kernel divided by its level-zero magnitude,
+    which is multiplied back into |amplitude|, so a kernel that underflows
+    for large |Im omega|*T still yields the maximizing pair.
     Stops once neither |amplitude| nor the iterates move by more than
     ``tol`` (the amplitude stagnates well before the states do, and the
     vanishing of the coordinate weak values needs the states themselves).
@@ -96,7 +114,8 @@ def maximize(duration: float, params: ModelParams, n_max: int,
         raise ValueError(f"duration must be positive, got {duration!r}")
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    kernel = _kernel(params, duration, n_max)
+    kernel = _scaled_kernel(params, duration, n_max)
+    scale = _level0_scale(params, duration)
 
     if start is not None:
         a_vec = start.coeffs.astype(np.complex128)
@@ -110,8 +129,9 @@ def maximize(duration: float, params: ModelParams, n_max: int,
         used_seed = seed
     a_vec = _fix_phase(a_vec / np.linalg.norm(a_vec))
     b_vec = kernel * a_vec
-    amp_abs = float(np.linalg.norm(b_vec))  # |b' D a| for the optimal b'
-    b_vec = _fix_phase(b_vec / amp_abs)
+    norm = float(np.linalg.norm(b_vec))
+    amp_abs = norm * scale  # |b' D a| for the optimal b'
+    b_vec = _fix_phase(b_vec / norm)
 
     history = [amp_abs]
     converged = False
@@ -120,8 +140,9 @@ def maximize(duration: float, params: ModelParams, n_max: int,
         a_new = np.conj(kernel) * b_vec
         a_new = _fix_phase(a_new / np.linalg.norm(a_new))
         b_new = kernel * a_new
-        new_amp = float(np.linalg.norm(b_new))
-        b_new = _fix_phase(b_new / new_amp)
+        norm = float(np.linalg.norm(b_new))
+        new_amp = norm * scale
+        b_new = _fix_phase(b_new / norm)
         step = max(np.abs(a_new - a_vec).max(), np.abs(b_new - b_vec).max())
         a_vec, b_vec = a_new, b_new
         history.append(new_amp)
@@ -147,12 +168,13 @@ def max_weak_values(result: MaximizationResult, rep: FockRep
     """Weak values of q_herm, p_herm and h_herm between the maximizers.
 
     The backward state is transported to the initial time through the
-    kernel before forming the normalized matrix elements.  For a
+    kernel, scaled as in ``maximize`` (the ratios do not see the scale),
+    before forming the normalized matrix elements.  For a
     non-degenerate converged result both coordinate values vanish and the
     energy value is the level-zero entry of h_herm; in the degenerate case
     the values are still returned but carry no such guarantee.
     """
-    kernel = _kernel(rep.params, result.duration, result.a.coeffs.size)
+    kernel = _scaled_kernel(rep.params, result.duration, result.a.coeffs.size)
     bra = np.conj(result.b.coeffs) * kernel
     denom = bra @ result.a.coeffs
     if abs(denom) <= 1e-300:

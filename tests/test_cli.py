@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -162,6 +164,18 @@ class TestVerify:
         report = json.loads(target.read_text())
         assert report["all_passed"] is False
 
+    def test_strongly_damped_maximize_checks(self, runner):
+        # the Gram checks fail this far out (exit 3); the maximizer's do not
+        result = runner.invoke(main, ["verify", "--omega", "1-200i", "--eps",
+                                      "1e-6", "--eps-prime", "1e-6"])
+        assert result.exit_code == 3, result.output
+        passed = {c["name"]: c["passed"]
+                  for c in json.loads(result.stdout)["checks"]}
+        assert all(passed[name] for name in (
+            "maximize_matches_analytic", "amplitude_upper_bound",
+            "h_herm_weak_value", "maximize_ground_overlap",
+            "classical_solution_q", "classical_solution_p"))
+
 
 class TestMaximize:
     def test_damped_run(self, runner):
@@ -178,6 +192,19 @@ class TestMaximize:
         args = ["maximize", "--omega", "1-0.2i", "--T", "10", "--nmax", "8",
                 "--seed", "4"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
+
+    @pytest.mark.parametrize("omega", ["1-80i", "1-200i"])
+    def test_strongly_damped_run(self, runner, omega):
+        # exp(-i omega (n + 1/2) T) underflows at every level for 1-200i
+        result = runner.invoke(main, ["maximize", "--omega", omega, "--T", "10",
+                                      "--nmax", "8"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)
+        assert payload["converged"] is True
+        assert payload["ground_overlap"] == pytest.approx(1.0, abs=1e-12)
+        assert payload["analytic_max"] == math.exp(5 * parse_complex(omega).imag)
+        assert payload["amplitude_abs"] == pytest.approx(
+            payload["analytic_max"], rel=1e-12, abs=0)
 
 
 class TestEvolve:
@@ -254,3 +281,127 @@ class TestConfigFile:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["amplitude_abs"] == pytest.approx(math.exp(-1), abs=1e-9)
+
+    def test_null_leaves_default(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"half_width": None, "points": 5}))
+        result = runner.invoke(main, ["wavefunction", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert result.stdout == runner.invoke(
+            main, ["wavefunction", "--points", "5"]).stdout
+
+    @pytest.mark.parametrize("command, config", [
+        ("maximize", {"T": 10, "duration": 5}),
+        ("verify", {"eps_prime": 1e-3, "eps-prime": 1e-3}),
+        ("phase-diagram", {"fmt": "csv", "format": "json"}),
+    ], ids=lambda x: x if isinstance(x, str) else "-".join(x))
+    def test_two_spellings_rejected(self, runner, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = runner.invoke(main, [command, "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert line.startswith("error:")
+        assert all(repr(key) in line for key in config)
+
+
+def readme_commands() -> list[list[str]]:
+    """Argument lists of the ``cxho`` lines in README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("\n```", 1)[0].splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cxho ")]
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_covers_every_subcommand():
+    assert sorted(args[0] for args in README_COMMANDS) == sorted(main.commands)
+
+
+def _run_in_empty_dir(runner, args):
+    """Result of ``args`` run in a fresh directory, and the files it wrote."""
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, args)
+        files = {name: Path(name).read_bytes() for name in sorted(os.listdir())}
+    return result, files
+
+
+@pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(runner, args):
+    result, _ = _run_in_empty_dir(runner, args)
+    assert result.exit_code == 0, result.output
+
+
+def _config_for(args: list[str], spelling: str) -> dict:
+    """The flags of ``args`` as a config object keyed by flag or parameter name.
+
+    Values that read as JSON (numbers) are stored as JSON, the rest as text.
+    """
+    name_of = {opt: param.name for param in main.commands[args[0]].params
+               for opt in param.opts}
+    config = {}
+    for flag, text in zip(args[1::2], args[2::2]):
+        try:
+            value = json.loads(text)
+        except ValueError:
+            value = text
+        config[flag[2:] if spelling == "flag" else name_of[flag]] = value
+    return config
+
+
+@pytest.mark.parametrize("spelling", ["flag", "parameter"])
+@pytest.mark.parametrize("args", README_COMMANDS, ids=" ".join)
+def test_config_matches_flags(runner, tmp_path, args, spelling):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_config_for(args, spelling)))
+    by_flags, flag_files = _run_in_empty_dir(runner, args)
+    by_config, config_files = _run_in_empty_dir(
+        runner, [args[0], "--config", str(cfg)])
+    assert by_config.exit_code == by_flags.exit_code == 0
+    assert by_config.stdout_bytes == by_flags.stdout_bytes
+    assert config_files == flag_files
+
+
+# (command, config file text or None for a missing file, exit code, text the
+# single error line must contain)
+CONFIG_ERRORS = {
+    "missing file": ("phase-diagram", None, 1, "cannot read config"),
+    "invalid JSON": ("evolve", '{"steps": 3,}', 2, "is not valid JSON"),
+    "non-object": ("verify", "[1, 2]", 2, "must hold a JSON object"),
+    "bad value": ("maximize", '{"omega": "1?2i"}', 2,
+                  "config field 'omega': "),
+    "unknown key": ("wavefunction", '{"n": 1, "bogus": 1}', 2,
+                    "unknown config field 'bogus'"),
+}
+
+
+def _config_path(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    return str(cfg)
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_exit(runner, tmp_path, case):
+    command, text, code, message = CONFIG_ERRORS[case]
+    result = runner.invoke(main, [command, "--config",
+                                  _config_path(tmp_path, text)])
+    assert result.exit_code == code
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_config_error_raises_system_exit(tmp_path, capsys, case):
+    command, text, code, message = CONFIG_ERRORS[case]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", _config_path(tmp_path, text)],
+             standalone_mode=False)
+    assert exc.value.code == code
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line
