@@ -169,19 +169,29 @@ def _fail_config(message: str) -> None:
     sys.exit(EXIT_CONFIG)
 
 
+def _unique_pairs(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` that rejects a key repeated in one object."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            _fail_config(f"config field {key!r} appears twice")
+        obj[key] = value
+    return obj
+
+
 def _load_config(ctx: click.Context, param: click.Parameter,
                  path: str | None) -> None:
     """Load a JSON config file into ``ctx.default_map``.
 
     Keys are parameter or flag names, dashes or underscores alike; a null
-    leaves the default and flags given explicitly win.  Unknown keys, and
-    two keys naming one parameter, are rejected.
+    leaves the default and flags given explicitly win.  Unknown keys, a
+    repeated key and two keys naming one parameter are rejected.
     """
     if path is None:
         return
     try:
         with open(path) as fh:
-            config = json.load(fh)
+            config = json.load(fh, object_pairs_hook=_unique_pairs)
     except OSError as exc:
         click.echo(f"error: cannot read config {path}: {exc}", err=True)
         sys.exit(EXIT_IO)
@@ -353,9 +363,18 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     add("amplitude_upper_bound", max(0.0, worst), 1e-12)
     rep8 = fock.build(params, 8)
     q_wv, p_wv, h_wv = mx.max_weak_values(result, rep8)
-    add("h_herm_weak_value",
-        abs(h_wv - params.hbar * params.r_omega
-            * math.cos(params.theta_omega) / 2), 1e-12)
+    if result.degenerate:
+        # D is unitary and b is proportional to D a, so the weak value is
+        # the expectation in a: real and inside the spectrum of h_herm
+        a = result.a.coeffs
+        expectation = np.vdot(a, rep8.h_herm @ a) / np.vdot(a, a)
+        eigs = np.linalg.eigvalsh(rep8.h_herm)
+        h_defect = (abs(h_wv - expectation) + abs(h_wv.imag)
+                    + max(0.0, eigs[0] - h_wv.real, h_wv.real - eigs[-1]))
+    else:
+        h_defect = abs(h_wv - params.hbar * params.r_omega
+                       * math.cos(params.theta_omega) / 2)
+    add("h_herm_weak_value", h_defect, 1e-12)
     if not result.degenerate:
         add("maximize_ground_overlap", 1.0 - result.ground_overlap, 1e-6)
         add("classical_solution_q", abs(q_wv), 1e-10)
@@ -479,6 +498,8 @@ def cmd_wavefunction(m, omega, hbar, eps, eps_prime, n, basis, ray_angle,
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
     if points < 2:
         _fail_config(f"points must be >= 2, got {points}")
+    if n < 0:
+        _fail_config(f"n must be nonnegative, got {n}")
     if half_width is None:
         half_width = 12.0 * math.sqrt(params.hbar * (n + 1) / params.r)
     qs = np.linspace(-half_width, half_width, points) * np.exp(1j * ray_angle)

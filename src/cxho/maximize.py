@@ -6,7 +6,9 @@ diagonal kernel D = diag(exp(-i*omega*(n+1/2)*T)).  Its maximum over unit
 vectors is the largest singular value of D.  When Im(omega) < 0 that value
 is exp(T*Im(omega)/2), achieved only by concentrating both states on level
 zero; when Im(omega) = 0 every phase-aligned pair achieves the maximum 1
-and the problem is degenerate.
+and the problem is degenerate.  ``maximize`` finds the pair by alternating
+(power) iteration in which every sweep squares the contraction of the
+previous one.
 """
 
 from __future__ import annotations
@@ -98,17 +100,26 @@ def maximize(duration: float, params: ModelParams, n_max: int,
              start: StateVec | None = None) -> MaximizationResult:
     """Find boundary states maximizing |amplitude| by alternating updates.
 
-    Each sweep sets a to the normalized adjoint-kernel image of b and b to
-    the normalized kernel image of a, which is power iteration for the top
-    singular pair of the diagonal kernel; |amplitude| never decreases.
+    The alternating update (a to the normalized adjoint-kernel image of b,
+    b to the normalized kernel image of a) is power iteration for the top
+    singular pair of the diagonal kernel D; one such sweep multiplies a by
+    the real diagonal |D|^2.  Sweep k (counted from 0) applies its 2^k-th
+    power instead, still elementwise, so every sweep squares the
+    contraction exp(2*T*Im(omega)) of the levels below the top one and a
+    near-real omega converges in tens of sweeps (repeated squaring,
+    Golub & Van Loan section 7.3).  b is then the normalized kernel image
+    of a, and |amplitude| never decreases.
     The iteration runs on the kernel divided by its level-zero magnitude,
     which is multiplied back into |amplitude|, so a kernel that underflows
     for large |Im omega|*T still yields the maximizing pair.
-    Stops once neither |amplitude| nor the iterates move by more than
-    ``tol`` (the amplitude stagnates well before the states do, and the
-    vanishing of the coordinate weak values needs the states themselves).
-    ``converged=False`` flags hitting ``max_iters``; the result is still
-    returned.
+    A sweep converges when neither |amplitude| nor the iterates moved by
+    ``tol`` and the next sweep cannot move a by ``tol``: every off-top
+    |a_n| times its next weight is below ``tol`` times the top |a_n|, or
+    no weight is below the top one.  (The amplitude stagnates well before
+    the states do, and the vanishing of the coordinate weak values needs
+    the states themselves.)  ``iterations`` counts sweeps and
+    ``max_iters`` caps them; ``converged=False`` flags hitting the cap,
+    and the result is still returned.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration!r}")
@@ -133,11 +144,29 @@ def maximize(duration: float, params: ModelParams, n_max: int,
     amp_abs = norm * scale  # |b' D a| for the optimal b'
     b_vec = _fix_phase(b_vec / norm)
 
+    # log |D_n|^2 shifted so that the top level a carries has log-weight
+    # exactly 0; a level a does not carry stays empty (weight 0)
+    carried = a_vec != 0
+    log_weights = np.where(
+        carried, 2.0 * duration * params.omega.imag * np.arange(n_max), -np.inf)
+    top = int(np.argmax(log_weights))
+    log_weights -= log_weights[top]
+
+    def sweep_weights(k: int) -> np.ndarray:
+        # |D|^(2*2^k), computed afresh rather than by squaring the last
+        # weights; the top entry stays exp(0) = 1, an exponent that
+        # overflows to -inf gives weight 0, and neither can give NaN.
+        # 2^2100 times the smallest subnormal overflows, so capping the
+        # doubling there changes no weight.
+        with np.errstate(over="ignore"):
+            return np.exp(np.ldexp(log_weights, min(k, 2100)))
+
     history = [amp_abs]
     converged = False
     iterations = 0
+    weights = sweep_weights(0)
     for iterations in range(1, max_iters + 1):
-        a_new = np.conj(kernel) * b_vec
+        a_new = weights * a_vec
         a_new = _fix_phase(a_new / np.linalg.norm(a_new))
         b_new = kernel * a_new
         norm = float(np.linalg.norm(b_new))
@@ -146,7 +175,14 @@ def maximize(duration: float, params: ModelParams, n_max: int,
         step = max(np.abs(a_new - a_vec).max(), np.abs(b_new - b_vec).max())
         a_vec, b_vec = a_new, b_new
         history.append(new_amp)
-        done = abs(new_amp - amp_abs) < tol and step < tol
+        weights = sweep_weights(iterations)
+        # off-top components relative to the top one after the next sweep;
+        # later sweeps only shrink them further
+        moves = np.abs(a_vec) * weights
+        moves[top] = 0.0
+        settled = (moves.max() < tol * abs(a_vec[top])
+                   or weights[carried].min() >= 1.0)
+        done = abs(new_amp - amp_abs) < tol and step < tol and settled
         amp_abs = new_amp
         if done:
             converged = True

@@ -151,6 +151,15 @@ class TestVerify:
         assert {"name", "defect", "tolerance", "passed"} <= set(
             report["checks"][0])
 
+    @pytest.mark.parametrize("omega", ["1+0i", "0.5+0i", "2+0i"])
+    def test_real_frequency_passes(self, runner, omega):
+        # the degenerate maximizer's h_herm weak value is its expectation
+        result = runner.invoke(main, ["verify", "--omega", omega, "--nmax", "12"])
+        assert result.exit_code == 0, result.output
+        [check] = [c for c in json.loads(result.stdout)["checks"]
+                   if c["name"] == "h_herm_weak_value"]
+        assert check["passed"] and check["tolerance"] == 1e-12
+
     def test_corner_rejected(self, runner):
         result = runner.invoke(main, ["verify", "--omega", "0-1i"])
         assert result.exit_code == 2
@@ -192,6 +201,17 @@ class TestMaximize:
         args = ["maximize", "--omega", "1-0.2i", "--T", "10", "--nmax", "8",
                 "--seed", "4"]
         assert runner.invoke(main, args).output == runner.invoke(main, args).output
+
+    @pytest.mark.parametrize("omega", ["1-1e-5i", "1-1e-7i"])
+    def test_near_real_run(self, runner, omega):
+        result = runner.invoke(main, ["maximize", "--omega", omega])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.stdout)
+        assert payload["converged"] is True
+        assert payload["degenerate"] is False
+        assert 1 - payload["ground_overlap"] <= 1e-6
+        assert payload["amplitude_abs"] == pytest.approx(
+            payload["analytic_max"], rel=1e-8, abs=0)
 
     @pytest.mark.parametrize("omega", ["1-80i", "1-200i"])
     def test_strongly_damped_run(self, runner, omega):
@@ -250,6 +270,13 @@ class TestWavefunction:
         result = runner.invoke(main, [
             "wavefunction", "--n", "40", "--eps", "0.1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--half-width", "2"]])
+    def test_negative_level(self, runner, extra):
+        result = runner.invoke(main, ["wavefunction", "--n", "-5", *extra])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: n must be nonnegative, got -5\n"
 
 
 class TestConfigFile:
@@ -375,6 +402,8 @@ CONFIG_ERRORS = {
                   "config field 'omega': "),
     "unknown key": ("wavefunction", '{"n": 1, "bogus": 1}', 2,
                     "unknown config field 'bogus'"),
+    "repeated key": ("phase-diagram", '{"grid": 2, "grid": 3}', 2,
+                     "config field 'grid' appears twice"),
 }
 
 

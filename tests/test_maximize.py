@@ -1,8 +1,11 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cxho.dynamics import TwoStateSystem, trajectory
 from cxho.errors import LengthMismatchError
@@ -115,6 +118,8 @@ class TestMaximize:
     def test_degenerate_case_keeps_start_direction(self, params_real):
         res = maximize(10.0, params_real, 8, seed=3)
         assert res.degenerate
+        assert res.converged
+        assert res.iterations == 1
         assert res.amplitude_abs == pytest.approx(1.0, abs=1e-12)
         start = np.random.default_rng(3)
         v = start.standard_normal(8) + 1j * start.standard_normal(8)
@@ -153,6 +158,62 @@ class TestMaximize:
             maximize(1.0, params_damped, 1)
         with pytest.raises(LengthMismatchError):
             maximize(1.0, params_damped, 8, start=unit(4, 0))
+
+
+class TestRepeatedSquaring:
+    """Sweep k applies |D|^(2*2^k), so near-real omega converges fast."""
+
+    @given(log_ratio=st.floats(-8.0, 0.0), duration=st.floats(1.0, 20.0),
+           magnitude=st.floats(0.5, 2.0), arg_share=st.floats(0.0, 1.0),
+           n_max=st.integers(2, 64))
+    def test_converges_to_ground_pair(self, log_ratio, duration, magnitude,
+                                      arg_share, n_max):
+        # |Im w|/|w| log-uniform in [1e-8, 1]; any arg m in [0, -2 arg w]
+        # keeps arg m + 2 arg w inside [-pi, 0]
+        theta_w = -math.asin(10.0 ** log_ratio)
+        params = validate(cmath.rect(1.0, -2 * theta_w * arg_share),
+                          cmath.rect(magnitude, theta_w))
+        best, _ = analytic_max(duration, params, n_max)
+        sweeps = math.ceil(math.log2(40 / (duration * abs(params.omega.imag)))) + 8
+        for seed in range(3):
+            res = maximize(duration, params, n_max, seed=seed)
+            assert res.converged
+            assert 1 - res.ground_overlap <= 1e-6
+            assert abs(res.amplitude_abs - best) <= 1e-8 * best
+            assert np.all(np.diff(res.history) >= -1e-15)
+            assert res.iterations <= sweeps
+
+    @pytest.mark.parametrize("im", [5e-324, 1e-310, 1e-300, 1e-20, 1e-14])
+    def test_tiny_imaginary_part_stays_finite(self, im):
+        params = validate(1, complex(1.0, -im))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = maximize(10.0, params, 32, seed=0)
+        assert res.degenerate
+        assert res.converged
+        assert np.isfinite(res.a.coeffs).all() and np.isfinite(res.b.coeffs).all()
+        assert np.isfinite(res.history).all()
+        assert res.amplitude_abs == pytest.approx(1.0, abs=1e-12)
+
+    def test_doubling_past_overflow_stays_finite(self, params_damped):
+        # tol 0 is never met, so the exponent 2^k * 2T Im(omega) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = maximize(10.0, params_damped, 8, seed=0, tol=0.0,
+                           max_iters=2000)
+        assert not res.converged
+        assert res.iterations == 2000
+        assert res.ground_overlap == 1.0
+        assert res.amplitude_abs == pytest.approx(math.exp(-1.0), rel=1e-14)
+
+    def test_start_without_ground_level_stays_finite(self, params_damped):
+        # power iteration keeps a start inside its invariant subspace
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = maximize(10.0, params_damped, 8, start=unit(8, 3))
+        assert res.converged
+        assert np.array_equal(res.a.coeffs, unit(8, 3).coeffs)
+        assert res.amplitude_abs == pytest.approx(math.exp(-7.0), rel=1e-14)
 
 
 class TestMaxWeakValues:
