@@ -2,13 +2,14 @@
 
 For duration T the amplitude between boundary states a and b is
 sum_n conj(b_n) a_n exp(-i*omega*(n+1/2)*T), a bilinear form with the
-diagonal kernel D = diag(exp(-i*omega*(n+1/2)*T)).  Its maximum over unit
-vectors is the largest singular value of D.  When Im(omega) < 0 that value
-is exp(T*Im(omega)/2), achieved only by concentrating both states on level
-zero; when Im(omega) = 0 every phase-aligned pair achieves the maximum 1
-and the problem is degenerate.  ``maximize`` finds the pair by alternating
-(power) iteration in which every sweep squares the contraction of the
-previous one.
+diagonal kernel D = diag(exp(-i*omega*(n+1/2)*T)).  ``amplitudes`` evaluates
+it for a whole array of pairs at once, with the bits of the one-pair
+``amplitude``.  The maximum of |amplitude| over unit vectors is the largest
+singular value of D.  When Im(omega) < 0 that value is exp(T*Im(omega)/2),
+achieved only by concentrating both states on level zero; when
+Im(omega) = 0 every phase-aligned pair achieves the maximum 1 and the
+problem is degenerate.  ``maximize`` finds the pair by alternating (power)
+iteration in which every sweep squares the contraction of the previous one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, VanishingOverlapError
 from .fock import FockRep, StateVec
 from .params import ModelParams
 
@@ -45,15 +46,30 @@ def _scaled_kernel(params: ModelParams, duration: float, n: int) -> np.ndarray:
                   - 0.5 * duration * params.omega.imag)
 
 
+def amplitudes(a: np.ndarray, b: np.ndarray, duration: float,
+               params: ModelParams) -> np.ndarray:
+    """Transition amplitudes of the row pairs of two (pairs, n) arrays.
+
+    Row i gives sum_n conj(b_in) a_in exp(-i*omega*(n+1/2)*T), computed by
+    one stacked matmul that makes the same BLAS dot per row as
+    ``np.vdot(b[i], kernel * a[i])``, so every entry has the bits of the
+    one-pair computation.
+    """
+    weighted = _kernel(params, duration, a.shape[1]) * a
+    return np.matmul(np.conj(b)[:, None, :], weighted[:, :, None])[:, 0, 0]
+
+
 def amplitude(a: StateVec, b: StateVec, duration: float,
               params: ModelParams) -> complex:
     """Transition amplitude between boundary states for the given duration.
 
-    Independent of the common evolution time of the pair.
+    Independent of the common evolution time of the pair; the one-row case
+    of ``amplitudes``.
     """
     if len(a) != len(b):
         raise LengthMismatchError(f"lengths differ: {len(a)} vs {len(b)}")
-    return complex(np.vdot(b.coeffs, _kernel(params, duration, len(a)) * a.coeffs))
+    return complex(amplitudes(a.coeffs[None], b.coeffs[None], duration,
+                              params)[0])
 
 
 def is_degenerate(params: ModelParams) -> bool:
@@ -119,7 +135,8 @@ def maximize(duration: float, params: ModelParams, n_max: int,
     the states do, and the vanishing of the coordinate weak values needs
     the states themselves.)  ``iterations`` counts sweeps and
     ``max_iters`` caps them; ``converged=False`` flags hitting the cap,
-    and the result is still returned.
+    and the result is still returned.  A start whose image under the scaled
+    kernel has norm 0 in double precision raises VanishingOverlapError.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration!r}")
@@ -141,6 +158,12 @@ def maximize(duration: float, params: ModelParams, n_max: int,
     a_vec = _fix_phase(a_vec / np.linalg.norm(a_vec))
     b_vec = kernel * a_vec
     norm = float(np.linalg.norm(b_vec))
+    if norm == 0.0:
+        # the sweeps never decrease this norm, so only the first can be 0
+        raise VanishingOverlapError(
+            "the start's image under the kernel scaled by its level-zero "
+            "modulus has norm 0 in double precision: its squared modulus "
+            "underflows on every level the start carries")
     amp_abs = norm * scale  # |b' D a| for the optimal b'
     b_vec = _fix_phase(b_vec / norm)
 

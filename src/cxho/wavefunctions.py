@@ -24,6 +24,7 @@ from .errors import (
     ConvergenceViolatedError,
     IllConditionedWarning,
     InvalidPathError,
+    NonFiniteSampleError,
     NotNormalizableError,
     ValidityExceededError,
 )
@@ -212,6 +213,15 @@ def _check_path_converges(momega: complex, path: ContourPath) -> None:
             f"for arg(m*omega) = {cmath.phase(momega):.6g}")
 
 
+def _finite_gram(gram: np.ndarray, n_max: int) -> np.ndarray:
+    """``gram`` if every entry is finite, else NonFiniteSampleError."""
+    if not np.isfinite(gram).all():
+        raise NonFiniteSampleError(
+            f"Gram matrix at n_max = {n_max} is not finite: the Hermite "
+            f"polynomials overflow at the quadrature nodes")
+    return gram
+
+
 def default_cross_path(params: ModelParams, n_max: int,
                        n_nodes: int = DEFAULT_NODES,
                        half_width: float | None = None) -> ContourPath:
@@ -245,7 +255,8 @@ def cross_gram(params: ModelParams, n_max: int,
     envelope = path.weights * np.exp(-x * x) * path.direction
     raw = (table * envelope) @ table.T
     norms = _level_norms(n_max)
-    return np.sqrt(mw / (math.pi * hbar)) * np.outer(norms, norms) * raw
+    return _finite_gram(
+        np.sqrt(mw / (math.pi * hbar)) * np.outer(norms, norms) * raw, n_max)
 
 
 @dataclass(frozen=True)
@@ -268,7 +279,9 @@ def gram_and_metric(params: ModelParams, n_max: int,
     exp(-Re(m*omega) q^2 / hbar).  The metric matrix is the inverse of S via
     a Cholesky factorization of the symmetrized S.  Ill conditioning beyond
     1e12 is reported through IllConditionedWarning but the result is still
-    returned.
+    returned.  A non-finite S or cross matrix, from Hermite polynomials
+    that overflow at the quadrature nodes (as at n_max 128), raises
+    NonFiniteSampleError.
     """
     if not params.normalizable:
         raise NotNormalizableError(
@@ -282,7 +295,9 @@ def gram_and_metric(params: ModelParams, n_max: int,
     envelope = path.weights * np.exp(-mw.real / hbar * path.nodes.real**2)
     raw = (np.conj(table) * envelope) @ table.T
     norms = _level_norms(n_max)
-    s_mat = math.sqrt(params.r / (math.pi * hbar)) * np.outer(norms, norms) * raw
+    s_mat = _finite_gram(
+        math.sqrt(params.r / (math.pi * hbar)) * np.outer(norms, norms) * raw,
+        n_max)
 
     asym = float(np.abs(s_mat - s_mat.conj().T).max() / np.abs(s_mat).max())
     if asym > 1e-10:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import cxho
-from cxho.cli import main, parse_complex
+from cxho import maximize as mx
+from cxho.cli import _unit_pairs, main, parse_complex
 
 
 @pytest.fixture
@@ -30,12 +33,13 @@ def test_cli_import_does_not_load_scipy():
 
 
 # sha256 of stdout, recorded from the per-point phase classifier, the
-# per-time trajectory loop and the per-cell CSV/JSON formatting; the
-# vectorized code must reproduce them byte for byte.  The evolve and
-# wavefunction digests also depend on numpy's floating-point results, so a
-# different numpy build may change them.  Of the evolve runs, omega 1-200i
-# has a vanishing overlap at every time, and omega 1-137.955...i one that
-# sits at the overlap guard, so rounding blanks some rows and not others.
+# per-time trajectory loop, the per-pair verify upper-bound loop and the
+# per-cell CSV/JSON formatting; the vectorized code must reproduce them byte
+# for byte.  The evolve, verify and wavefunction digests also depend on
+# numpy's floating-point results, so a different numpy build may change
+# them.  Of the evolve runs, omega 1-200i has a vanishing overlap at every
+# time, and omega 1-137.955...i one that sits at the overlap guard, so
+# rounding blanks some rows and not others.
 REFERENCE_DIGESTS = {
     "phase-diagram --grid 2":
         "c8f18257021e552b3fc898a5ebd09f7711ba05500f000ce4918e1a43a51e9434",
@@ -68,6 +72,12 @@ REFERENCE_DIGESTS = {
         "6c11e5b92addabddd8f408c11e21932b60fe50f2e18720a687caa007edf67dbf",
     "wavefunction --n 3 --omega 0.9-0.3i --points 801":
         "99319b74cd35bb6bef3c2141ea24c471acd07c933c1dbed9c8fe2d76a68e4c9f",
+    "verify --m 1+0i --omega 0.866-0.5i --nmax 12":
+        "70389ba0aa0d336c19feda8febfde3b6a978d070b71046d2f5e027346fb03f31",
+    "verify --omega 1 --nmax 12":
+        "42eadf5326ccc850273ff56d222cdb62ded71e7e2958872d68db9182e75262d9",
+    "verify --m 0.8+0.3i --omega 0.9-0.3i --nmax 16 --seed 7":
+        "0e8ce99b8dda3554889a449203fa65ab163140a693e853c5fecc33cad106fed1",
 }
 
 
@@ -172,6 +182,57 @@ class TestVerify:
         assert result.exit_code == 3
         report = json.loads(target.read_text())
         assert report["all_passed"] is False
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_hermite_overflow_named(self, runner):
+        result = runner.invoke(main, ["verify", "--m", "0.8+0.3i", "--omega",
+                                      "0.9-0.3i", "--nmax", "128"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        [line] = [s for s in result.stderr.splitlines()
+                  if s.startswith("error:")]
+        assert "n_max = 128" in line and "Hermite" in line
+        assert "overflow" in line and "SVD" not in line
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_unit_pairs_match_per_pair_draws(self, seed):
+        # 4 * 200 draws of 8 normals, each vector over np.linalg.norm
+        rng = np.random.default_rng(seed)
+        units = _unit_pairs(seed, 200, 8)
+        for a, b in units:
+            for unit in (a, b):
+                v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+                assert np.array_equal(unit, v / np.linalg.norm(v))
+
+    def test_upper_bound_bites(self, runner, monkeypatch):
+        # real omega: random pairs reach well past half the maximum 1
+        maximize = mx.maximize
+
+        def halved(*args, **kwargs):
+            result = maximize(*args, **kwargs)
+            return dataclasses.replace(result,
+                                       analytic_max=result.analytic_max / 2)
+
+        monkeypatch.setattr(mx, "maximize", halved)
+        result = runner.invoke(main, ["verify", "--omega", "1", "--nmax", "8"])
+        assert result.exit_code == 3
+        [check] = [c for c in json.loads(result.stdout)["checks"]
+                   if c["name"] == "amplitude_upper_bound"]
+        assert not check["passed"] and check["defect"] > 0.1
+
+    def test_upper_bound_in_one_batch(self, runner, monkeypatch):
+        calls = []
+        amplitudes = mx.amplitudes
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return amplitudes(*args, **kwargs)
+
+        monkeypatch.setattr(mx, "amplitudes", counted)
+        result = runner.invoke(main, ["verify", "--m", "1+0i", "--omega",
+                                      "0.866-0.5i", "--nmax", "10"])
+        assert result.exit_code == 0
+        assert calls == [(200, 8)]
 
     def test_strongly_damped_maximize_checks(self, runner):
         # the Gram checks fail this far out (exit 3); the maximizer's do not

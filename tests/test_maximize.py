@@ -8,10 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cxho.dynamics import TwoStateSystem, trajectory
-from cxho.errors import LengthMismatchError
+from cxho.errors import LengthMismatchError, VanishingOverlapError
 from cxho.fock import StateVec, build
 from cxho.maximize import (
+    _kernel,
     amplitude,
+    amplitudes,
     analytic_max,
     max_weak_values,
     maximize,
@@ -61,6 +63,40 @@ class TestAmplitude:
     def test_length_mismatch(self, params_real):
         with pytest.raises(LengthMismatchError):
             amplitude(unit(4, 0), unit(5, 0), 1.0, params_real)
+
+
+@st.composite
+def admissible_params(draw):
+    """Parameters inside the parallelogram: real omega, |Im w|/|w|
+    log-uniform in [1e-12, 1], or 1-200i, whose kernel underflows."""
+    kind = draw(st.sampled_from(["real", "damped", "underflow"]))
+    if kind == "underflow":
+        return validate(1, 1 - 200j)
+    magnitude = draw(st.floats(0.5, 2.0))
+    if kind == "real":
+        return validate(1, magnitude)
+    theta_w = -math.asin(10.0 ** draw(st.floats(-12.0, 0.0)))
+    # any arg m in [0, -2 theta_w] keeps arg m + 2 arg w inside [-pi, 0]
+    arg_m = -2 * theta_w * draw(st.floats(0.0, 1.0))
+    return validate(cmath.rect(1.0, arg_m), cmath.rect(magnitude, theta_w))
+
+
+class TestAmplitudes:
+    @given(params=admissible_params(), pairs=st.integers(1, 300),
+           n=st.integers(2, 64), duration=st.floats(1.0, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_one_pair_computation(self, params, pairs, n,
+                                             duration, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.standard_normal((pairs, n))
+                + 1j * rng.standard_normal((pairs, n)) for _ in range(2))
+        amps = amplitudes(a, b, duration, params)
+        kernel = _kernel(params, duration, n)
+        assert np.array_equal(
+            amps, [np.vdot(b[i], kernel * a[i]) for i in range(pairs)])
+        assert np.hypot(amps.real, amps.imag).tolist() == [
+            abs(amplitude(StateVec(a[i]), StateVec(b[i]), duration, params))
+            for i in range(pairs)]
 
 
 class TestAnalyticMax:
@@ -205,6 +241,13 @@ class TestRepeatedSquaring:
         assert res.iterations == 2000
         assert res.ground_overlap == 1.0
         assert res.amplitude_abs == pytest.approx(math.exp(-1.0), rel=1e-14)
+
+    def test_start_where_kernel_underflows_is_rejected(self):
+        # exp(-2000 n) is 0 from level 1 on, so e_3's kernel image is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(VanishingOverlapError, match="underflows"):
+                maximize(10.0, validate(1, 1 - 200j), 8, start=unit(8, 3))
 
     def test_start_without_ground_level_stays_finite(self, params_damped):
         # power iteration keeps a start inside its invariant subspace

@@ -8,6 +8,7 @@ from cxho.contour import rotated_path
 from cxho.errors import (
     ConvergenceViolatedError,
     IllConditionedWarning,
+    NonFiniteSampleError,
     NotNormalizableError,
     ValidityExceededError,
 )
@@ -270,6 +271,12 @@ class TestCrossGram:
         with pytest.raises(ValidityExceededError):
             cross_gram(p, 30)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_hermite_overflow_raises(self):
+        p = validate(0.8 + 0.3j, 0.9 - 0.3j)
+        with pytest.raises(NonFiniteSampleError, match="n_max = 128.*Hermite"):
+            cross_gram(p, 128)
+
 
 class TestGramAndMetric:
     def test_real_parameters_identity(self, params_real):
@@ -314,6 +321,13 @@ class TestGramAndMetric:
                     rel = np.abs(g.Qmat - inv).max() / np.abs(inv).max()
                     assert rel <= g.condition_number * 1e-13
         assert checked >= 100
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_hermite_overflow_raises(self):
+        # S is checked before its condition number, whose SVD fails on NaN
+        p = validate(0.8 + 0.3j, 0.9 - 0.3j)
+        with pytest.raises(NonFiniteSampleError, match="n_max = 128.*Hermite"):
+            gram_and_metric(p, 128)
 
     def test_ill_conditioning_reported_not_fatal(self):
         p = validate(cmath.exp(1j * (PI - 0.1)), cmath.exp(-1j * PI / 2))
