@@ -104,8 +104,15 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
-    """Each value of a 1-D float array as its ``.17g`` text."""
-    return [f"{x:.17g}" for x in values.tolist()]
+    """Each value of a 1-D float array as its ``.17g`` text.
+
+    Each distinct bit pattern is formatted once, so -0.0 and 0.0 (and NaN
+    payloads) keep their own texts.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = [f"{x:.17g}" for x in distinct.view(np.float64).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _csv_text(header: list[str], columns: list[list[str]]) -> str:
@@ -143,7 +150,7 @@ def _phase_text(grid: PhaseGrid, resolution: int, fmt: str) -> str:
     theta_m = [s for s in _float_cells(grid.theta_m[::resolution])
                for _ in range(resolution)]
     theta_omega = _float_cells(grid.theta_omega)
-    tail = [tails[k] for k in inverse.tolist()]
+    tail = np.array(tails, dtype=object)[inverse].tolist()
     if fmt == "csv":
         return _csv_text(PHASE_HEADER, [theta_m, theta_omega, tail])
     records = ",\n".join(
@@ -154,7 +161,10 @@ def _phase_text(grid: PhaseGrid, resolution: int, fmt: str) -> str:
 
 def _write_output(path: str, text: str) -> None:
     if path == "-":
-        click.echo(text, nl=False)
+        # not click.echo: on a non-tty it runs an ANSI-stripping regex over
+        # the whole text, and this text never holds an escape sequence
+        sys.stdout.write(text)
+        sys.stdout.flush()
         return
     try:
         with open(path, "w", newline="") as fh:

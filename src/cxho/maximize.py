@@ -135,8 +135,9 @@ def maximize(duration: float, params: ModelParams, n_max: int,
     the states do, and the vanishing of the coordinate weak values needs
     the states themselves.)  ``iterations`` counts sweeps and
     ``max_iters`` caps them; ``converged=False`` flags hitting the cap,
-    and the result is still returned.  A start whose image under the scaled
-    kernel has norm 0 in double precision raises VanishingOverlapError.
+    and the result is still returned.  A start whose norm is 0 or overflows
+    raises ValueError; one whose image under the scaled kernel has norm 0
+    in double precision raises VanishingOverlapError.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration!r}")
@@ -155,7 +156,13 @@ def maximize(duration: float, params: ModelParams, n_max: int,
         rng = np.random.default_rng(seed)
         a_vec = rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)
         used_seed = seed
-    a_vec = _fix_phase(a_vec / np.linalg.norm(a_vec))
+    with np.errstate(over="ignore"):
+        a_norm = np.linalg.norm(a_vec)
+    if not 0.0 < a_norm < math.inf:
+        # a zero start would turn every sweep to NaN, an infinite norm
+        # would scale the start to zero
+        raise ValueError(f"start must have a finite nonzero norm, got {a_norm}")
+    a_vec = _fix_phase(a_vec / a_norm)
     b_vec = kernel * a_vec
     norm = float(np.linalg.norm(b_vec))
     if norm == 0.0:

@@ -222,6 +222,18 @@ def _finite_gram(gram: np.ndarray, n_max: int) -> np.ndarray:
     return gram
 
 
+def _hermitian_cond(mat: np.ndarray) -> float:
+    """2-norm condition number of a Hermitian matrix, max|lambda| / min|lambda|.
+
+    Its singular values are the moduli of its eigenvalues, so one
+    ``eigvalsh`` does what the SVD in ``np.linalg.cond`` does.  A zero
+    eigenvalue gives inf.
+    """
+    moduli = np.abs(np.linalg.eigvalsh(mat))
+    smallest = moduli.min()
+    return float(moduli.max() / smallest) if smallest > 0 else math.inf
+
+
 def default_cross_path(params: ModelParams, n_max: int,
                        n_nodes: int = DEFAULT_NODES,
                        half_width: float | None = None) -> ContourPath:
@@ -251,12 +263,14 @@ def cross_gram(params: ModelParams, n_max: int,
     mw, hbar = params.momega, params.hbar
     _check_path_converges(mw, path)
     x = np.sqrt(mw / hbar) * path.nodes
-    table = hermite_table(n_max, x)
     envelope = path.weights * np.exp(-x * x) * path.direction
-    raw = (table * envelope) @ table.T
     norms = _level_norms(n_max)
-    return _finite_gram(
-        np.sqrt(mw / (math.pi * hbar)) * np.outer(norms, norms) * raw, n_max)
+    # an overflowing Hermite table is reported by _finite_gram alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = hermite_table(n_max, x)
+        raw = (table * envelope) @ table.T
+        gram = np.sqrt(mw / (math.pi * hbar)) * np.outer(norms, norms) * raw
+    return _finite_gram(gram, n_max)
 
 
 @dataclass(frozen=True)
@@ -291,13 +305,15 @@ def gram_and_metric(params: ModelParams, n_max: int,
         half_width = 12.0 * math.sqrt(hbar * n_max / mw.real)
     path = rotated_path(0.0, half_width, n_nodes)
     x = np.sqrt(mw / hbar) * path.nodes
-    table = hermite_table(n_max, x)
     envelope = path.weights * np.exp(-mw.real / hbar * path.nodes.real**2)
-    raw = (np.conj(table) * envelope) @ table.T
     norms = _level_norms(n_max)
-    s_mat = _finite_gram(
-        math.sqrt(params.r / (math.pi * hbar)) * np.outer(norms, norms) * raw,
-        n_max)
+    # an overflowing Hermite table is reported by _finite_gram alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = hermite_table(n_max, x)
+        raw = (np.conj(table) * envelope) @ table.T
+        s_mat = (math.sqrt(params.r / (math.pi * hbar))
+                 * np.outer(norms, norms) * raw)
+    s_mat = _finite_gram(s_mat, n_max)
 
     asym = float(np.abs(s_mat - s_mat.conj().T).max() / np.abs(s_mat).max())
     if asym > 1e-10:
@@ -305,7 +321,7 @@ def gram_and_metric(params: ModelParams, n_max: int,
                       AsymmetryWarning)
     s_mat = 0.5 * (s_mat + s_mat.conj().T)
 
-    cond = float(np.linalg.cond(s_mat))
+    cond = _hermitian_cond(s_mat)
     if cond > COND_LIMIT:
         warnings.warn(f"Gram matrix condition number {cond:.3e} exceeds "
                       f"{COND_LIMIT:g}", IllConditionedWarning)

@@ -11,10 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cxho
 from cxho import maximize as mx
-from cxho.cli import _unit_pairs, main, parse_complex
+from cxho.cli import _float_cells, _unit_pairs, main, parse_complex
 
 
 @pytest.fixture
@@ -22,14 +24,18 @@ def runner():
     return CliRunner()
 
 
-def test_cli_import_does_not_load_scipy():
+def _fresh_process(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process that imports cxho from this tree."""
     src = os.path.dirname(os.path.dirname(cxho.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import cxho.cli; import sys; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_does_not_load_scipy():
+    out = _fresh_process(
+        "-c", "import cxho.cli; import sys; print('scipy' in sys.modules)")
+    assert out.returncode == 0
+    assert out.stdout.strip() == b"False"
 
 
 # sha256 of stdout, recorded from the per-point phase classifier, the
@@ -78,6 +84,11 @@ REFERENCE_DIGESTS = {
         "42eadf5326ccc850273ff56d222cdb62ded71e7e2958872d68db9182e75262d9",
     "verify --m 0.8+0.3i --omega 0.9-0.3i --nmax 16 --seed 7":
         "0e8ce99b8dda3554889a449203fa65ab163140a693e853c5fecc33cad106fed1",
+    # recorded from the one-f-string-per-cell formatter
+    "phase-diagram --grid 401":
+        "3b869a294c7d6de5ebecac2a86075f76aef7790fc1a2d14bdd3cde4f91aa79e3",
+    "phase-diagram --grid 101 --format json":
+        "f39fb3709b7d44d78d2d1493b13e71561de8657de810d5fca1dcf6f5bb64b342",
 }
 
 
@@ -87,6 +98,26 @@ def test_output_matches_reference_digest(runner, command):
     assert result.exit_code == 0
     digest = hashlib.sha256(result.stdout_bytes).hexdigest()
     assert digest == REFERENCE_DIGESTS[command]
+
+
+# signed zeros, infinities, NaNs with other payloads and subnormals, which
+# a formatter keyed on float values rather than bits would merge or split
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                  *np.array([0x7FF0_0000_0000_0001, -1], dtype=np.int64)
+                  .view(np.float64).tolist(),
+                  5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -1.0]
+
+
+@given(pool=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                     min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=60),
+       step=st.integers(2, 4))
+def test_float_cells_match_per_value_format(pool, picks, step):
+    x = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
+    z = np.empty(x.size, dtype=np.complex128)
+    z.real, z.imag = x, x[::-1]
+    for values in (x, x[::step], z.real, z.imag, z.imag[::step]):
+        assert _float_cells(values) == [f"{v:.17g}" for v in values.tolist()]
 
 
 class TestParseComplex:
@@ -143,6 +174,16 @@ class TestPhaseDiagram:
         assert result.exit_code == 0
         assert target.read_text().count("\n") == 10
 
+    def test_stdout_matches_file_output(self, tmp_path):
+        target = tmp_path / "grid.json"
+        args = ["-m", "cxho.cli", "phase-diagram", "--grid", "64", "--format",
+                "json"]
+        to_file = _fresh_process(*args, "--output", str(target))
+        to_stdout = _fresh_process(*args)
+        assert to_file.returncode == to_stdout.returncode == 0
+        assert to_file.stdout == b""
+        assert to_stdout.stdout == target.read_bytes()
+
     def test_io_error(self, runner, tmp_path):
         target = tmp_path / "missing" / "grid.csv"
         result = runner.invoke(main, ["phase-diagram", "--grid", "2",
@@ -193,6 +234,16 @@ class TestVerify:
                   if s.startswith("error:")]
         assert "n_max = 128" in line and "Hermite" in line
         assert "overflow" in line and "SVD" not in line
+
+    def test_hermite_overflow_is_one_line(self):
+        # a fresh process shows every warning once; the overflow is reported
+        # by the error line alone
+        out = _fresh_process("-m", "cxho.cli", "verify", "--m", "0.8+0.3i",
+                             "--omega", "0.9-0.3i", "--nmax", "128")
+        assert out.returncode == 2
+        assert out.stdout == b""
+        [line] = out.stderr.decode().splitlines()
+        assert line.startswith("error:")
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_unit_pairs_match_per_pair_draws(self, seed):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cxho.dynamics import TwoStateSystem, trajectory
+from cxho import maximize as mx
 from cxho.errors import LengthMismatchError, VanishingOverlapError
 from cxho.fock import StateVec, build
 from cxho.maximize import (
@@ -248,6 +249,20 @@ class TestRepeatedSquaring:
             warnings.simplefilter("error")
             with pytest.raises(VanishingOverlapError, match="underflows"):
                 maximize(10.0, validate(1, 1 - 200j), 8, start=unit(8, 3))
+
+    @pytest.mark.parametrize("coeffs", [np.zeros(8), np.full(8, 1e308)],
+                             ids=["zero", "norm-overflows"])
+    def test_start_without_finite_norm_is_rejected(self, params_damped,
+                                                   monkeypatch, coeffs):
+        # rejected before the start is normalized, so before any sweep
+        def normalized(vec):
+            pytest.fail("the start was normalized")
+
+        monkeypatch.setattr(mx, "_fix_phase", normalized)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="start must have a finite"):
+                maximize(10.0, params_damped, 8, start=StateVec(coeffs))
 
     def test_start_without_ground_level_stays_finite(self, params_damped):
         # power iteration keeps a start inside its invariant subspace

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cxho.errors import (
 from cxho.params import validate
 from cxho.wavefunctions import (
     GaussPoly,
+    _hermitian_cond,
     coherent_wavefunction,
     cross_gram,
     default_cross_path,
@@ -324,10 +326,35 @@ class TestGramAndMetric:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_hermite_overflow_raises(self):
-        # S is checked before its condition number, whose SVD fails on NaN
+        # S is checked before its condition number, which NaN would poison
         p = validate(0.8 + 0.3j, 0.9 - 0.3j)
         with pytest.raises(NonFiniteSampleError, match="n_max = 128.*Hermite"):
             gram_and_metric(p, 128)
+
+    def test_hermite_overflow_raises_without_warnings(self):
+        # the overflow is reported once, by the error, not also as warnings
+        p = validate(0.8 + 0.3j, 0.9 - 0.3j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for build in (cross_gram, gram_and_metric):
+                with pytest.raises(NonFiniteSampleError, match="n_max = 128"):
+                    build(p, 128)
+
+    @pytest.mark.parametrize("omega", [1, 0.866 - 0.5j])
+    @pytest.mark.parametrize("n_max", [8, 12, 16, 24])
+    def test_condition_number_matches_svd(self, omega, n_max):
+        # at n_max 32 S is ill conditioned (>= 1.5e10 at both omega) and the
+        # two routes agree only to about cond * eps
+        g = gram_and_metric(validate(1, omega), n_max)
+        assert g.condition_number == pytest.approx(np.linalg.cond(g.S),
+                                                   rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("mat", [np.diag([2.0, 0.0, -1.0]),
+                                     np.zeros((3, 3))], ids=["singular", "zero"])
+    def test_singular_condition_number_is_inf(self, mat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _hermitian_cond(mat) == math.inf
 
     def test_ill_conditioning_reported_not_fatal(self):
         p = validate(cmath.exp(1j * (PI - 0.1)), cmath.exp(-1j * PI / 2))
