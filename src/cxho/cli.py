@@ -477,6 +477,8 @@ def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
     if steps < 1:
         _fail_config(f"steps must be >= 1, got {steps}")
+    if not (math.isfinite(t_a) and math.isfinite(t_b)):
+        _fail_config(f"t-a and t-b must be finite, got {t_a!r} and {t_b!r}")
     if t_b <= t_a:
         _fail_config("t-b must exceed t-a")
     rep = fock.build(params, nmax)

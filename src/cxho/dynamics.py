@@ -155,14 +155,35 @@ def ehrenfest_residual(system: TwoStateSystem, t: float,
     return dq - p_mid / m, dp + m * omega * omega * q_mid
 
 
+def _bands(rep: FockRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Main, super- and sub-diagonals of the weak-value operators.
+
+    Returns n x 5, (n-1) x 5 and (n-1) x 5 arrays, one column per entry of
+    WEAK_VALUE_OPERATORS.  Raises ValueError naming the first operator with
+    an entry outside its three diagonals, which the bands would drop.
+    """
+    ops = [getattr(rep, name) for name in WEAK_VALUE_OPERATORS]
+    levels = np.arange(rep.n_max)
+    outside = np.abs(levels[:, None] - levels) > 1
+    for name, op in zip(WEAK_VALUE_OPERATORS, ops):
+        if op[outside].any():
+            raise ValueError(f"{name} has entries outside its three diagonals")
+    return tuple(np.stack([np.diagonal(op, k) for op in ops], axis=1)
+                 for k in (0, 1, -1))
+
+
 def trajectory(system: TwoStateSystem, times) -> Trajectory:
     """Weak values and amplitude along a time grid inside [t_a, t_b].
 
-    Every time is evaluated in one batched pass whose per-time arithmetic is
-    that of ``states_at``, ``q_inner`` and ``weak_value``, so each value is
-    bit-identical to the per-time route.  Times where the overlap vanishes
-    are skipped (``kept`` is False there).  Raises ValueError for a NaN time
-    or one outside the window.
+    Every time is evaluated in one batched pass.  ``t``, ``amplitude`` and
+    ``kept`` have the per-time arithmetic of ``states_at`` and ``q_inner``,
+    so they are bit-identical to that route.  The weak values contract the
+    band products conj(b_k) a_k, conj(b_k) a_{k+1} and conj(b_{k+1}) a_k
+    with the operators' three diagonals (all ``fock.build`` fills), so they
+    agree with ``weak_value`` to rounding; each time's digits do not depend
+    on the other times in the batch.  Times where the overlap vanishes are
+    skipped (``kept`` is False there).  Raises ValueError for a NaN time or
+    one outside the window, and for an operator that is not tridiagonal.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -172,6 +193,7 @@ def trajectory(system: TwoStateSystem, times) -> Trajectory:
     if not inside.all():
         raise ValueError(f"time {float(times[~inside][0])!r} outside "
                          f"[{system.t_a}, {system.t_b}]")
+    diag, upper, lower = _bands(system.rep)
     omega, n = system.params.omega, len(system.a0)
     # (times x levels) states; row k is states_at(times[k])
     a = system.a0.coeffs * _phases(omega, (times - system.t_a)[:, None], n)
@@ -179,14 +201,15 @@ def trajectory(system: TwoStateSystem, times) -> Trajectory:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("evolved states must be finite")
     np.conj(b, out=b)  # rows of conj(b), the left factor np.vdot forms
-    # Stacked matmul runs the BLAS dot and gemv kernels once per time, as
-    # np.vdot and op @ a do, so every sum keeps its order.  A single gemm
+    # Stacked matmul runs one BLAS call per time, as np.vdot does, so every
+    # sum keeps its order and does not depend on the batch.  A single gemm
     # over all times would not.
     amplitude = np.matmul(b[:, None, :], a[:, :, None])[:, 0, 0]
     kept = np.abs(amplitude) > OVERLAP_GUARD
-    a, b, amplitude = a[kept], b[kept], amplitude[kept]
-    weak = {}
-    for name in WEAK_VALUE_OPERATORS:
-        op_a = np.matmul(getattr(system.rep, name), a[:, :, None])
-        weak[name] = np.matmul(b[:, None, :], op_a)[:, 0, 0] / amplitude
-    return Trajectory(t=times[kept], amplitude=amplitude, kept=kept, **weak)
+    off_diagonal = (np.matmul((b[:, :-1] * a[:, 1:])[:, None, :], upper)
+                    + np.matmul((b[:, 1:] * a[:, :-1])[:, None, :], lower))
+    np.multiply(b, a, out=b)  # conj(b_k) a_k; b is not needed any more
+    numerators = np.matmul(b[:, None, :], diag) + off_diagonal
+    weak = numerators[kept, 0].T / amplitude[kept]
+    return Trajectory(t=times[kept], amplitude=amplitude[kept], kept=kept,
+                      **dict(zip(WEAK_VALUE_OPERATORS, weak)))

@@ -90,6 +90,9 @@ def eigenfunction(basis: int, n: int, q, params: ModelParams):
 
     Valid for n < 1/eps, where the regulator corrections to the polynomial
     part stay negligible; beyond that a ValidityExceededError is raised.
+    Raises NonFiniteSampleError when a sample is not finite: where H_n
+    overflows (n of a few hundred, or the far tails at n ~ 150), or where
+    the Gaussian grows off the real axis.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -102,7 +105,16 @@ def eigenfunction(basis: int, n: int, q, params: ModelParams):
     pref = (mw / (math.pi * hbar)) ** 0.25 * math.exp(
         -0.5 * (math.lgamma(n + 1.0) + n * math.log(2.0)))
     q_arr = np.asarray(q, dtype=np.complex128)
-    vals = pref * hermite(n, scale * q_arr) * np.exp(-0.5 * mw / hbar * q_arr**2)
+    # an overflow is reported below, not as RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = hermite(n, scale * q_arr)
+        vals = pref * poly * np.exp(-0.5 * mw / hbar * q_arr**2)
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        factor = "H_n" if not np.isfinite(poly).all() else "the Gaussian"
+        raise NonFiniteSampleError(
+            f"level n = {n} is not finite at {bad} of {vals.size} samples: "
+            f"{factor} overflows there")
     return vals if np.ndim(q) else complex(vals)
 
 

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -257,19 +258,26 @@ class TestTrajectory:
 
 
 @st.composite
-def two_state_systems(draw):
-    """A boundary pair anywhere on the normalizable part of the closed
-    parallelogram, the domain edges and region lines weighted up.
-
-    The pair is random or orthogonal (every overlap vanishes).  Windows of
-    100-400 time units let damping underflow the overlap at some or all times.
-    """
+def normalizable_params(draw):
+    """Parameters anywhere on the normalizable part of the closed
+    parallelogram, the domain edges and region lines weighted up."""
     theta_m = draw(st.one_of(st.floats(0.0, PI), st.sampled_from((0.0, PI / 2, PI))))
     s = draw(st.one_of(st.floats(-PI, 0.0), st.sampled_from((0.0, -PI / 2, -PI))))
     radius = st.floats(0.25, 4.0)
     params = validate(draw(radius) * cmath.exp(1j * theta_m),
                       draw(radius) * cmath.exp(0.5j * (s - theta_m)))
     assume(params.normalizable)
+    return params
+
+
+@st.composite
+def two_state_systems(draw):
+    """A boundary pair on the normalizable part of the closed parallelogram.
+
+    The pair is random or orthogonal (every overlap vanishes).  Windows of
+    100-400 time units let damping underflow the overlap at some or all times.
+    """
+    params = draw(normalizable_params())
     n_max = draw(st.integers(2, 96))
     kind = draw(st.sampled_from(("random", "orthogonal")))
     if kind == "orthogonal":
@@ -292,7 +300,7 @@ def window_times(system, max_size=30):
 
 def per_time_reference(system, times):
     """The trajectory columns built one time at a time from states_at,
-    q_inner and weak_value, and the kept mask."""
+    q_inner and the dense weak_value, and the kept mask."""
     kept, rows = [], []
     for t in times:
         a, b = system.states_at(t)
@@ -305,19 +313,68 @@ def per_time_reference(system, times):
     return dict(zip(("t", "amplitude") + WEAK_VALUE_OPERATORS, columns)), kept
 
 
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u) for double precision."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def dense_route_bound(system, t, amplitude, banded, dense, op):
+    """Largest |banded - dense| two roundings of (b|op|a)/(b|a) may differ by.
+
+    A complex dot or matrix-vector row of length n is off by at most
+    gamma_{n+2} sum_j |x_j||y_j| (Higham, Accuracy and Stability, 3.1 and
+    3.6).  The dense numerator takes two such steps, gamma_{2n+4}; the
+    banded one multiplies twice before its three summed band products of
+    length <= n, gamma_{n+7}.  Both divide by the same amplitude, each
+    division off by at most gamma_9 of its quotient.
+
+    Below the normal range a rounding is off by up to half a subnormal
+    instead.  The dense route rounds <= 30n reals, the banded one
+    <= 42n + 4, of which the first 18n are then multiplied by an operator
+    entry; inside the window no |a_j| or |b_k| exceeds 1.
+    """
+    n = op.shape[0]
+    a, b = system.states_at(t)
+    magnitude = np.abs(b.coeffs) @ np.abs(op) @ np.abs(a.coeffs)
+    floor = (27 * n + 4) * 2.0**-1074 * (1 + np.abs(op).max())
+    return ((gamma(3 * n + 11) * magnitude + floor) / abs(amplitude)
+            + gamma(9) * (abs(banded) + abs(dense)))
+
+
+def assert_matches_per_time_route(system, times):
+    """t, amplitude and kept bit for bit against the per-time route; the
+    weak values bit for bit against one-time trajectories and within
+    rounding of the dense weak_value.  Returns the trajectory."""
+    traj = trajectory(system, times)
+    expected, kept = per_time_reference(system, times)
+    assert traj.kept.tolist() == kept
+    assert len(traj) == sum(kept)
+    for name in ("t", "amplitude"):
+        got = getattr(traj, name)
+        assert got.shape == expected[name].shape, name
+        assert (got == expected[name]).all(), name
+    one_at_a_time = [trajectory(system, [t]) for t in traj.t]
+    for name in WEAK_VALUE_OPERATORS:
+        got = getattr(traj, name)
+        assert got.shape == expected[name].shape, name
+        single = np.array([getattr(row, name)[0] for row in one_at_a_time],
+                          dtype=complex)
+        assert (got == single).all(), name
+        op = getattr(system.rep, name)
+        for t, amp, banded, dense in zip(traj.t, traj.amplitude, got,
+                                         expected[name]):
+            assert abs(banded - dense) <= dense_route_bound(
+                system, t, amp, banded, dense, op), (name, t)
+    return traj
+
+
 class TestTrajectoryMatchesPerTimeRoute:
     @given(st.data())
     def test_every_column_bit_identical(self, data):
         system = data.draw(two_state_systems())
         times = data.draw(window_times(system))
-        traj = trajectory(system, times)
-        expected, kept = per_time_reference(system, times)
-        assert traj.kept.tolist() == kept
-        assert len(traj) == sum(kept)
-        for name, column in expected.items():
-            got = getattr(traj, name)
-            assert got.shape == column.shape, name
-            assert (got == column).all(), name
+        assert_matches_per_time_route(system, times)
 
     def test_partly_vanishing_overlap(self):
         # |amplitude| sits at OVERLAP_GUARD here, so rounding keeps some times
@@ -325,13 +382,9 @@ class TestTrajectoryMatchesPerTimeRoute:
         params = validate(1, 1 - 137.95510557964275j)
         state = coherent_coeffs(1.0, 32).normalized()
         system = TwoStateSystem(state, state, 0.0, 10.0, params, build(params, 32))
-        times = np.linspace(0.0, 10.0, 401)
-        traj = trajectory(system, times)
-        expected, kept = per_time_reference(system, times.tolist())
-        assert 0 < sum(kept) < len(kept)
-        assert traj.kept.tolist() == kept
-        for name, column in expected.items():
-            assert (getattr(traj, name) == column).all(), name
+        kept = assert_matches_per_time_route(
+            system, np.linspace(0.0, 10.0, 401).tolist()).kept
+        assert 0 < kept.sum() < kept.size
 
     @given(st.data())
     def test_nan_or_outside_time_rejected(self, data):
@@ -342,6 +395,25 @@ class TestTrajectoryMatchesPerTimeRoute:
         times.insert(data.draw(st.integers(0, len(times))), bad)
         with pytest.raises(ValueError, match="outside"):
             trajectory(system, times)
+
+
+class TestBands:
+    @given(normalizable_params(), st.integers(2, 96))
+    def test_weak_value_operators_tridiagonal(self, params, n_max):
+        rep = build(params, n_max)
+        for name in WEAK_VALUE_OPERATORS:
+            op = getattr(rep, name)
+            assert not np.triu(op, 2).any(), name
+            assert not np.tril(op, -2).any(), name
+
+    def test_entry_off_the_band_rejected(self, params_damped):
+        rep = build(params_damped, 6)
+        q_op = rep.q_op.copy()
+        q_op[3, 1] = 1e-300
+        sys = TwoStateSystem(unit(6, 0), unit(6, 0), 0.0, 1.0, params_damped,
+                             dataclasses.replace(rep, q_op=q_op))
+        with pytest.raises(ValueError, match="q_op"):
+            trajectory(sys, [0.5])
 
 
 class TestTwoStateSystem:

@@ -126,6 +126,15 @@ class TestEigenfunction:
         with pytest.raises(ValidityExceededError):
             eigenfunction(1, 10, 0.0, p)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_without_warnings(self, params_real):
+        p = validate(1, 1, eps=1e-4)
+        with pytest.raises(NonFiniteSampleError, match="n = 300 .* H_n overflows"):
+            eigenfunction(1, 300, 0.0, p)
+        # H_10(40i) is finite; exp(q^2/2) at q = 40i is not
+        with pytest.raises(NonFiniteSampleError, match="n = 10 .* the Gaussian"):
+            eigenfunction(1, 10, [0.0, 40j], params_real)
+
     def test_bad_basis(self, params_real):
         with pytest.raises(ValueError):
             eigenfunction(3, 0, 0.0, params_real)
