@@ -338,15 +338,21 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     add("dual_normalization", np.abs(gram.cross - eye).max(), 1e-8)
     add("metric_inverse", np.abs(gram.S @ gram.Qmat - eye).max(), 1e-8)
     add("metric_positivity", max(0.0, -np.linalg.eigvalsh(gram.Qmat).min()), 0.0)
-    add("gram_head_entry",
-        abs(gram.S[0, 0] - 1 / math.sqrt(math.cos(params.theta))), 1e-9)
-    overlap_path = rotated_path(
-        0.0, 13.0 * math.sqrt(params.hbar / params.momega.real), 400)
-    integrand = (np.conj(wavefunctions.ground_regulated(
-        2, overlap_path.nodes.real, params))
-        * wavefunctions.ground_regulated(1, overlap_path.nodes.real, params))
-    add("ground_dual_overlap",
-        abs(np.dot(overlap_path.weights, integrand) - 1.0), 1e-10)
+    # Ground overlaps on [-half, half] of the real axis (tail e^-36), in
+    # Gauss-Legendre panels: the chirp exp(-i Im(mw) q^2/hbar) reaches
+    # 36|tan theta| rad at the ends, and each panel resolves 400 rad of it.
+    mw = params.momega
+    half = 6.0 * math.sqrt(params.hbar / mw.real)
+    panels = min(64, 1 + int(36 * abs(mw.imag) / mw.real / 400))
+    rule = rotated_path(0.0, half / panels)
+    centers = half / panels * np.arange(1 - panels, panels, 2)
+    q = (rule.nodes.real + centers[:, None]).ravel()
+    weights = np.tile(rule.weights, panels)
+    head = np.abs(wavefunctions.eigenfunction(1, 0, q, params)) ** 2
+    add("gram_head_entry", abs(gram.S[0, 0] - np.dot(weights, head)), 1e-9)
+    integrand = (np.conj(wavefunctions.ground_regulated(2, q, params))
+                 * wavefunctions.ground_regulated(1, q, params))
+    add("ground_dual_overlap", abs(np.dot(weights, integrand) - 1.0), 1e-10)
 
     n_dyn = 40
     rep_dyn = fock.build(params, n_dyn)

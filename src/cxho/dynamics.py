@@ -195,9 +195,10 @@ def trajectory(system: TwoStateSystem, times) -> Trajectory:
                          f"[{system.t_a}, {system.t_b}]")
     diag, upper, lower = _bands(system.rep)
     omega, n = system.params.omega, len(system.a0)
-    # (times x levels) states; row k is states_at(times[k])
-    a = system.a0.coeffs * _phases(omega, (times - system.t_a)[:, None], n)
-    b = system.b0.coeffs * _phases(np.conj(omega), (times - system.t_b)[:, None], n)
+    # row k is states_at(times[k]); the check below reports an overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = system.a0.coeffs * _phases(omega, (times - system.t_a)[:, None], n)
+        b = system.b0.coeffs * _phases(np.conj(omega), (times - system.t_b)[:, None], n)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("evolved states must be finite")
     np.conj(b, out=b)  # rows of conj(b), the left factor np.vdot forms

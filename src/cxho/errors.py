@@ -65,9 +65,5 @@ class IllConditionedWarning(UserWarning):
     """Gram matrix condition number exceeds the reliability threshold."""
 
 
-class AsymmetryWarning(UserWarning):
-    """Numerically computed Gram matrix deviates from Hermitian symmetry."""
-
-
 class DeltaUnderflowWarning(UserWarning):
     """Gaussian delta evaluation underflowed to zero."""

@@ -1,11 +1,12 @@
-"""Position-space wavefunctions and quadrature-based Gram/metric matrices.
+"""Position-space wavefunctions and the Gram/metric matrices of the mode basis.
 
 Level wavefunctions are Hermite polynomials times a complex Gaussian, with
 the complex product m*omega entering everywhere a real frequency would in
 the textbook oscillator.  Overlaps between the two bases are analytic in
 m*omega and are computed on a contour rotated by -arg(m*omega)/2, which
-maps the integrand onto a real Gaussian; same-basis overlaps involve both
-m*omega and its conjugate and are computed on the real axis.
+maps the integrand onto a real Gaussian.  Same-basis overlaps involve both
+m*omega and its conjugate; they depend on theta = arg(m*omega) alone and
+follow exactly from the ladder relations, with no quadrature nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from ._kernels import hermite_table, poly_gauss_eval
 from .contour import DEFAULT_NODES, ContourPath, rotated_path
 from .errors import (
-    AsymmetryWarning,
     ConvergenceViolatedError,
     IllConditionedWarning,
     InvalidPathError,
@@ -45,13 +45,6 @@ def hermite(n: int, z):
     z_arr = np.atleast_1d(np.asarray(z, dtype=np.complex128)).ravel()
     vals = hermite_table(n + 1, z_arr)[n]
     return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
-
-
-def _level_norms(n_max: int) -> np.ndarray:
-    # 1/sqrt(2^n n!) through lgamma to survive large n
-    n = np.arange(n_max, dtype=np.float64)
-    lg = np.array([math.lgamma(k + 1.0) for k in range(n_max)])
-    return np.exp(-0.5 * (lg + n * math.log(2.0)))
 
 
 @dataclass(frozen=True)
@@ -225,12 +218,11 @@ def _check_path_converges(momega: complex, path: ContourPath) -> None:
             f"for arg(m*omega) = {cmath.phase(momega):.6g}")
 
 
-def _finite_gram(gram: np.ndarray, n_max: int) -> np.ndarray:
-    """``gram`` if every entry is finite, else NonFiniteSampleError."""
+def _finite_gram(gram: np.ndarray, n_max: int, cause: str) -> np.ndarray:
+    """``gram`` if every entry is finite, else NonFiniteSampleError naming ``cause``."""
     if not np.isfinite(gram).all():
         raise NonFiniteSampleError(
-            f"Gram matrix at n_max = {n_max} is not finite: the Hermite "
-            f"polynomials overflow at the quadrature nodes")
+            f"Gram matrix at n_max = {n_max} is not finite: {cause}")
     return gram
 
 
@@ -256,8 +248,7 @@ def default_cross_path(params: ModelParams, n_max: int,
 
 
 def cross_gram(params: ModelParams, n_max: int,
-               path: ContourPath | None = None,
-               n_nodes: int = DEFAULT_NODES) -> np.ndarray:
+               path: ContourPath | None = None) -> np.ndarray:
     """Dual-basis overlap matrix by contour quadrature; contracts to identity.
 
     Entry (m, n) integrates the analytic-in-m*omega product of the dual
@@ -271,18 +262,21 @@ def cross_gram(params: ModelParams, n_max: int,
         raise ValidityExceededError(
             f"n_max = {n_max} >= 1/eps = {1.0 / params.eps:.6g}")
     if path is None:
-        path = default_cross_path(params, n_max, n_nodes)
+        path = default_cross_path(params, n_max)
     mw, hbar = params.momega, params.hbar
     _check_path_converges(mw, path)
     x = np.sqrt(mw / hbar) * path.nodes
     envelope = path.weights * np.exp(-x * x) * path.direction
-    norms = _level_norms(n_max)
+    # 1/sqrt(2^n n!) through lgamma to survive large n
+    lg = np.array([math.lgamma(k + 1.0) for k in range(n_max)])
+    norms = np.exp(-0.5 * (lg + np.arange(n_max) * math.log(2.0)))
     # an overflowing Hermite table is reported by _finite_gram alone
     with np.errstate(over="ignore", invalid="ignore"):
         table = hermite_table(n_max, x)
         raw = (table * envelope) @ table.T
         gram = np.sqrt(mw / (math.pi * hbar)) * np.outer(norms, norms) * raw
-    return _finite_gram(gram, n_max)
+    return _finite_gram(
+        gram, n_max, "the Hermite polynomials overflow at the quadrature nodes")
 
 
 @dataclass(frozen=True)
@@ -296,42 +290,44 @@ class GramMatrices:
     condition_number: float
 
 
-def gram_and_metric(params: ModelParams, n_max: int,
-                    n_nodes: int = DEFAULT_NODES,
-                    half_width: float | None = None) -> GramMatrices:
+def _same_basis_gram(theta: float, n_max: int) -> np.ndarray:
+    """Same-basis Gram matrix S[m, n] = <psi_m|psi_n> from the ladder relations.
+
+    S[0, 0] = 1/sqrt(cos theta), S[0, n] = i tan(theta) sqrt((n-1)/n) S[0, n-2]
+    and, for n > m, sqrt(m+1) S[m+1, n] = sec(theta) sqrt(n) S[m, n-1]
+    - i tan(theta) sqrt(m) S[m-1, n].  The upper triangle is filled one row
+    slice at a time and mirrored, so S is Hermitian by construction.
+    """
+    tan, sec = math.tan(theta), 1.0 / math.cos(theta)
+    roots = np.sqrt(np.arange(n_max))
+    evens = np.arange(2, n_max, 2)
+    # rows[m + 1] holds row m of S; rows[0] is the zero row S[-1]
+    rows = np.zeros((n_max + 1, n_max), dtype=np.complex128)
+    rows[1, ::2] = np.cumprod(np.r_[1.0 / math.sqrt(math.cos(theta)),
+                                    1j * tan * np.sqrt((evens - 1) / evens)])
+    for m in range(n_max - 1):
+        rows[m + 2, m + 1:] = (sec * roots[m + 1:] * rows[m + 1, m:-1]
+                               - 1j * tan * roots[m] * rows[m, m + 1:]) / roots[m + 1]
+    upper = np.triu(rows[1:], 1)
+    return upper + upper.conj().T + np.diag(rows[1:].diagonal().real)
+
+
+def gram_and_metric(params: ModelParams, n_max: int) -> GramMatrices:
     """Gram matrix of the mode basis, the metric matrix, and the cross matrix.
 
-    S is integrated on the real axis, where its integrand decays like
-    exp(-Re(m*omega) q^2 / hbar).  The metric matrix is the inverse of S via
-    a Cholesky factorization of the symmetrized S.  Ill conditioning beyond
-    1e12 is reported through IllConditionedWarning but the result is still
-    returned.  A non-finite S or cross matrix, from Hermite polynomials
-    that overflow at the quadrature nodes (as at n_max 128), raises
-    NonFiniteSampleError.
+    The cross matrix comes first, so its Hermite overflow (as at n_max 128)
+    raises NonFiniteSampleError before S is built.  S comes from the ladder
+    recurrence, with no quadrature nodes; an S that overflows raises
+    NonFiniteSampleError too.  The metric matrix is the inverse of S via a
+    Cholesky factorization.  Ill conditioning beyond 1e12 is reported
+    through IllConditionedWarning but the result is still returned.
     """
-    if not params.normalizable:
-        raise NotNormalizableError(
-            f"|arg(m*omega)| = {abs(params.theta):.6g} >= pi/2")
-    mw, hbar = params.momega, params.hbar
-    if half_width is None:
-        half_width = 12.0 * math.sqrt(hbar * n_max / mw.real)
-    path = rotated_path(0.0, half_width, n_nodes)
-    x = np.sqrt(mw / hbar) * path.nodes
-    envelope = path.weights * np.exp(-mw.real / hbar * path.nodes.real**2)
-    norms = _level_norms(n_max)
-    # an overflowing Hermite table is reported by _finite_gram alone
+    cross = cross_gram(params, n_max)
+    # an overflowing S is reported by _finite_gram alone
     with np.errstate(over="ignore", invalid="ignore"):
-        table = hermite_table(n_max, x)
-        raw = (np.conj(table) * envelope) @ table.T
-        s_mat = (math.sqrt(params.r / (math.pi * hbar))
-                 * np.outer(norms, norms) * raw)
-    s_mat = _finite_gram(s_mat, n_max)
-
-    asym = float(np.abs(s_mat - s_mat.conj().T).max() / np.abs(s_mat).max())
-    if asym > 1e-10:
-        warnings.warn(f"relative Gram matrix asymmetry {asym:.3e} exceeds 1e-10",
-                      AsymmetryWarning)
-    s_mat = 0.5 * (s_mat + s_mat.conj().T)
+        s_mat = _same_basis_gram(params.theta, n_max)
+    s_mat = _finite_gram(s_mat, n_max, f"S exceeds the double range at "
+                         f"arg(m*omega) = {params.theta:.6g}")
 
     cond = _hermitian_cond(s_mat)
     if cond > COND_LIMIT:
@@ -347,5 +343,4 @@ def gram_and_metric(params: ModelParams, n_max: int,
         q_mat = np.linalg.inv(s_mat)
     q_mat = 0.5 * (q_mat + q_mat.conj().T)
 
-    cross = cross_gram(params, n_max, n_nodes=n_nodes)
     return GramMatrices(S=s_mat, Qmat=q_mat, cross=cross, condition_number=cond)

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import hashlib
 import json
@@ -15,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cxho
-from cxho import maximize as mx
+from cxho import maximize as mx, wavefunctions
 from cxho.cli import _float_cells, _unit_pairs, main, parse_complex
 
 
@@ -49,7 +50,10 @@ def test_cli_import_does_not_load_scipy():
 # rows were recorded again when the weak values moved to the operators'
 # three diagonals: their t, amplitude and status columns stayed byte for
 # byte, and every weak-value cell moved only within the rounding bound of
-# the dense route.
+# the dense route.  The three verify runs were recorded again when S moved
+# from a real-axis quadrature to the ladder recurrence and verify's ground
+# overlaps to a narrower rule: only the metric_inverse, gram_head_entry and
+# ground_dual_overlap defects moved, each staying below 3e-14.
 REFERENCE_DIGESTS = {
     "phase-diagram --grid 2":
         "c8f18257021e552b3fc898a5ebd09f7711ba05500f000ce4918e1a43a51e9434",
@@ -83,11 +87,11 @@ REFERENCE_DIGESTS = {
     "wavefunction --n 3 --omega 0.9-0.3i --points 801":
         "99319b74cd35bb6bef3c2141ea24c471acd07c933c1dbed9c8fe2d76a68e4c9f",
     "verify --m 1+0i --omega 0.866-0.5i --nmax 12":
-        "70389ba0aa0d336c19feda8febfde3b6a978d070b71046d2f5e027346fb03f31",
+        "a93a8518e89edb404b1a88c19d84a95ddcf93f1a182fb8003a24c00921157705",
     "verify --omega 1 --nmax 12":
-        "42eadf5326ccc850273ff56d222cdb62ded71e7e2958872d68db9182e75262d9",
+        "4921bc8fb9d3dd9cc3d486411546272f5208ff4798e7bdd3f30f7ed2bcfe4a6e",
     "verify --m 0.8+0.3i --omega 0.9-0.3i --nmax 16 --seed 7":
-        "0e8ce99b8dda3554889a449203fa65ab163140a693e853c5fecc33cad106fed1",
+        "0efe178d1c627d727342a423d2241fb300da1d773ad48042b6cd082fa964606c",
     # recorded from the one-f-string-per-cell formatter
     "phase-diagram --grid 401":
         "3b869a294c7d6de5ebecac2a86075f76aef7790fc1a2d14bdd3cde4f91aa79e3",
@@ -249,6 +253,39 @@ class TestVerify:
         [line] = out.stderr.decode().splitlines()
         assert line.startswith("error:")
 
+    @pytest.mark.filterwarnings("ignore::cxho.errors.IllConditionedWarning")
+    @pytest.mark.parametrize("theta", [1.45, 1.5, 1.52, 1.539, -1.539, -1.45, -1.56])
+    @pytest.mark.parametrize("r_m, r_omega", [(0.5, 2.0), (2.0, 0.5), (1.0, 1.0)])
+    def test_ground_overlaps_pass_at_edge_points(self, runner, theta, r_m, r_omega):
+        # the dual overlap's chirp exp(-i Im(m*omega) q^2/hbar) needs more
+        # quadrature panels as |arg(m*omega)| nears pi/2
+        m = r_m * cmath.exp(1j * max(2 * theta, 0.0))
+        omega = r_omega * cmath.exp(-1j * abs(theta))
+        literal = "{0.real:.17g}{0.imag:+.17g}i".format
+        result = runner.invoke(main, ["verify", "--m", literal(m),
+                                      "--omega", literal(omega), "--nmax", "8"])
+        assert result.exit_code in (0, 3), result.output
+        checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+        assert checks["ground_dual_overlap"]["passed"]
+        assert checks["gram_head_entry"]["passed"]
+
+    def test_gram_head_entry_is_independent_of_s(self, runner, monkeypatch):
+        # S[0, 0] is the recurrence's seed; the check integrates |psi_0|^2
+        same_basis_gram = wavefunctions._same_basis_gram
+
+        def perturbed(theta, n_max):
+            s_mat = same_basis_gram(theta, n_max)
+            s_mat[0, 0] *= 1 + 1e-6
+            return s_mat
+
+        monkeypatch.setattr(wavefunctions, "_same_basis_gram", perturbed)
+        result = runner.invoke(main, ["verify", "--m", "1+0i", "--omega",
+                                      "0.866-0.5i", "--nmax", "10"])
+        assert result.exit_code == 3
+        [check] = [c for c in json.loads(result.stdout)["checks"]
+                   if c["name"] == "gram_head_entry"]
+        assert not check["passed"] and check["defect"] > 1e-7
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_unit_pairs_match_per_pair_draws(self, seed):
         # 4 * 200 draws of 8 normals, each vector over np.linalg.norm
@@ -378,6 +415,16 @@ class TestEvolve:
         assert out.stdout == b""
         [line] = out.stderr.decode().splitlines()
         assert line.startswith("error: t-a and t-b must be finite")
+
+    def test_overflowing_phases_are_one_line(self):
+        # a finite window whose level phases overflow; the finiteness check
+        # reports it, not numpy's RuntimeWarnings
+        out = _fresh_process("-m", "cxho.cli", "evolve", "--steps", "2",
+                             "--t-a", "0", "--t-b", "1e308")
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert out.stderr.decode().splitlines() == [
+            "error: evolved states must be finite"]
 
 
 class TestWavefunction:

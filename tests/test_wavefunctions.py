@@ -2,6 +2,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,10 +14,12 @@ from cxho.errors import (
     NotNormalizableError,
     ValidityExceededError,
 )
+from cxho import wavefunctions
 from cxho.params import validate
 from cxho.wavefunctions import (
     GaussPoly,
     _hermitian_cond,
+    _same_basis_gram,
     coherent_wavefunction,
     cross_gram,
     default_cross_path,
@@ -335,10 +338,32 @@ class TestGramAndMetric:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_hermite_overflow_raises(self):
-        # S is checked before its condition number, which NaN would poison
+        # the cross matrix is checked before S is built
         p = validate(0.8 + 0.3j, 0.9 - 0.3j)
         with pytest.raises(NonFiniteSampleError, match="n_max = 128.*Hermite"):
             gram_and_metric(p, 128)
+
+    def test_cross_overflow_raised_before_s_is_built(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(wavefunctions, "_same_basis_gram",
+                            lambda *args: built.append(args))
+        p = validate(0.8 + 0.3j, 0.9 - 0.3j)
+        with pytest.raises(NonFiniteSampleError, match="n_max = 128.*Hermite"):
+            gram_and_metric(p, 128)
+        assert built == []
+
+    def test_s_overflow_names_s(self):
+        # at arg(m*omega) = -1.57 the cross matrix is finite at n_max 96 but
+        # S outgrows the double range (max|S| is 6e113 already at -1.54, 64)
+        p = validate(1, cmath.exp(-1.57j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cross_gram(p, 96)
+            with pytest.raises(NonFiniteSampleError) as info:
+                gram_and_metric(p, 96)
+        message = str(info.value)
+        assert "n_max = 96" in message and "S exceeds" in message
+        assert "Hermite" not in message and "quadrature" not in message
 
     def test_hermite_overflow_raises_without_warnings(self):
         # the overflow is reported once, by the error, not also as warnings
@@ -352,7 +377,7 @@ class TestGramAndMetric:
     @pytest.mark.parametrize("omega", [1, 0.866 - 0.5j])
     @pytest.mark.parametrize("n_max", [8, 12, 16, 24])
     def test_condition_number_matches_svd(self, omega, n_max):
-        # at n_max 32 S is ill conditioned (>= 1.5e10 at both omega) and the
+        # at n_max 32 S is ill conditioned at 0.866-0.5i (1.7e10) and the
         # two routes agree only to about cond * eps
         g = gram_and_metric(validate(1, omega), n_max)
         assert g.condition_number == pytest.approx(np.linalg.cond(g.S),
@@ -371,6 +396,93 @@ class TestGramAndMetric:
         with pytest.warns(IllConditionedWarning):
             g = gram_and_metric(p, 16)
         assert g.condition_number > 1e12
+
+
+def _mpmath_gram(theta: float, n_max: int) -> list[list]:
+    """S by the ladder recurrence in mpmath, entry by entry (oracle)."""
+    th = mpmath.mpf(theta)
+    tan, sec = mpmath.tan(th), mpmath.sec(th)
+    s = [[mpmath.mpc(0)] * n_max for _ in range(n_max)]
+    s[0][0] = 1 / mpmath.sqrt(mpmath.cos(th))
+    for n in range(2, n_max, 2):
+        s[0][n] = 1j * tan * mpmath.sqrt(mpmath.mpf(n - 1) / n) * s[0][n - 2]
+    for m in range(n_max - 1):
+        for n in range(m + 1, n_max):
+            s[m + 1][n] = (sec * mpmath.sqrt(n) * s[m][n - 1]
+                           - 1j * tan * mpmath.sqrt(m) * s[m - 1][n]
+                           ) / mpmath.sqrt(m + 1)
+    for m in range(n_max):
+        for n in range(m):
+            s[m][n] = mpmath.conj(s[n][m])
+    return s
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u) for double precision."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+class TestSameBasisGramOracles:
+    @pytest.mark.parametrize("theta", [-1.45, -1.0, -0.5, -0.1, 0.0, 0.3,
+                                       PI / 3, 1.2, 1.45])
+    def test_matches_mpmath_recurrence(self, theta):
+        # S[m, n] = |S[m, n]| (i sign(theta))^((n-m)/2): both terms of every
+        # step share that phase, so nothing cancels.  Each entry sits at most
+        # n_max steps deep, each of <= 8 roundings (sec or tan, three square
+        # roots, three products, the sum and the quotient; row 0 needs fewer),
+        # plus 2 for S[0, 0], so |S - S_exact| <= gamma_(8 n_max + 2) |S_exact|
+        # entrywise.  Parity-forbidden entries are exact zeros.
+        n_max = 48
+        with mpmath.workdps(60):
+            exact = _mpmath_gram(theta, n_max)
+            got = _same_basis_gram(theta, n_max)
+            err = np.array([[float(abs(exact[m][n] - mpmath.mpc(got[m, n])))
+                             for n in range(n_max)] for m in range(n_max)])
+            size = np.array([[float(abs(exact[m][n])) for n in range(n_max)]
+                             for m in range(n_max)])
+        assert np.all(err <= _gamma(8 * n_max + 2) * size)
+        assert err.max() <= _gamma(8 * n_max + 2) * np.abs(got).max()
+
+    @pytest.mark.parametrize("m, omega", [
+        (1, 0.866 - 0.5j), (0.8 + 0.3j, 0.9 - 0.3j), (1, 1),
+        (2 * cmath.exp(2.5j), 0.7 * cmath.exp(-1.5j)),
+        (0.5, 2 * cmath.exp(-1.4j))])
+    @pytest.mark.parametrize("n_max", [4, 9, 16])
+    def test_matches_gauss_hermite_quadrature(self, m, omega, n_max):
+        # with y = sqrt(Re(m*omega)/hbar) q, conj(psi_m) psi_n is e^(-y^2)
+        # times a polynomial of degree <= 2 n_max - 2, which hermgauss(n_max)
+        # integrates exactly; only rounding is left, scaled by the
+        # quadrature of |psi_m| |psi_n|
+        p = validate(m, omega)
+        y, w = np.polynomial.hermite.hermgauss(n_max)
+        scale = math.sqrt(p.hbar / p.momega.real)
+        psi = np.array([eigenfunction(1, k, y * scale, p) for k in range(n_max)])
+        weights = w * np.exp(y * y) * scale
+        quad = (np.conj(psi) * weights) @ psi.T
+        magnitude = (np.abs(psi) * weights) @ np.abs(psi).T
+        got = _same_basis_gram(p.theta, n_max)
+        assert np.all(np.abs(got - quad) <= 64 * n_max * 2.0**-53 * magnitude)
+
+    @pytest.mark.parametrize("theta, expected", [
+        (PI / 3, 1.795e9), (-PI / 6, 3.343e4), (0.1, 8.005), (-1.2, 1.754e11)])
+    def test_condition_number_matches_mpmath(self, theta, expected):
+        # Weyl: each eigenvalue moves by at most ||dS||_2 <= ||dS||_F, with
+        # |dS| <= gamma_(8n+2) |S| from the recurrence and n u ||S||_2 from
+        # eigvalsh; cond then moves by at most 2 cond times that over
+        # lambda_min.
+        n_max = 16
+        with mpmath.workdps(60):
+            exact = mpmath.matrix(_mpmath_gram(theta, n_max))
+            moduli = [abs(e) for e in mpmath.eighe(exact, eigvals_only=True)]
+            cond = float(max(moduli) / min(moduli))
+        assert cond == pytest.approx(expected, rel=1e-3)
+        s_mat = _same_basis_gram(theta, n_max)
+        norm2 = float(max(moduli))
+        perturbation = (_gamma(8 * n_max + 2) * np.linalg.norm(s_mat)
+                        + n_max * 2.0**-53 * norm2)
+        assert _hermitian_cond(s_mat) == pytest.approx(
+            cond, rel=2 * cond * perturbation / norm2, abs=0)
 
 
 class TestGaussPoly:
