@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 
 import click
 import numpy as np
@@ -257,14 +258,19 @@ class _Group(click.Group):
 
     A ``CxhoError`` or ``ValueError`` from any command leaves through
     ``_fail_config``, with one ``error:`` line, also when called with
-    ``standalone_mode=False``.
+    ``standalone_mode=False``.  While a command runs, a warning it shows is
+    one ``warning:`` line; a caller that records warnings still gets them.
     """
 
     def invoke(self, ctx: click.Context):
+        previous, warnings.formatwarning = (
+            warnings.formatwarning, lambda message, *_: f"warning: {message}\n")
         try:
             return super().invoke(ctx)
         except (CxhoError, ValueError) as exc:
             _fail_config(str(exc))
+        finally:
+            warnings.formatwarning = previous
 
 
 @click.group(cls=_Group)
@@ -361,7 +367,9 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     system = dynamics.TwoStateSystem(
         fock.coherent_coeffs(lam_a, n_dyn), fock.coherent_coeffs(lam_b, n_dyn),
         0.0, duration, params, rep_dyn)
-    amps = dynamics.trajectory(system, np.linspace(0.0, duration, 5)).amplitude
+    # from the evolved states, not trajectory, whose amplitude is constant
+    amps = np.array([fock.q_inner(b, a) for a, b in
+                     map(system.states_at, np.linspace(0.0, duration, 5))])
     add("amplitude_time_independence",
         np.abs(amps - amps[0]).max() / abs(amps[0]), 1e-12)
     closed = dynamics.coherent_state_at(lam_a, 1.0, "A", n_dyn, params)
@@ -497,13 +505,8 @@ def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
     header = ["t", "amplitude_re", "amplitude_im", "q_op_re", "q_op_im",
               "p_op_re", "p_op_im", "q_herm_re", "q_herm_im", "p_herm_re",
               "p_herm_im", "h_herm_re", "h_herm_im", "status"]
-
-    def cells(kept_values: np.ndarray) -> list[str]:
-        """Cells of a kept-sample column, blank at the skipped times."""
-        out = np.full(times.size, "", dtype=object)
-        out[traj.kept] = _float_cells(kept_values)
-        return out.tolist()
-
+    # trajectory keeps every time or none
+    cells = _float_cells if traj.kept.all() else lambda _: [""] * times.size
     columns = [_float_cells(times)]
     for name in ("amplitude",) + dynamics.WEAK_VALUE_OPERATORS:
         column = getattr(traj, name)

@@ -5,7 +5,9 @@ state under its metric adjoint, so level n of the forward state picks up
 exp(-i*omega*(n+1/2)*dt) while the backward state picks up the conjugate
 frequency.  The normalized matrix element between them,
 (b|O|a)/(b|a) in the metric inner product, is the weak value sampled along
-a trajectory.
+a trajectory.  Each band product conj(b_k(t)) a_l(t), |k - l| <= 1, is a
+product at the boundary times times phases (Aharonov, Albert & Vaidman,
+PRL 60 (1988) 1351), so the amplitude does not depend on t.
 """
 
 from __future__ import annotations
@@ -25,19 +27,19 @@ OVERLAP_GUARD = 1e-300
 WEAK_VALUE_OPERATORS = ("q_op", "p_op", "q_herm", "p_herm", "h_herm")
 
 
-def _phases(omega: complex, dt, n: int) -> np.ndarray:
-    """Level phases exp(-i*omega*(k+1/2)*dt); a column of dt gives one row each."""
+def level_phases(omega: complex, dt: float, n: int) -> np.ndarray:
+    """Level phases exp(-i*omega*(k+1/2)*dt) for k = 0 .. n-1."""
     return np.exp(-1j * omega * (np.arange(n) + 0.5) * dt)
 
 
 def evolve_a(a0: StateVec, dt: float, params: ModelParams) -> StateVec:
     """Propagate a forward state by dt (level phases exp(-i*omega*(n+1/2)*dt))."""
-    return StateVec(a0.coeffs * _phases(params.omega, dt, len(a0)))
+    return StateVec(a0.coeffs * level_phases(params.omega, dt, len(a0)))
 
 
 def evolve_b(b0: StateVec, dt: float, params: ModelParams) -> StateVec:
     """Propagate a backward state by dt; uses the conjugate frequency."""
-    return StateVec(b0.coeffs * _phases(np.conj(params.omega), dt, len(b0)))
+    return StateVec(b0.coeffs * level_phases(np.conj(params.omega), dt, len(b0)))
 
 
 def coherent_lambda(lambda0: complex, dt: float, which: str,
@@ -62,11 +64,9 @@ def coherent_state_at(lambda0: complex, dt: float, which: str, n_max: int,
     if which == "A":
         pref = (np.exp(-0.5j * params.omega * dt)
                 * np.exp(-0.5 * abs(lambda0) ** 2 * (1 - np.exp(2 * omega_i * dt))))
-    elif which == "B":
+    else:  # "B"; coherent_lambda rejected any other value
         pref = (np.exp(-0.5j * np.conj(params.omega) * dt)
                 * np.exp(-0.5 * abs(lambda0) ** 2 * (1 - np.exp(-2 * omega_i * dt))))
-    else:
-        raise ValueError(f"which must be 'A' or 'B', got {which!r}")
     return StateVec(pref * coherent_coeffs(lam_t, n_max).coeffs)
 
 
@@ -175,15 +175,16 @@ def _bands(rep: FockRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def trajectory(system: TwoStateSystem, times) -> Trajectory:
     """Weak values and amplitude along a time grid inside [t_a, t_b].
 
-    Every time is evaluated in one batched pass.  ``t``, ``amplitude`` and
-    ``kept`` have the per-time arithmetic of ``states_at`` and ``q_inner``,
-    so they are bit-identical to that route.  The weak values contract the
-    band products conj(b_k) a_k, conj(b_k) a_{k+1} and conj(b_{k+1}) a_k
-    with the operators' three diagonals (all ``fock.build`` fills), so they
-    agree with ``weak_value`` to rounding; each time's digits do not depend
-    on the other times in the batch.  Times where the overlap vanishes are
-    skipped (``kept`` is False there).  Raises ValueError for a NaN time or
-    one outside the window, and for an operator that is not tridiagonal.
+    With D = ``level_phases(omega, t_b - t_a, n)``, the amplitude is
+    sum_k conj(b0_k) a0_k D_k at every time, and op's numerator is the same
+    sum over its diagonal plus exp(-i*omega*(t-t_a)) times the one over its
+    super-diagonal and exp(i*omega*(t-t_b)) times the one over its
+    sub-diagonal.  The sums are formed once per call, so a time's digits do
+    not depend on the other times; they agree with ``states_at``,
+    ``q_inner`` and ``weak_value`` to rounding.  ``kept`` is False at every
+    time if the overlap vanishes.  Raises ValueError for a NaN time or one
+    outside the window, an operator that is not tridiagonal, and an
+    amplitude or numerator that is not finite.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -194,23 +195,20 @@ def trajectory(system: TwoStateSystem, times) -> Trajectory:
         raise ValueError(f"time {float(times[~inside][0])!r} outside "
                          f"[{system.t_a}, {system.t_b}]")
     diag, upper, lower = _bands(system.rep)
-    omega, n = system.params.omega, len(system.a0)
-    # row k is states_at(times[k]); the check below reports an overflow
+    omega, a0, b0 = system.params.omega, system.a0.coeffs, np.conj(system.b0.coeffs)
+    # the finiteness check below reports an overflowing phase
     with np.errstate(over="ignore", invalid="ignore"):
-        a = system.a0.coeffs * _phases(omega, (times - system.t_a)[:, None], n)
-        b = system.b0.coeffs * _phases(np.conj(omega), (times - system.t_b)[:, None], n)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        d = level_phases(omega, system.t_b - system.t_a, a0.size)
+        products = b0 * a0 * d
+        amplitude = products.sum()
+        numerators = (products @ diag
+                      + np.exp(-1j * omega * (times - system.t_a))[:, None]
+                      * ((b0[:-1] * a0[1:] * d[:-1]) @ upper)
+                      + np.exp(1j * omega * (times - system.t_b))[:, None]
+                      * ((b0[1:] * a0[:-1] * d[:-1]) @ lower))
+    if not (np.isfinite(amplitude) and np.isfinite(numerators).all()):
         raise ValueError("evolved states must be finite")
-    np.conj(b, out=b)  # rows of conj(b), the left factor np.vdot forms
-    # Stacked matmul runs one BLAS call per time, as np.vdot does, so every
-    # sum keeps its order and does not depend on the batch.  A single gemm
-    # over all times would not.
-    amplitude = np.matmul(b[:, None, :], a[:, :, None])[:, 0, 0]
-    kept = np.abs(amplitude) > OVERLAP_GUARD
-    off_diagonal = (np.matmul((b[:, :-1] * a[:, 1:])[:, None, :], upper)
-                    + np.matmul((b[:, 1:] * a[:, :-1])[:, None, :], lower))
-    np.multiply(b, a, out=b)  # conj(b_k) a_k; b is not needed any more
-    numerators = np.matmul(b[:, None, :], diag) + off_diagonal
-    weak = numerators[kept, 0].T / amplitude[kept]
-    return Trajectory(t=times[kept], amplitude=amplitude[kept], kept=kept,
-                      **dict(zip(WEAK_VALUE_OPERATORS, weak)))
+    kept = np.full(times.size, abs(amplitude) > OVERLAP_GUARD)
+    weak = numerators[kept].T / amplitude
+    return Trajectory(t=times[kept], amplitude=np.full(kept.sum(), amplitude),
+                      kept=kept, **dict(zip(WEAK_VALUE_OPERATORS, weak)))

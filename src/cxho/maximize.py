@@ -19,16 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import level_phases
 from .errors import LengthMismatchError, VanishingOverlapError
 from .fock import FockRep, StateVec
 from .params import ModelParams
 
 #: Relative Im(omega) size below which the spectrum counts as real.
 DEGENERACY_RTOL = 1e-12
-
-
-def _kernel(params: ModelParams, duration: float, n: int) -> np.ndarray:
-    return np.exp(-1j * params.omega * (np.arange(n) + 0.5) * duration)
 
 
 def _level0_scale(params: ModelParams, duration: float) -> float:
@@ -55,7 +52,7 @@ def amplitudes(a: np.ndarray, b: np.ndarray, duration: float,
     ``np.vdot(b[i], kernel * a[i])``, so every entry has the bits of the
     one-pair computation.
     """
-    weighted = _kernel(params, duration, a.shape[1]) * a
+    weighted = level_phases(params.omega, duration, a.shape[1]) * a
     return np.matmul(np.conj(b)[:, None, :], weighted[:, :, None])[:, 0, 0]
 
 

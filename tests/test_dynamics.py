@@ -1,6 +1,9 @@
 import cmath
 import dataclasses
 import math
+import warnings
+
+import mpmath
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from cxho.dynamics import (
     weak_qp_closed,
     weak_value,
 )
-from cxho.errors import VanishingOverlapError
+from cxho.errors import CoherentTailWarning, VanishingOverlapError
 from cxho.fock import StateVec, build, coherent_coeffs, q_inner
 from cxho.params import validate
 
@@ -298,93 +301,153 @@ def window_times(system, max_size=30):
                               st.sampled_from(edges)), max_size=max_size)
 
 
-def per_time_reference(system, times):
-    """The trajectory columns built one time at a time from states_at,
-    q_inner and the dense weak_value, and the kept mask."""
-    kept, rows = [], []
-    for t in times:
-        a, b = system.states_at(t)
-        amplitude = q_inner(b, a)
-        kept.append(abs(amplitude) > OVERLAP_GUARD)
-        if kept[-1]:
-            rows.append([t, amplitude] + [weak_value(getattr(system.rep, name), a, b)
-                                          for name in WEAK_VALUE_OPERATORS])
-    columns = [np.array(col) for col in zip(*rows)] or [np.array([])] * 7
-    return dict(zip(("t", "amplitude") + WEAK_VALUE_OPERATORS, columns)), kept
-
-
 def gamma(k):
     """Higham's gamma_k = k u / (1 - k u) for double precision."""
     u = 2.0**-53
     return k * u / (1 - k * u)
 
 
-def dense_route_bound(system, t, amplitude, banded, dense, op):
-    """Largest |banded - dense| two roundings of (b|op|a)/(b|a) may differ by.
+def phase_window(system, t):
+    """|omega| (|t - t_a| + |t - t_b| + (t_b - t_a)): the exp arguments of
+    either route, summed over one band product, are at most this times
+    (n + 1/2)."""
+    return abs(system.params.omega) * (abs(t - system.t_a) + abs(t - system.t_b)
+                                       + system.t_b - system.t_a)
 
-    A complex dot or matrix-vector row of length n is off by at most
-    gamma_{n+2} sum_j |x_j||y_j| (Higham, Accuracy and Stability, 3.1 and
-    3.6).  The dense numerator takes two such steps, gamma_{2n+4}; the
-    banded one multiplies twice before its three summed band products of
-    length <= n, gamma_{n+7}.  Both divide by the same amplitude, each
-    division off by at most gamma_9 of its quotient.
 
-    Below the normal range a rounding is off by up to half a subnormal
-    instead.  The dense route rounds <= 30n reals, the banded one
-    <= 42n + 4, of which the first 18n are then multiplied by an operator
-    entry; inside the window no |a_j| or |b_k| exceeds 1.
+#: The smallest subnormal: a rounding below the normal range is off by at
+#: most half of it.
+SUBNORMAL = 2.0**-1074
+
+
+def magnitudes(system, t, op):
+    """sum_k |b_k(t) a_k(t)|, sum_kl |b_k(t) op_kl a_l(t)|, and the factor
+    (1 + max |op|) max(1, |time phases|) that scales a subnormal rounding
+    carried into the numerator."""
+    a, b = system.states_at(t)
+    omega = system.params.omega
+    phi = max(1.0, math.exp(omega.imag * (t - system.t_a)),
+              math.exp(omega.imag * (system.t_b - t)))
+    return (np.abs(b.coeffs) @ np.abs(a.coeffs),
+            np.abs(b.coeffs) @ np.abs(op) @ np.abs(a.coeffs),
+            (1 + np.abs(op).max()) * phi)
+
+
+def per_time_route_bounds(system, t, op):
+    """Largest |trajectory - per-time route| of the amplitude and of op's
+    numerator (b(t)|op|a(t)) at t.
+
+    Every term conj(b_k) op_kl a_l is off by a relative (1 + gamma_K)
+    e^eta - 1 in each route, K and eta summed over both (Higham, Accuracy
+    and Stability, 3.1 and 3.6: a complex product is within gamma_3, a
+    complex dot of length n within gamma_{n+2}; exp, cos and sin are taken
+    within 1 ulp, so a complex exp is within gamma_5):
+
+    * trajectory: conj(b0) a0, times D and the band dot (gamma_{n+8}), the
+      exp of D (gamma_5), times the time phase, its exp and two additions
+      (gamma_10); the amplitude sums n products (gamma_{2n}): K <= 2n + 23.
+    * per time: each state is a0 times its exp (gamma_8 twice), then
+      op @ a and np.vdot (gamma_{2n+4}): K = 2n + 20.
+    * exp arguments: -1j*omega is exact, and each argument is within
+      gamma_3 of itself (a difference of times, the level factor and the
+      duration).  Over a band product the arguments of D and the time
+      phase, or of the two states, add up to at most
+      (n + 1/2) * phase_window, so eta = gamma_3 (n + 1/2) phase_window.
+
+    Below the normal range a rounding is off by up to SUBNORMAL / 2 instead.
+    Within the window no |a0_k|, |b0_k|, |D_k|, |a_k(t)| or |b_k(t)|
+    exceeds 1 (Im omega <= 0).  Trajectory's numerator takes <= 48n + 8
+    such roundings on to an operator entry and <= 24n + 16 more, each at
+    most once times a time phase: <= (72n + 24) times the factor of
+    ``magnitudes``; the per-time route's <= 60n on to an operator entry
+    and 30n more.  The amplitudes take <= 18n and 28n.
     """
     n = op.shape[0]
-    a, b = system.states_at(t)
-    magnitude = np.abs(b.coeffs) @ np.abs(op) @ np.abs(a.coeffs)
-    floor = (27 * n + 4) * 2.0**-1074 * (1 + np.abs(op).max())
-    return ((gamma(3 * n + 11) * magnitude + floor) / abs(amplitude)
-            + gamma(9) * (abs(banded) + abs(dense)))
+    eta = gamma(3) * (n + 0.5) * phase_window(system, t)
+    rel = (1 + gamma(4 * n + 43)) * math.exp(eta) - 1
+    amplitude, numerator, carried = magnitudes(system, t, op)
+    return (rel * amplitude + SUBNORMAL * 23 * n,
+            rel * numerator + SUBNORMAL * (66 * n + 27) * carried)
+
+
+def weak_value_bound(amplitude_bound, numerator_bound, amplitudes, values):
+    """Largest |w1 - w2| for two roundings w = N/A of one weak value whose
+    numerators differ by numerator_bound and amplitudes by amplitude_bound.
+
+    N1/A1 - N/A = (e_N - w e_A) / A1 for N1 = N + e_N, A1 = A + e_A, and
+    each division is within gamma_9 of its quotient.
+    """
+    smallest = min(map(abs, amplitudes))
+    largest = max(map(abs, values))
+    return ((numerator_bound + largest * amplitude_bound) / smallest
+            + gamma(9) * sum(map(abs, values)) + 2.0**-1070)
 
 
 def assert_matches_per_time_route(system, times):
-    """t, amplitude and kept bit for bit against the per-time route; the
-    weak values bit for bit against one-time trajectories and within
-    rounding of the dense weak_value.  Returns the trajectory."""
+    """t bit for bit and the amplitude and weak values within rounding of
+    the per-time route (states_at, q_inner and the dense weak_value); every
+    column bit for bit against one-time trajectories.  Where the per-time
+    route keeps a time that trajectory skips, or the other way round, its
+    |amplitude| lies within rounding of OVERLAP_GUARD.  Returns the
+    trajectory."""
     traj = trajectory(system, times)
-    expected, kept = per_time_reference(system, times)
-    assert traj.kept.tolist() == kept
-    assert len(traj) == sum(kept)
-    for name in ("t", "amplitude"):
-        got = getattr(traj, name)
-        assert got.shape == expected[name].shape, name
-        assert (got == expected[name]).all(), name
-    one_at_a_time = [trajectory(system, [t]) for t in traj.t]
-    for name in WEAK_VALUE_OPERATORS:
-        got = getattr(traj, name)
-        assert got.shape == expected[name].shape, name
-        single = np.array([getattr(row, name)[0] for row in one_at_a_time],
-                          dtype=complex)
-        assert (got == single).all(), name
-        op = getattr(system.rep, name)
-        for t, amp, banded, dense in zip(traj.t, traj.amplitude, got,
-                                         expected[name]):
-            assert abs(banded - dense) <= dense_route_bound(
-                system, t, amp, banded, dense, op), (name, t)
+    kept = bool(traj.kept.all())
+    assert traj.kept.tolist() == [kept] * len(times)
+    assert traj.t.tolist() == (list(times) if kept else [])
+    for i, t in enumerate(times):
+        row = trajectory(system, [t])
+        assert row.kept.tolist() == [kept]
+        a, b = system.states_at(t)
+        amplitude = q_inner(b, a)
+        amplitude_bound, _ = per_time_route_bounds(system, t, system.rep.q_op)
+        if (abs(amplitude) > OVERLAP_GUARD) != kept:
+            assert abs(abs(amplitude) - OVERLAP_GUARD) <= amplitude_bound, t
+        if not kept:
+            continue
+        for name in ("t", "amplitude") + WEAK_VALUE_OPERATORS:
+            assert getattr(row, name)[0] == getattr(traj, name)[i], name
+        assert abs(traj.amplitude[i] - amplitude) <= amplitude_bound, t
+        for name in WEAK_VALUE_OPERATORS:
+            op = getattr(system.rep, name)
+            got, dense = getattr(traj, name)[i], weak_value(op, a, b)
+            assert abs(got - dense) <= weak_value_bound(
+                *per_time_route_bounds(system, t, op),
+                (traj.amplitude[i], amplitude), (got, dense)), (name, t)
     return traj
+
+
+def mp_amplitude(system):
+    """sum_k conj(b0_k) a0_k exp(-i omega (k+1/2) (t_b - t_a)) at 40 digits,
+    from the double inputs."""
+    with mpmath.workdps(40):
+        omega = mpmath.mpc(system.params.omega)
+        duration = mpmath.mpf(system.t_b) - mpmath.mpf(system.t_a)
+        return complex(mpmath.fsum(
+            mpmath.conj(mpmath.mpc(b)) * mpmath.mpc(a)
+            * mpmath.exp(-1j * omega * (k + mpmath.mpf(0.5)) * duration)
+            for k, (a, b) in enumerate(zip(system.a0.coeffs.tolist(),
+                                           system.b0.coeffs.tolist()))))
 
 
 class TestTrajectoryMatchesPerTimeRoute:
     @given(st.data())
-    def test_every_column_bit_identical(self, data):
+    def test_every_column_matches(self, data):
         system = data.draw(two_state_systems())
         times = data.draw(window_times(system))
         assert_matches_per_time_route(system, times)
 
     def test_partly_vanishing_overlap(self):
-        # |amplitude| sits at OVERLAP_GUARD here, so rounding keeps some times
-        # and skips others
+        # the per-time route keeps some of these times and skips others, by
+        # rounding: |amplitude| sits just below OVERLAP_GUARD
         params = validate(1, 1 - 137.95510557964275j)
         state = coherent_coeffs(1.0, 32).normalized()
         system = TwoStateSystem(state, state, 0.0, 10.0, params, build(params, 32))
-        kept = assert_matches_per_time_route(
-            system, np.linspace(0.0, 10.0, 401).tolist()).kept
-        assert 0 < kept.sum() < kept.size
+        exact = abs(mp_amplitude(system))
+        assert exact == pytest.approx(9.99999999999966e-301, rel=1e-13)
+        assert exact < OVERLAP_GUARD
+        traj = assert_matches_per_time_route(
+            system, np.linspace(0.0, 10.0, 401).tolist())
+        assert traj.kept.size == 401 and not traj.kept.any()
 
     @given(st.data())
     def test_nan_or_outside_time_rejected(self, data):
@@ -395,6 +458,106 @@ class TestTrajectoryMatchesPerTimeRoute:
         times.insert(data.draw(st.integers(0, len(times))), bad)
         with pytest.raises(ValueError, match="outside"):
             trajectory(system, times)
+
+
+class TestCoherentSeries:
+    """trajectory against the coherent closed forms at every time.
+
+    For coherent boundary states truncated at n levels, sqrt(k+1) a_{k+1}
+    = lam_a(t) a_k, so (b|A|a) = lam_a(t) ((b|a) - T) and (b|A^+|a) =
+    conj(lam_b(t)) ((b|a) - T) with T = conj(b_{n-1}) a_{n-1}, exactly.
+    The q and p weak values are therefore weak_qp_closed times 1 - T/(b|a),
+    and the amplitude is the untruncated closed form less the levels >= n.
+    Each level beyond n - 1 multiplies |conj(b_k) a_k| by at most
+    r = |lam_a lam_b| / n and |D_k| by at most 1, so those levels add up
+    to at most |T| r / (1 - r).
+    """
+
+    @given(params=normalizable_params(),
+           lam_a=st.complex_numbers(max_magnitude=3.0),
+           lam_b=st.complex_numbers(max_magnitude=3.0),
+           n_max=st.integers(2, 96), data=st.data())
+    def test_q_p_and_amplitude_match_closed_forms(self, params, lam_a, lam_b,
+                                                  n_max, data):
+        r = abs(lam_a * lam_b) / n_max
+        assume(r < 1)
+        with warnings.catch_warnings():
+            # the tail is part of the tolerance
+            warnings.simplefilter("ignore", CoherentTailWarning)
+            f_a, f_b = coherent_coeffs(lam_a, n_max), coherent_coeffs(lam_b, n_max)
+        t_a = data.draw(st.floats(-5.0, 5.0))
+        t_b = t_a + data.draw(st.one_of(st.floats(0.01, 10.0),
+                                        st.floats(100.0, 400.0)))
+        system = TwoStateSystem(f_a.normalized(), f_b.normalized(), t_a, t_b,
+                                params, build(params, n_max))
+        times = data.draw(window_times(system))
+        traj = trajectory(system, times)
+
+        omega, duration, scale = params.omega, t_b - t_a, f_a.norm * f_b.norm
+        # the computed coefficients against the exact ones: f(0) from
+        # exp(-|lam|^2/2), then a complex product, a sqrt and a division per
+        # level, then the division by the norm, for each state
+        coeff = ((1 + gamma(6 * n_max + 4)) ** 2
+                 * math.exp(gamma(5) * (abs(lam_a) ** 2 + abs(lam_b) ** 2) / 2))
+        # |T| (b|a) in the unnormalized coefficients; a coefficient that
+        # underflows is off by at most n_max subnormals.  |D_{n-1}| from an
+        # exp argument raised by its gamma_3 rounding (Im omega <= 0).
+        tail = ((abs(f_a.coeffs[-1]) + n_max * SUBNORMAL)
+                * (abs(f_b.coeffs[-1]) + n_max * SUBNORMAL) * coeff
+                * math.exp(omega.imag * (n_max - 0.5) * duration * (1 - gamma(3)))
+                * (1 + gamma(2)) / scale)
+        # the closed amplitude's own arithmetic: its outer exp argument is
+        # within gamma_2 |omega| T / 2 of itself, the inner one X, with
+        # |X| <= quadratic, within quadratic ((1 + gamma_11) e^(gamma_2
+        # |omega| T) - 1); two exps, their product and the division by the
+        # norms add gamma_15
+        quadratic = abs(lam_a) ** 2 + abs(lam_b) ** 2 + abs(lam_a * lam_b)
+        closed_rel = (1 + gamma(15)) * math.exp(
+            gamma(2) * abs(omega) * duration / 2
+            + quadratic * ((1 + gamma(11))
+                           * math.exp(gamma(2) * abs(omega) * duration) - 1)) - 1
+        closed = cmath.exp(-0.5j * omega * duration) * cmath.exp(
+            -0.5 * (abs(lam_a) ** 2 + abs(lam_b) ** 2)
+            + np.conj(lam_b) * lam_a * cmath.exp(-1j * omega * duration)) / scale
+        for i, t in enumerate(times):
+            # trajectory's share of per_time_route_bounds, with the
+            # operator entries' sqrt(k) and product as two more roundings
+            eta = gamma(3) * (n_max + 0.5) * phase_window(system, t)
+            rel = coeff * (1 + gamma(2 * n_max + 25)) * math.exp(eta) - 1
+            amp_rounding = (rel * magnitudes(system, t, system.rep.q_op)[0]
+                            + SUBNORMAL * 9 * n_max)
+            amp_bound = (amp_rounding + tail * r / (1 - r)
+                         + closed_rel * abs(closed) + 2.0**-1070)
+            if not traj.kept.all():
+                assert abs(closed) <= OVERLAP_GUARD + amp_bound
+                continue
+            amplitude = traj.amplitude[i]
+            assert abs(amplitude - closed) <= amp_bound, t
+            truncated = abs(amplitude) - amp_rounding  # <= |(b|a)|
+            if truncated <= 0:
+                continue
+            lam_a_t = coherent_lambda(lam_a, t - t_a, "A", params)
+            lam_b_t = coherent_lambda(lam_b, t - t_b, "B", params)
+            # each label: the difference of times, the product and the exp
+            # in its argument, its exp and the product with lam; then the
+            # sum and the product with the coefficient
+            labels = (1 + gamma(12)) * math.exp(
+                gamma(2) * abs(omega) * (abs(t - t_a) + abs(t - t_b))) - 1
+            for name, value, coefficient in zip(
+                    ("q_op", "p_op"), weak_qp_closed(lam_a_t, lam_b_t, params),
+                    (np.sqrt(params.hbar / (2 * params.momega)),
+                     np.sqrt(params.hbar * params.momega / 2))):
+                got = getattr(traj, name)[i]
+                amp_sum, num_sum, carried = magnitudes(
+                    system, t, getattr(system.rep, name))
+                closed_err = abs(coefficient) * (abs(lam_a_t) + abs(lam_b_t)) * labels
+                bound = (weak_value_bound(
+                    rel * amp_sum + SUBNORMAL * 9 * n_max,
+                    rel * num_sum + SUBNORMAL * (36 * n_max + 12) * carried,
+                    (amplitude,), (got, value))
+                         + (abs(value) + closed_err) * tail / truncated
+                         + closed_err)
+                assert abs(got - value) <= bound, (name, t)
 
 
 class TestBands:

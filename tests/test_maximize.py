@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cxho.dynamics import TwoStateSystem, trajectory
+from cxho.dynamics import TwoStateSystem, level_phases, trajectory
 from cxho import maximize as mx
 from cxho.errors import LengthMismatchError, VanishingOverlapError
 from cxho.fock import StateVec, build
 from cxho.maximize import (
-    _kernel,
     amplitude,
     amplitudes,
     analytic_max,
@@ -92,7 +91,7 @@ class TestAmplitudes:
         a, b = (rng.standard_normal((pairs, n))
                 + 1j * rng.standard_normal((pairs, n)) for _ in range(2))
         amps = amplitudes(a, b, duration, params)
-        kernel = _kernel(params, duration, n)
+        kernel = level_phases(params.omega, duration, n)
         assert np.array_equal(
             amps, [np.vdot(b[i], kernel * a[i]) for i in range(pairs)])
         assert np.hypot(amps.real, amps.imag).tolist() == [
