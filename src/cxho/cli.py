@@ -8,6 +8,7 @@ configuration and seed.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -19,8 +20,8 @@ import numpy as np
 from . import dynamics, fock, maximize as mx, wavefunctions
 from .contour import rotated_path
 from .errors import CxhoError
-from .params import (POTENTIALS, THEORIES, ModelParams, PhaseGrid, phase_grid,
-                     validate)
+from .params import (_POTENTIAL_CODE, POTENTIALS, THEORIES, ModelParams,
+                     PhaseGrid, phase_grid, validate)
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -104,8 +105,8 @@ def _json_dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _float_cells(values: np.ndarray) -> list[str]:
-    """Each value of a 1-D float array as its ``.17g`` text.
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """Each value of a 1-D float array as its ``.17g`` text, in an object array.
 
     Each distinct bit pattern is formatted once, so -0.0 and 0.0 (and NaN
     payloads) keep their own texts.
@@ -113,51 +114,78 @@ def _float_cells(values: np.ndarray) -> list[str]:
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = [f"{x:.17g}" for x in distinct.view(np.float64).tolist()]
-    return np.array(texts, dtype=object)[inverse].tolist()
+    return np.array(texts, dtype=object)[inverse]
 
 
-def _csv_text(header: list[str], columns: list[list[str]]) -> str:
-    """CSV text from a header and equal-length columns of formatted cells."""
-    lines = [",".join(header)]
-    lines.extend(map(",".join, zip(*columns)))
-    return "\n".join(lines) + "\n"
+def _gather(pieces: np.ndarray, first: str, last: str = "") -> str:
+    """``first``, the texts of an object array in row order, then ``last``.
+
+    The whole text is built by one join; ``first`` and ``last`` are glued
+    onto the first and last piece, so the joined text is never copied.
+    """
+    pieces.flat[0] = first + pieces.flat[0]
+    pieces.flat[-1] = pieces.flat[-1] + last
+    return "".join(pieces.ravel().tolist())
+
+
+def _csv_table(header: list[str], columns: list) -> str:
+    """CSV text from a header and columns of formatted cells.
+
+    The first column is a sequence with one cell per row; a later column
+    may be one cell for every row.
+    """
+    pieces = np.empty((len(columns[0]), 2 * len(columns)), dtype=object)
+    for i, column in enumerate(columns):
+        pieces[:, 2 * i] = column
+    pieces[:, 1::2] = ","
+    pieces[:, -1] = "\n"
+    return _gather(pieces, ",".join(header) + "\n")
 
 
 def _phase_text(grid: PhaseGrid, resolution: int, fmt: str) -> str:
     """Phase-diagram rows as CSV or JSON text.
 
-    The five label fields of a point follow from its (theory, region,
-    normalizable) class, so each class's text is built once, from its first
-    point; theta_m is formatted once per grid row.
+    A row of the output is three pieces: a head for its grid row, which
+    holds theta_m; the theta_omega cell; and a tail for its (theory,
+    region, normalizable) class, which holds the five labels.  The class
+    key ``theory*12 + region*2 + normalizable`` gives the labels back, so a
+    tail is built once per class present, a head once per grid row and a
+    cell once per distinct theta_omega; the text is one join of them all.
     """
-    key = (grid.theory * 6 + grid.region) * 2 + grid.normalizable
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    excluded_corner = grid.excluded_corner
-    tails = []
-    for i in first.tolist():
-        labels = {"theory": THEORIES[grid.theory[i]].value,
-                  "region": int(grid.region[i]),
-                  "potential": POTENTIALS[grid.potential[i]].value,
-                  "normalizable": bool(grid.normalizable[i]),
-                  "excluded_corner": bool(excluded_corner[i])}
+    key = grid.theory * 12 + grid.region * 2 + grid.normalizable
+    counts = np.bincount(key)
+    tails = np.empty(counts.size, dtype=object)
+    for k in np.flatnonzero(counts).tolist():
+        theory, rest = divmod(k, 12)
+        region, normalizable = divmod(rest, 2)
+        labels = {"theory": THEORIES[theory].value,
+                  "region": region,
+                  "potential": POTENTIALS[_POTENTIAL_CODE[theory, region]].value,
+                  "normalizable": bool(normalizable),
+                  "excluded_corner": not normalizable}
         if fmt == "csv":
             # CSV cells are the JSON scalars without string quotes
-            tails.append(",".join(_json_dumps(v).strip('"')
-                                  for v in labels.values()))
+            tails[k] = "," + ",".join(_json_dumps(v).strip('"')
+                                      for v in labels.values()) + "\n"
         else:
             # the record after its two angles, in _json_dumps' layout for a
             # record nested one level deep
-            tails.append(_json_dumps(labels, indent=2)[2:])
-    theta_m = [s for s in _float_cells(grid.theta_m[::resolution])
-               for _ in range(resolution)]
-    theta_omega = _float_cells(grid.theta_omega)
-    tail = np.array(tails, dtype=object)[inverse].tolist()
+            tails[k] = ",\n" + _json_dumps(labels, indent=2)[2:]
     if fmt == "csv":
-        return _csv_text(PHASE_HEADER, [theta_m, theta_omega, tail])
-    records = ",\n".join(
-        f'  {{\n    "theta_m": {m},\n    "theta_omega": {w},\n{t}'
-        for m, w, t in zip(theta_m, theta_omega, tail))
-    return "[\n" + records + "\n]\n"
+        first, sep, last = ",".join(PHASE_HEADER) + "\n", "", ""
+        head = "{},".format
+    else:
+        first, sep, last = "[\n", ",\n", "\n]\n"
+        head = '  {{\n    "theta_m": {},\n    "theta_omega": '.format
+    theta_m = _float_cells(grid.theta_m[::resolution]).tolist()
+    pieces = np.empty((resolution, resolution, 3), dtype=object)
+    pieces[:, :, 0] = np.array([sep + head(m) for m in theta_m],
+                               dtype=object)[:, None]
+    pieces[0, 0, 0] = head(theta_m[0])  # no separator before the first row
+    pieces[:, :, 1] = _float_cells(grid.theta_omega).reshape(
+        resolution, resolution)
+    pieces[:, :, 2] = tails[key].reshape(resolution, resolution)
+    return _gather(pieces, first, last)
 
 
 def _write_output(path: str, text: str) -> None:
@@ -430,6 +458,9 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
 def cmd_verify(m, omega, hbar, eps, eps_prime, nmax, tol, seed, output):
     """Run the cross-module property suite and report defects."""
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
+    # written so that a NaN tolerance fails it
+    if tol is not None and not 0 <= tol < math.inf:
+        _fail_config(f"tol must be finite and nonnegative, got {tol!r}")
     checks = _verify_checks(params, nmax, seed, tol)
     report = {
         "m": params.m, "omega": params.omega, "hbar": params.hbar,
@@ -456,6 +487,13 @@ def cmd_maximize(m, omega, hbar, eps, eps_prime, duration, nmax, tol,
                  max_iters, seed, output):
     """Maximize the transition amplitude over boundary states."""
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
+    # each test is written so that a NaN fails it
+    if not 0 < duration < math.inf:
+        _fail_config(f"T must be finite and positive, got {duration!r}")
+    if not 0 < tol < math.inf:
+        _fail_config(f"tol must be finite and positive, got {tol!r}")
+    if max_iters < 1:
+        _fail_config(f"max-iters must be >= 1, got {max_iters}")
     result = mx.maximize(duration, params, nmax, tol=tol, max_iters=max_iters,
                          seed=seed)
     payload = {
@@ -495,6 +533,9 @@ def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
         _fail_config(f"t-a and t-b must be finite, got {t_a!r} and {t_b!r}")
     if t_b <= t_a:
         _fail_config("t-b must exceed t-a")
+    for name, label in (("lambda-a", lambda_a), ("lambda-b", lambda_b)):
+        if not cmath.isfinite(label):
+            _fail_config(f"{name} must be finite, got {label!r}")
     rep = fock.build(params, nmax)
     system = dynamics.TwoStateSystem(
         fock.coherent_coeffs(lambda_a, nmax).normalized(),
@@ -505,14 +546,15 @@ def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
     header = ["t", "amplitude_re", "amplitude_im", "q_op_re", "q_op_im",
               "p_op_re", "p_op_im", "q_herm_re", "q_herm_im", "p_herm_re",
               "p_herm_im", "h_herm_re", "h_herm_im", "status"]
-    # trajectory keeps every time or none
-    cells = _float_cells if traj.kept.all() else lambda _: [""] * times.size
+    # trajectory keeps every time or none; a dropped time has blank cells
+    kept = bool(traj.kept.all())
+    cells = _float_cells if kept else lambda _: ""
     columns = [_float_cells(times)]
     for name in ("amplitude",) + dynamics.WEAK_VALUE_OPERATORS:
         column = getattr(traj, name)
         columns += [cells(column.real), cells(column.imag)]
-    columns.append(np.where(traj.kept, "ok", "vanishing_overlap").tolist())
-    _write_output(output, _csv_text(header, columns))
+    columns.append("ok" if kept else "vanishing_overlap")
+    _write_output(output, _csv_table(header, columns))
 
 
 @main.command("wavefunction")
@@ -535,13 +577,18 @@ def cmd_wavefunction(m, omega, hbar, eps, eps_prime, n, basis, ray_angle,
         _fail_config(f"points must be >= 2, got {points}")
     if n < 0:
         _fail_config(f"n must be nonnegative, got {n}")
+    if not math.isfinite(ray_angle):
+        _fail_config(f"ray-angle must be finite, got {ray_angle!r}")
+    # written so that a NaN half-width fails it
+    if half_width is not None and not 0 < half_width < math.inf:
+        _fail_config(f"half-width must be finite and positive, got {half_width!r}")
     if half_width is None:
         half_width = 12.0 * math.sqrt(params.hbar * (n + 1) / params.r)
     qs = np.linspace(-half_width, half_width, points) * np.exp(1j * ray_angle)
     psi = wavefunctions.eigenfunction(int(basis), n, qs, params)
     columns = [_float_cells(part)
                for part in (qs.real, qs.imag, psi.real, psi.imag)]
-    _write_output(output, _csv_text(["q_re", "q_im", "psi_re", "psi_im"], columns))
+    _write_output(output, _csv_table(["q_re", "q_im", "psi_re", "psi_im"], columns))
 
 
 if __name__ == "__main__":

@@ -73,11 +73,16 @@ def is_degenerate(params: ModelParams) -> bool:
     return abs(params.omega.imag) < DEGENERACY_RTOL * abs(params.omega)
 
 
+def _check_duration(duration: float) -> None:
+    # written so that a NaN duration fails it
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be finite and positive, got {duration!r}")
+
+
 def analytic_max(duration: float, params: ModelParams,
                  n_max: int) -> tuple[float, tuple[int, ...]]:
     """Supremum of |amplitude| over unit pairs, and the levels achieving it."""
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration!r}")
+    _check_duration(duration)
     if is_degenerate(params):
         return 1.0, tuple(range(n_max))
     return _level0_scale(params, duration), (0,)
@@ -136,8 +141,7 @@ def maximize(duration: float, params: ModelParams, n_max: int,
     raises ValueError; one whose image under the scaled kernel has norm 0
     in double precision raises VanishingOverlapError.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration!r}")
+    _check_duration(duration)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     kernel = _scaled_kernel(params, duration, n_max)

@@ -7,19 +7,22 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cxho
 from cxho import maximize as mx, wavefunctions
-from cxho.cli import _float_cells, _unit_pairs, main, parse_complex
+from cxho.cli import (PHASE_HEADER, _float_cells, _json_dumps, _phase_text,
+                      _unit_pairs, main, parse_complex)
 from cxho.errors import CoherentTailWarning, IllConditionedWarning
+from cxho.params import POTENTIALS, THEORIES, phase_grid
 
 
 @pytest.fixture
@@ -101,6 +104,9 @@ REFERENCE_DIGESTS = {
         "3b869a294c7d6de5ebecac2a86075f76aef7790fc1a2d14bdd3cde4f91aa79e3",
     "phase-diagram --grid 101 --format json":
         "f39fb3709b7d44d78d2d1493b13e71561de8657de810d5fca1dcf6f5bb64b342",
+    # recorded from the per-row join of three zipped columns
+    "phase-diagram --grid 101":
+        "4333906cf53fd435f062126dae3966f6e4d776d5348f5a1fa195fb566a3fb768",
 }
 
 
@@ -129,7 +135,63 @@ def test_float_cells_match_per_value_format(pool, picks, step):
     z = np.empty(x.size, dtype=np.complex128)
     z.real, z.imag = x, x[::-1]
     for values in (x, x[::step], z.real, z.imag, z.imag[::step]):
-        assert _float_cells(values) == [f"{v:.17g}" for v in values.tolist()]
+        cells = _float_cells(values)
+        assert cells.dtype == object
+        assert cells.tolist() == [f"{v:.17g}" for v in values.tolist()]
+
+
+def _phase_text_per_row(grid, fmt: str) -> str:
+    """Phase-diagram text built record by record from each point's labels.
+
+    Every float goes through ``_json_dumps``' one-value formatter and the
+    JSON layout is ``_json_dumps``' own for a list of records.
+    """
+    records = [{"theta_m": float(grid.theta_m[i]),
+                "theta_omega": float(grid.theta_omega[i]),
+                "theory": THEORIES[grid.theory[i]].value,
+                "region": int(grid.region[i]),
+                "potential": POTENTIALS[grid.potential[i]].value,
+                "normalizable": bool(grid.normalizable[i]),
+                "excluded_corner": bool(grid.excluded_corner[i])}
+               for i in range(len(grid))]
+    if fmt == "json":
+        return _json_dumps(records) + "\n"
+    rows = [",".join(_json_dumps(v).strip('"') for v in record.values())
+            for record in records]
+    return "\n".join([",".join(PHASE_HEADER), *rows]) + "\n"
+
+
+class TestPhaseText:
+    # the smallest grids hold only corners and edges, where one class may
+    # occupy a single point
+    @example(resolution=2, fmt="csv")
+    @example(resolution=2, fmt="json")
+    @example(resolution=3, fmt="json")
+    @settings(max_examples=25)
+    @given(resolution=st.integers(2, 120), fmt=st.sampled_from(["csv", "json"]))
+    def test_matches_per_row_text(self, resolution, fmt):
+        grid = phase_grid(resolution)
+        assert (_phase_text(grid, resolution, fmt)
+                == _phase_text_per_row(grid, fmt))
+
+    @pytest.mark.parametrize("resolution", [2, 5, 33])
+    def test_json_records(self, resolution):
+        grid = phase_grid(resolution)
+        records = json.loads(_phase_text(grid, resolution, "json"))
+        assert len(records) == resolution ** 2
+        assert all(list(record) == PHASE_HEADER for record in records)
+        assert [r["theta_omega"] for r in records] == grid.theta_omega.tolist()
+
+    def test_json_text_peak_memory(self):
+        # the pieces and their cells, not copies of the whole text
+        grid = phase_grid(201)
+        tracemalloc.start()
+        try:
+            text = _phase_text(grid, 201, "json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text)
 
 
 class TestParseComplex:
@@ -485,6 +547,35 @@ class TestWavefunction:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == "error: n must be nonnegative, got -5\n"
+
+
+# a non-finite or out-of-range flag leaves as one error line naming it, and
+# the flag's name ends the argument list
+LOUD_FLAGS = [
+    ["maximize", "--T", "nan"],
+    ["maximize", "--T", "inf"],
+    ["maximize", "--tol", "nan"],
+    ["maximize", "--tol", "-1"],
+    ["maximize", "--max-iters", "-5"],
+    ["verify", "--tol", "nan"],
+    ["verify", "--tol", "-1"],
+    ["wavefunction", "--half-width", "nan"],
+    ["wavefunction", "--ray-angle", "nan"],
+    ["wavefunction", "--n", "2", "--half-width", "inf"],
+    ["wavefunction", "--half-width", "0"],
+    ["wavefunction", "--half-width", "-1"],
+    ["evolve", "--lambda-b", "inf+0i"],
+]
+
+
+@pytest.mark.parametrize("args", LOUD_FLAGS, ids=" ".join)
+def test_bad_flag_is_one_error_line(args):
+    # a fresh process shows every warning once
+    out = _fresh_process("-m", "cxho.cli", *args)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    [line] = out.stderr.decode().splitlines()
+    assert line.startswith(f"error: {args[-2][2:]}")
 
 
 class TestConfigFile:

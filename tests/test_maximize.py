@@ -118,6 +118,13 @@ class TestAnalyticMax:
         with pytest.raises(ValueError):
             analytic_max(0.0, params_damped, 4)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_non_finite_duration_rejected(self, params_damped, duration):
+        # before any sweep, so no numpy warning is raised either
+        for call in (analytic_max, maximize):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call(duration, params_damped, 4)
+
 
 class TestMaximize:
     def test_seeded_starts_reach_ground_state(self, params_damped):
