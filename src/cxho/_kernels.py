@@ -1,6 +1,10 @@
 """Hot numeric kernels, vectorized with numpy over the nodes.
 
 ``BACKEND`` names the implementation in use; it is always ``"numpy"``.
+Both stay because the benchmark harness in ``perfbench`` reads them: every
+run's provenance records ``cxho.BACKEND``, ``kernel_times`` times the two
+kernels through this module, and ``tracing.LAYERS`` traces it as the
+``kernels`` layer.
 """
 
 from __future__ import annotations

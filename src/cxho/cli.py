@@ -20,8 +20,8 @@ import numpy as np
 from . import dynamics, fock, maximize as mx, wavefunctions
 from .contour import rotated_path
 from .errors import CxhoError
-from .params import (_POTENTIAL_CODE, POTENTIALS, THEORIES, ModelParams,
-                     PhaseGrid, phase_grid, validate)
+from .params import (POTENTIAL_TABLE, THEORIES, ModelParams, PhaseGrid,
+                     phase_grid, validate)
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -160,7 +160,7 @@ def _phase_text(grid: PhaseGrid, resolution: int, fmt: str) -> str:
         region, normalizable = divmod(rest, 2)
         labels = {"theory": THEORIES[theory].value,
                   "region": region,
-                  "potential": POTENTIALS[_POTENTIAL_CODE[theory, region]].value,
+                  "potential": POTENTIAL_TABLE[THEORIES[theory]][region].value,
                   "normalizable": bool(normalizable),
                   "excluded_corner": not normalizable}
         if fmt == "csv":
@@ -264,6 +264,24 @@ _config_option = click.option(
     help="JSON file mirroring the flags; flags override it.")
 
 
+def _at_least(low: int):
+    """Option callback: a value below ``low``, given or from ``--config``,
+    exits 2 with one ``error:`` line naming the flag."""
+
+    def check(ctx: click.Context, param: click.Parameter, value: int) -> int:
+        if value < low:
+            _fail_config(f"{param.opts[0][2:]} must be >= {low}, got {value}")
+        return value
+
+    return check
+
+
+_nmax_option = click.option("--nmax", type=int, default=32, show_default=True,
+                            callback=_at_least(2))
+_seed_option = click.option("--seed", type=int, default=0, show_default=True,
+                            callback=_at_least(0))
+
+
 def _model_options(func):
     for option in reversed([
         click.option("--m", type=COMPLEX, default="1+0i", show_default=True,
@@ -308,6 +326,7 @@ def main():
 
 @main.command("phase-diagram")
 @click.option("--grid", type=int, default=64, show_default=True,
+              callback=_at_least(2),
               help="Points per angle direction (>= 2).")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
               default="csv", show_default=True)
@@ -450,10 +469,10 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
 
 @main.command("verify")
 @_model_options
-@click.option("--nmax", type=int, default=32, show_default=True)
+@_nmax_option
 @click.option("--tol", type=float, default=None,
               help="Override every per-check tolerance.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_seed_option
 @click.option("--output", type=click.Path(), default="-", show_default=True)
 def cmd_verify(m, omega, hbar, eps, eps_prime, nmax, tol, seed, output):
     """Run the cross-module property suite and report defects."""
@@ -478,10 +497,11 @@ def cmd_verify(m, omega, hbar, eps, eps_prime, nmax, tol, seed, output):
 @_model_options
 @click.option("--T", "duration", type=float, default=10.0, show_default=True,
               help="Time span between the boundary states.")
-@click.option("--nmax", type=int, default=32, show_default=True)
+@_nmax_option
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--max-iters", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--max-iters", type=int, default=10000, show_default=True,
+              callback=_at_least(1))
+@_seed_option
 @click.option("--output", type=click.Path(), default="-", show_default=True)
 def cmd_maximize(m, omega, hbar, eps, eps_prime, duration, nmax, tol,
                  max_iters, seed, output):
@@ -492,8 +512,6 @@ def cmd_maximize(m, omega, hbar, eps, eps_prime, duration, nmax, tol,
         _fail_config(f"T must be finite and positive, got {duration!r}")
     if not 0 < tol < math.inf:
         _fail_config(f"tol must be finite and positive, got {tol!r}")
-    if max_iters < 1:
-        _fail_config(f"max-iters must be >= 1, got {max_iters}")
     result = mx.maximize(duration, params, nmax, tol=tol, max_iters=max_iters,
                          seed=seed)
     payload = {
@@ -520,15 +538,14 @@ def cmd_maximize(m, omega, hbar, eps, eps_prime, duration, nmax, tol,
 @click.option("--t-a", type=float, default=0.0, show_default=True)
 @click.option("--t-b", type=float, default=10.0, show_default=True)
 @click.option("--steps", type=int, default=100, show_default=True,
+              callback=_at_least(1),
               help="Number of grid intervals between t-a and t-b.")
-@click.option("--nmax", type=int, default=32, show_default=True)
+@_nmax_option
 @click.option("--output", type=click.Path(), default="-", show_default=True)
 def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
                steps, nmax, output):
     """Weak-value time series for a coherent boundary pair (CSV)."""
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
-    if steps < 1:
-        _fail_config(f"steps must be >= 1, got {steps}")
     if not (math.isfinite(t_a) and math.isfinite(t_b)):
         _fail_config(f"t-a and t-b must be finite, got {t_a!r} and {t_b!r}")
     if t_b <= t_a:
@@ -567,14 +584,13 @@ def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
               help="Angle of the sampling ray in the complex plane.")
 @click.option("--half-width", type=float, default=None,
               help="Half-extent of the ray; defaults to a level-scaled value.")
-@click.option("--points", type=int, default=401, show_default=True)
+@click.option("--points", type=int, default=401, show_default=True,
+              callback=_at_least(2))
 @click.option("--output", type=click.Path(), default="-", show_default=True)
 def cmd_wavefunction(m, omega, hbar, eps, eps_prime, n, basis, ray_angle,
                      half_width, points, output):
     """Sample a level wavefunction along a ray (CSV)."""
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
-    if points < 2:
-        _fail_config(f"points must be >= 2, got {points}")
     if n < 0:
         _fail_config(f"n must be nonnegative, got {n}")
     if not math.isfinite(ray_angle):

@@ -151,13 +151,11 @@ def rotated_path(angle: float, half_width: float,
 
 
 def contour_integrate(f, path: ContourPath) -> complex:
-    """Quadrature of f along the path, including the direction factor."""
-    try:
-        samples = np.asarray(f(path.nodes), dtype=np.complex128)
-        if samples.shape != path.nodes.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        samples = np.array([f(q) for q in path.nodes], dtype=np.complex128)
+    """Quadrature of f along the path, direction factor included; f is
+    called once, on all nodes."""
+    samples = np.asarray(f(path.nodes), dtype=np.complex128)
+    if samples.shape != path.nodes.shape:
+        raise ValueError("integrand must return one value per node")
     if not np.isfinite(samples).all():
         raise NonFiniteSampleError("integrand is non-finite at a quadrature node")
     return complex(path.direction * np.dot(path.weights, samples))

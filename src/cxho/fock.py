@@ -68,7 +68,6 @@ class FockRep:
     n_max: int
     lowering: np.ndarray
     raising: np.ndarray
-    number: np.ndarray
     h: np.ndarray
     h_adj: np.ndarray
     q_op: np.ndarray
@@ -94,7 +93,6 @@ def build(params: ModelParams, n_max: int) -> FockRep:
     roots = np.sqrt(np.arange(1, n_max, dtype=np.float64))
     lowering = np.diag(roots, 1).astype(np.complex128)
     raising = np.diag(roots, -1).astype(np.complex128)
-    number = np.diag(np.arange(n_max, dtype=np.float64)).astype(np.complex128)
 
     hbar, mw = params.hbar, params.momega
     levels = np.arange(n_max) + 0.5
@@ -106,7 +104,7 @@ def build(params: ModelParams, n_max: int) -> FockRep:
     half_turn = cmath.exp(0.5j * params.theta)
     return FockRep(
         params=params, n_max=n_max,
-        lowering=lowering, raising=raising, number=number,
+        lowering=lowering, raising=raising,
         h=h, h_adj=h_adj, q_op=q_op, p_op=p_op,
         q_herm=half_turn * q_op, p_herm=p_op / half_turn,
         h_herm=(h + h_adj) / 2, h_anti=(h - h_adj) / 2,

@@ -96,8 +96,6 @@ class DerivedScales:
     and ``m_anti``/``omega_anti`` parametrize the Hermitian and
     anti-Hermitian parts of the Hamiltonian.  ``m_anti`` is ``None`` when
     sin(theta_omega) = 0 (the anti part vanishes identically there).
-    ``momega_1``/``momega_2`` are the regulator-shifted m*omega products of
-    the two finite-width ground states.
     """
 
     m_eff: complex
@@ -105,9 +103,6 @@ class DerivedScales:
     omega_herm: float
     m_anti: float | None
     omega_anti: float
-    momega_1: complex
-    momega_2: complex
-    normalizable: bool
 
 
 @dataclass(frozen=True)
@@ -121,8 +116,7 @@ class PhaseClassification:
 
 
 def validate(m: complex, omega: complex, hbar: float = 1.0,
-             eps: float = 1e-3, eps_prime: float = 1e-3,
-             tol: float = ANGLE_TOL) -> ModelParams:
+             eps: float = 1e-3, eps_prime: float = 1e-3) -> ModelParams:
     """Check the convergence conditions and cache polar data.
 
     Raises
@@ -150,7 +144,7 @@ def validate(m: complex, omega: complex, hbar: float = 1.0,
     r_omega, theta_omega = cmath.polar(omega)
     if r_m == 0 or r_omega == 0:
         raise ValueError("m and omega must be nonzero")
-    if theta_m < -tol or theta_m > math.pi + tol:
+    if theta_m < -ANGLE_TOL or theta_m > math.pi + ANGLE_TOL:
         raise KineticDivergenceError(
             f"Im(m) < 0 makes the kinetic term diverge (arg m = {theta_m:.6g})")
     theta_m = min(max(theta_m, 0.0), math.pi)
@@ -158,10 +152,11 @@ def validate(m: complex, omega: complex, hbar: float = 1.0,
     # omega on the negative real axis has principal argument +pi, but the
     # admissible range lies in [-pi, 0]; fold it onto the lower edge when
     # that lands inside the parallelogram.
-    if theta_omega > tol and theta_m + 2 * (theta_omega - 2 * math.pi) >= -math.pi - tol:
+    if (theta_omega > ANGLE_TOL and
+            theta_m + 2 * (theta_omega - 2 * math.pi) >= -math.pi - ANGLE_TOL):
         theta_omega -= 2 * math.pi
     s = theta_m + 2 * theta_omega
-    if s < -math.pi - tol or s > tol:
+    if s < -math.pi - ANGLE_TOL or s > ANGLE_TOL:
         raise PotentialDivergenceError(
             f"Im(m*omega^2) > 0 makes the potential diverge "
             f"(arg m + 2 arg omega = {s:.6g})")
@@ -176,8 +171,7 @@ def validate(m: complex, omega: complex, hbar: float = 1.0,
     )
 
 
-def classify_phase(theta_m: float, theta_omega: float,
-                   tol: float = ANGLE_TOL) -> PhaseClassification:
+def classify_phase(theta_m: float, theta_omega: float) -> PhaseClassification:
     """Classify a point of the (theta_m, theta_omega) plane.
 
     The theory label follows the sign of Re(m): UTT for theta_m in
@@ -188,25 +182,25 @@ def classify_phase(theta_m: float, theta_omega: float,
     a NaN angle.
     """
     # both tests are written so that a NaN angle fails them
-    if not -tol <= theta_m <= math.pi + tol:
+    if not -ANGLE_TOL <= theta_m <= math.pi + ANGLE_TOL:
         raise OutOfDomainError(f"theta_m = {theta_m:.6g} outside [0, pi]")
     s = theta_m + 2 * theta_omega
-    if not -math.pi - 2 * tol <= s <= 2 * tol:
+    if not -math.pi - 2 * ANGLE_TOL <= s <= 2 * ANGLE_TOL:
         raise OutOfDomainError(
             f"theta_m + 2*theta_omega = {s:.6g} outside [-pi, 0]")
 
-    if abs(s) <= tol:
+    if abs(s) <= ANGLE_TOL:
         region = 1
-    elif abs(s + math.pi / 2) <= tol:
+    elif abs(s + math.pi / 2) <= ANGLE_TOL:
         region = 3
-    elif abs(s + math.pi) <= tol:
+    elif abs(s + math.pi) <= ANGLE_TOL:
         region = 5
     elif s > -math.pi / 2:
         region = 2
     else:
         region = 4
 
-    if abs(theta_m - math.pi / 2) <= tol:
+    if abs(theta_m - math.pi / 2) <= ANGLE_TOL:
         theory = Theory.ITT
         frame_factor = -1j
     elif theta_m < math.pi / 2:
@@ -217,7 +211,7 @@ def classify_phase(theta_m: float, theta_omega: float,
         frame_factor = -1 + 0j
 
     theta = theta_m + theta_omega
-    normalizable = abs(theta) < math.pi / 2 - tol
+    normalizable = abs(theta) < math.pi / 2 - ANGLE_TOL
     # |theta| reaches pi/2 only at the two corners (0, -pi/2) and (pi, -pi/2).
     excluded_corner = not normalizable
 
@@ -229,24 +223,18 @@ def classify_phase(theta_m: float, theta_omega: float,
     )
 
 
-def new_frame(params: ModelParams, tol: float = ANGLE_TOL
-              ) -> tuple[complex, complex, complex]:
+def new_frame(params: ModelParams) -> tuple[complex, complex, complex]:
     """Unit factor and transformed (mass, frequency) giving Re(m_new) > 0.
 
     Returns ``(a, m_new, omega_new)`` with ``m_new = a*m`` and
     ``omega_new = omega/a``; time transforms as ``t -> a*t`` so that
     ``omega*t = omega_new*(a*t)`` holds identically.
     """
-    if abs(params.theta_m - math.pi / 2) <= tol:
-        a = -1j
-    elif params.theta_m < math.pi / 2:
-        a = 1 + 0j
-    else:
-        a = -1 + 0j
+    a = classify_phase(params.theta_m, params.theta_omega).frame_factor
     return a, a * params.m, params.omega / a
 
 
-def derived(params: ModelParams, tol: float = ANGLE_TOL) -> DerivedScales:
+def derived(params: ModelParams) -> DerivedScales:
     """Compute the derived scalar scales for validated parameters.
 
     Raises DegenerateDivisionError when cos(theta_omega) = 0 (the two
@@ -254,21 +242,16 @@ def derived(params: ModelParams, tol: float = ANGLE_TOL) -> DerivedScales:
     """
     cos_w = math.cos(params.theta_omega)
     sin_w = math.sin(params.theta_omega)
-    if abs(cos_w) <= tol:
+    if abs(cos_w) <= ANGLE_TOL:
         raise DegenerateDivisionError(
             "cos(arg omega) = 0: Hermitian-part scales undefined at the corners")
-    m_anti = None if abs(sin_w) <= tol else -params.r_m / sin_w
-    mw = params.momega
-    eps, eps_p = params.eps, params.eps_prime
+    m_anti = None if abs(sin_w) <= ANGLE_TOL else -params.r_m / sin_w
     return DerivedScales(
         m_eff=params.r_m * cmath.exp(-1j * params.theta_omega),
         m_herm=params.r_m / cos_w,
         omega_herm=params.r_omega * cos_w,
         m_anti=m_anti,
         omega_anti=-params.r_omega * sin_w,
-        momega_1=(mw - eps_p) / (1 - mw * eps),
-        momega_2=(mw + eps_p) / (1 + mw * eps),
-        normalizable=params.normalizable,
     )
 
 
@@ -325,7 +308,7 @@ _POTENTIAL_CODE = np.array(
     dtype=np.intp)
 
 
-def classify_grid(theta_m, theta_omega, tol: float = ANGLE_TOL) -> PhaseGrid:
+def classify_grid(theta_m, theta_omega) -> PhaseGrid:
     """Vectorized :func:`classify_phase` over broadcast arrays of angles.
 
     Applies the same tests in the same floating-point order, so every point
@@ -335,25 +318,25 @@ def classify_grid(theta_m, theta_omega, tol: float = ANGLE_TOL) -> PhaseGrid:
     theta_m, theta_omega = np.broadcast_arrays(
         np.asarray(theta_m, dtype=float), np.asarray(theta_omega, dtype=float))
     # both tests are written so that a NaN angle fails them
-    bad = ~((theta_m >= -tol) & (theta_m <= math.pi + tol))
+    bad = ~((theta_m >= -ANGLE_TOL) & (theta_m <= math.pi + ANGLE_TOL))
     if bad.any():
         raise OutOfDomainError(
             f"theta_m = {theta_m[bad].flat[0]:.6g} outside [0, pi]")
     s = theta_m + 2 * theta_omega
-    bad = ~((s >= -math.pi - 2 * tol) & (s <= 2 * tol))
+    bad = ~((s >= -math.pi - 2 * ANGLE_TOL) & (s <= 2 * ANGLE_TOL))
     if bad.any():
         raise OutOfDomainError(
             f"theta_m + 2*theta_omega = {s[bad].flat[0]:.6g} outside [-pi, 0]")
 
     region = np.select(
-        [np.abs(s) <= tol, np.abs(s + math.pi / 2) <= tol,
-         np.abs(s + math.pi) <= tol, s > -math.pi / 2],
+        [np.abs(s) <= ANGLE_TOL, np.abs(s + math.pi / 2) <= ANGLE_TOL,
+         np.abs(s + math.pi) <= ANGLE_TOL, s > -math.pi / 2],
         [1, 3, 5, 2], 4)
     theory = np.select(
-        [np.abs(theta_m - math.pi / 2) <= tol, theta_m < math.pi / 2],
+        [np.abs(theta_m - math.pi / 2) <= ANGLE_TOL, theta_m < math.pi / 2],
         [THEORIES.index(Theory.ITT), THEORIES.index(Theory.UTT)],
         THEORIES.index(Theory.FTT))
-    normalizable = np.abs(theta_m + theta_omega) < math.pi / 2 - tol
+    normalizable = np.abs(theta_m + theta_omega) < math.pi / 2 - ANGLE_TOL
     return PhaseGrid(theta_m=theta_m, theta_omega=theta_omega, theory=theory,
                      region=region,
                      potential=np.asarray(_POTENTIAL_CODE[theory, region]),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import hermite_table, poly_gauss_eval
-from .contour import DEFAULT_NODES, ContourPath, rotated_path
+from .contour import ContourPath, rotated_path
 from .errors import (
     ConvergenceViolatedError,
     IllConditionedWarning,
@@ -238,22 +238,14 @@ def _hermitian_cond(mat: np.ndarray) -> float:
     return float(moduli.max() / smallest) if smallest > 0 else math.inf
 
 
-def default_cross_path(params: ModelParams, n_max: int,
-                       n_nodes: int = DEFAULT_NODES,
-                       half_width: float | None = None) -> ContourPath:
-    """Contour at angle -arg(m*omega)/2 sized for levels up to n_max."""
-    if half_width is None:
-        half_width = 12.0 * math.sqrt(params.hbar * n_max / params.r)
-    return rotated_path(-params.theta / 2, half_width, n_nodes)
-
-
 def cross_gram(params: ModelParams, n_max: int,
                path: ContourPath | None = None) -> np.ndarray:
     """Dual-basis overlap matrix by contour quadrature; contracts to identity.
 
     Entry (m, n) integrates the analytic-in-m*omega product of the dual
     partner of level m with level n.  The default contour is the ray at
-    -arg(m*omega)/2, on which the integrand is a real Gaussian.
+    -arg(m*omega)/2, on which the integrand is a real Gaussian, out to
+    12*sqrt(hbar*n_max/|m*omega|) on either side.
     """
     if not params.normalizable:
         raise NotNormalizableError(
@@ -262,7 +254,8 @@ def cross_gram(params: ModelParams, n_max: int,
         raise ValidityExceededError(
             f"n_max = {n_max} >= 1/eps = {1.0 / params.eps:.6g}")
     if path is None:
-        path = default_cross_path(params, n_max)
+        path = rotated_path(-params.theta / 2,
+                            12.0 * math.sqrt(params.hbar * n_max / params.r))
     mw, hbar = params.momega, params.hbar
     _check_path_converges(mw, path)
     x = np.sqrt(mw / hbar) * path.nodes

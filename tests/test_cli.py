@@ -233,7 +233,7 @@ class TestPhaseDiagram:
     def test_invalid_grid(self, runner):
         result = runner.invoke(main, ["phase-diagram", "--grid", "1"])
         assert result.exit_code == 2
-        assert "resolution" in result.output
+        assert result.output == "error: grid must be >= 2, got 1\n"
 
     def test_byte_identical_reruns(self, runner):
         args = ["phase-diagram", "--grid", "7", "--format", "json"]
@@ -565,6 +565,12 @@ LOUD_FLAGS = [
     ["wavefunction", "--half-width", "0"],
     ["wavefunction", "--half-width", "-1"],
     ["evolve", "--lambda-b", "inf+0i"],
+    ["phase-diagram", "--grid", "1"],
+    ["verify", "--nmax", "1"],
+    ["maximize", "--nmax", "1"],
+    ["evolve", "--nmax", "1"],
+    ["verify", "--seed", "-1"],
+    ["maximize", "--seed", "-1"],
 ]
 
 
@@ -703,6 +709,8 @@ CONFIG_ERRORS = {
                     "unknown config field 'bogus'"),
     "repeated key": ("phase-diagram", '{"grid": 2, "grid": 3}', 2,
                      "config field 'grid' appears twice"),
+    "value out of range": ("verify", '{"nmax": 1}', 2,
+                           "nmax must be >= 2, got 1"),
 }
 
 

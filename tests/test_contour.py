@@ -193,10 +193,10 @@ class TestContourIntegrate:
             val = contour_integrate(lambda q: np.exp(-q * q), path)
             assert abs(val - ref) / ref < 1e-9
 
-    def test_scalar_only_callable(self):
-        path = rotated_path(0.0, 10.0, 200)
-        val = contour_integrate(lambda q: math.exp(-(q.real ** 2)), path)
-        assert val == pytest.approx(SQRT_PI, rel=1e-12)
+    def test_integrand_must_return_one_value_per_node(self):
+        path = rotated_path(0.0, 1.0, 16)
+        with pytest.raises(ValueError, match="one value per node"):
+            contour_integrate(lambda q: 1.0, path)
 
     def test_non_finite_sample(self):
         path = rotated_path(0.0, 1.0, 16)

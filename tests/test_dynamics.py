@@ -467,7 +467,10 @@ class TestCoherentSeries:
     = lam_a(t) a_k, so (b|A|a) = lam_a(t) ((b|a) - T) and (b|A^+|a) =
     conj(lam_b(t)) ((b|a) - T) with T = conj(b_{n-1}) a_{n-1}, exactly.
     The q and p weak values are therefore weak_qp_closed times 1 - T/(b|a),
-    and the amplitude is the untruncated closed form less the levels >= n.
+    q_herm and p_herm those times e^{i theta/2} and e^{-i theta/2}, and
+    since k conj(b_k) a_k = conj(lam_b(t)) lam_a(t) conj(b_{k-1}) a_{k-1},
+    h_herm is hbar Re(omega) (conj(lam_b(t)) lam_a(t) (1 - T/(b|a)) + 1/2).
+    The amplitude is the untruncated closed form less the levels >= n.
     Each level beyond n - 1 multiplies |conj(b_k) a_k| by at most
     r = |lam_a lam_b| / n and |D_k| by at most 1, so those levels add up
     to at most |T| r / (1 - r).
@@ -519,9 +522,12 @@ class TestCoherentSeries:
         closed = cmath.exp(-0.5j * omega * duration) * cmath.exp(
             -0.5 * (abs(lam_a) ** 2 + abs(lam_b) ** 2)
             + np.conj(lam_b) * lam_a * cmath.exp(-1j * omega * duration)) / scale
+        half_turn = cmath.exp(0.5j * params.theta)
+        hbar_re = params.hbar * omega.real
         for i, t in enumerate(times):
             # trajectory's share of per_time_route_bounds, with the
             # operator entries' sqrt(k) and product as two more roundings
+            # (for h_herm, the products with hbar and with k + 1/2)
             eta = gamma(3) * (n_max + 0.5) * phase_window(system, t)
             rel = coeff * (1 + gamma(2 * n_max + 25)) * math.exp(eta) - 1
             amp_rounding = (rel * magnitudes(system, t, system.rep.q_op)[0]
@@ -543,19 +549,47 @@ class TestCoherentSeries:
             # sum and the product with the coefficient
             labels = (1 + gamma(12)) * math.exp(
                 gamma(2) * abs(omega) * (abs(t - t_a) + abs(t - t_b))) - 1
-            for name, value, coefficient in zip(
-                    ("q_op", "p_op"), weak_qp_closed(lam_a_t, lam_b_t, params),
-                    (np.sqrt(params.hbar / (2 * params.momega)),
-                     np.sqrt(params.hbar * params.momega / 2))):
+            q, p = weak_qp_closed(lam_a_t, lam_b_t, params)
+            q_err, p_err = (abs(coefficient) * (abs(lam_a_t) + abs(lam_b_t))
+                            * labels for coefficient in (
+                                np.sqrt(params.hbar / (2 * params.momega)),
+                                np.sqrt(params.hbar * params.momega / 2)))
+            # the q_herm and p_herm entries and closed values take one more
+            # product with, or Smith quotient by, the unit half_turn: within
+            # gamma_14 normwise, gamma_16 with |half_turn| - 1 and the
+            # second-order terms
+            herm_k = 16
+            herm = gamma(herm_k)
+            q_herm, p_herm = half_turn * q, p / half_turn
+            # h: each label within labels, their product, the sum with 1/2
+            # and the product with hbar Re(omega) (gamma_4 of the result)
+            band = np.conj(lam_b_t) * lam_a_t
+            h_herm = hbar_re * (band + 0.5)
+            h_err = (abs(hbar_re) * abs(lam_a_t) * abs(lam_b_t)
+                     * ((1 + labels) ** 3 - 1) + gamma(4) * abs(h_herm))
+            # name -> closed value, its rounding, the part that 1 - T/(b|a)
+            # scales and the extra roundings of the operator entries
+            columns = {
+                "q_op": (q, q_err, abs(q) + q_err, 0),
+                "p_op": (p, p_err, abs(p) + p_err, 0),
+                "q_herm": (q_herm, (1 + herm) * q_err + herm * abs(q_herm),
+                           (1 + herm) * (abs(q) + q_err), herm_k),
+                "p_herm": (p_herm, (1 + herm) * p_err + herm * abs(p_herm),
+                           (1 + herm) * (abs(p) + p_err), herm_k),
+                "h_herm": (h_herm, h_err, abs(hbar_re * band) + h_err, 0),
+            }
+            assert tuple(columns) == WEAK_VALUE_OPERATORS
+            for name, (value, closed_err, scaled, extra) in columns.items():
                 got = getattr(traj, name)[i]
                 amp_sum, num_sum, carried = magnitudes(
                     system, t, getattr(system.rep, name))
-                closed_err = abs(coefficient) * (abs(lam_a_t) + abs(lam_b_t)) * labels
+                op_rel = (coeff * (1 + gamma(2 * n_max + 25 + extra))
+                          * math.exp(eta) - 1)
                 bound = (weak_value_bound(
                     rel * amp_sum + SUBNORMAL * 9 * n_max,
-                    rel * num_sum + SUBNORMAL * (36 * n_max + 12) * carried,
+                    op_rel * num_sum + SUBNORMAL * (36 * n_max + 12) * carried,
                     (amplitude,), (got, value))
-                         + (abs(value) + closed_err) * tail / truncated
+                         + scaled * tail / truncated
                          + closed_err)
                 assert abs(got - value) <= bound, (name, t)
 

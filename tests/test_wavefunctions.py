@@ -22,7 +22,6 @@ from cxho.wavefunctions import (
     _same_basis_gram,
     coherent_wavefunction,
     cross_gram,
-    default_cross_path,
     eigenfunction,
     excited_regulated,
     gram_and_metric,
@@ -261,8 +260,7 @@ class TestCrossGram:
     def test_near_boundary_with_enlarged_half_width(self):
         for theta_m, theta_omega in ((PI - 1e-3, -PI / 2), (0.0, -PI / 2 + 1e-3)):
             p = validate(cmath.exp(1j * theta_m), cmath.exp(1j * theta_omega))
-            path = default_cross_path(p, 10, n_nodes=600,
-                                      half_width=1.5 * 12 * math.sqrt(10))
+            path = rotated_path(-p.theta / 2, 1.5 * 12 * math.sqrt(10), 600)
             cross = cross_gram(p, 10, path=path)
             assert np.abs(cross - np.eye(10)).max() < 1e-6
 
