@@ -1,9 +1,13 @@
 """Command-line front end: grid scans, verification, trajectories, maximization.
 
-Exit codes: 0 success, 1 I/O error, 2 configuration or validity error,
-3 verification failure.  All numeric output is serialized with 17
-significant digits and is byte-identical across reruns of the same
-configuration and seed.
+Exit codes: 0 success, 1 I/O error, 2 configuration or validity error
+(numeric overflow included), 3 verification failure.  All numeric output is
+serialized with 17 significant digits and is byte-identical across reruns of
+the same configuration and seed.
+
+Only ``params`` and ``errors`` are imported with this module; each command
+imports the numeric modules it uses when it runs, so ``phase-diagram``
+loads none of them.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import warnings
 import click
 import numpy as np
 
-from . import dynamics, fock, maximize as mx, wavefunctions
-from .contour import rotated_path
 from .errors import CxhoError
 from .params import (POTENTIAL_TABLE, THEORIES, ModelParams, PhaseGrid,
                      phase_grid, validate)
@@ -304,8 +306,10 @@ class _Group(click.Group):
 
     A ``CxhoError`` or ``ValueError`` from any command leaves through
     ``_fail_config``, with one ``error:`` line, also when called with
-    ``standalone_mode=False``.  While a command runs, a warning it shows is
-    one ``warning:`` line; a caller that records warnings still gets them.
+    ``standalone_mode=False``; so does an ``ArithmeticError`` (a float
+    overflow) or a ``MemoryError``, whose line names its type.  While a
+    command runs, a warning it shows is one ``warning:`` line; a caller that
+    records warnings still gets them.
     """
 
     def invoke(self, ctx: click.Context):
@@ -315,6 +319,9 @@ class _Group(click.Group):
             return super().invoke(ctx)
         except (CxhoError, ValueError) as exc:
             _fail_config(str(exc))
+        except (ArithmeticError, MemoryError) as exc:
+            _fail_config(f"{type(exc).__name__}: {exc}" if str(exc)
+                         else type(exc).__name__)
         finally:
             warnings.formatwarning = previous
 
@@ -359,6 +366,8 @@ def _unit_pairs(seed: int, pairs: int, n: int) -> np.ndarray:
 def _verify_checks(params: ModelParams, n_max: int, seed: int,
                    tol_override: float | None) -> list[dict]:
     """Run the cross-module property suite; one record per check."""
+    from . import dynamics, fock, maximize as mx, wavefunctions
+    from .contour import rotated_path
 
     checks = []
 
@@ -368,6 +377,17 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
                        "tolerance": float(tolerance),
                        "passed": bool(defect <= tolerance)})
 
+    # The Gram step runs before the Fock checks, whose records still come
+    # first, so that where it fails (the Hermite overflow at nmax 128) no
+    # dense Fock matrices are built for nothing.
+    try:
+        gram = wavefunctions.gram_and_metric(params, n_max)
+    except (CxhoError, ValueError, ArithmeticError):
+        # The Fock checks can fail only in build and in herm_split_defect's
+        # scalar scales, at any truncation; a two-level run raises their
+        # error, which would have come first, where there is one.
+        fock.herm_split_defect(fock.build(params, 2))
+        raise
     rep = fock.build(params, n_max)
     add("ladder_commutator", fock.commutator_defect(rep), 1e-13)
     add("coordinate_hermiticity",
@@ -386,7 +406,6 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
                    * (np.arange(n_max) + 0.5))
     add("h_herm_diagonal", np.abs(np.diag(rep.h_herm) - diag_target).max(), 1e-12)
 
-    gram = wavefunctions.gram_and_metric(params, n_max)
     eye = np.eye(n_max)
     add("dual_normalization", np.abs(gram.cross - eye).max(), 1e-8)
     add("metric_inverse", np.abs(gram.S @ gram.Qmat - eye).max(), 1e-8)
@@ -506,6 +525,8 @@ def cmd_verify(m, omega, hbar, eps, eps_prime, nmax, tol, seed, output):
 def cmd_maximize(m, omega, hbar, eps, eps_prime, duration, nmax, tol,
                  max_iters, seed, output):
     """Maximize the transition amplitude over boundary states."""
+    from . import maximize as mx
+
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
     # each test is written so that a NaN fails it
     if not 0 < duration < math.inf:
@@ -545,6 +566,8 @@ def cmd_maximize(m, omega, hbar, eps, eps_prime, duration, nmax, tol,
 def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
                steps, nmax, output):
     """Weak-value time series for a coherent boundary pair (CSV)."""
+    from . import dynamics, fock
+
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
     if not (math.isfinite(t_a) and math.isfinite(t_b)):
         _fail_config(f"t-a and t-b must be finite, got {t_a!r} and {t_b!r}")
@@ -590,6 +613,8 @@ def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
 def cmd_wavefunction(m, omega, hbar, eps, eps_prime, n, basis, ray_angle,
                      half_width, points, output):
     """Sample a level wavefunction along a ray (CSV)."""
+    from . import wavefunctions
+
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)
     if n < 0:
         _fail_config(f"n must be nonnegative, got {n}")

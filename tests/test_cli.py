@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cxho
-from cxho import maximize as mx, wavefunctions
+from cxho import cli, fock, maximize as mx, wavefunctions
 from cxho.cli import (PHASE_HEADER, _float_cells, _json_dumps, _phase_text,
                       _unit_pairs, main, parse_complex)
 from cxho.errors import CoherentTailWarning, IllConditionedWarning
@@ -308,6 +308,38 @@ class TestVerify:
         assert "n_max = 128" in line and "Hermite" in line
         assert "overflow" in line and "SVD" not in line
 
+    def test_gram_failure_builds_no_dense_fock_matrices(self, runner,
+                                                         monkeypatch):
+        sizes = []
+        build = fock.build
+
+        def recorded(params, n_max):
+            sizes.append(n_max)
+            return build(params, n_max)
+
+        monkeypatch.setattr(fock, "build", recorded)
+        result = runner.invoke(main, ["verify", "--m", "0.8+0.3i", "--omega",
+                                      "0.9-0.3i", "--nmax", "128"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: Gram matrix at n_max = 128 is not finite: the Hermite "
+            "polynomials overflow at the quadrature nodes\n")
+        assert sizes == [2]  # the two-level run that looks for a Fock error
+
+    @pytest.mark.parametrize("args", [
+        ["--nmax", "128"],                 # the Gram step overflows
+        ["--eps", "0.5", "--nmax", "2"],   # the Gram step needs nmax < 1/eps
+    ])
+    def test_fock_error_comes_before_a_gram_failure(self, runner, args):
+        # at cos(arg omega) = 0 the Fock checks fail, as they did when they
+        # ran first
+        result = runner.invoke(main, ["verify", "--m", "0+1i",
+                                      "--omega", "0-1i", *args])
+        assert result.exit_code == 2
+        assert result.stderr == ("error: cos(arg omega) = 0: Hermitian-part "
+                                 "scales undefined at the corners\n")
+
     def test_hermite_overflow_is_one_line(self):
         # a fresh process shows every warning once; the overflow is reported
         # by the error line alone
@@ -582,6 +614,35 @@ def test_bad_flag_is_one_error_line(args):
     assert out.stdout == b""
     [line] = out.stderr.decode().splitlines()
     assert line.startswith(f"error: {args[-2][2:]}")
+
+
+@pytest.mark.parametrize("args", [
+    # (m omega / (pi hbar)) ** 0.25 in eigenfunction's prefactor
+    ["wavefunction", "--hbar", "1e-320", "--points", "2"],
+    # omega_herm ** 2 in fock.herm_split_defect
+    ["verify", "--omega", "1e300", "--nmax", "4"],
+], ids=" ".join)
+def test_numeric_overflow_is_one_error_line(args):
+    out = _fresh_process("-m", "cxho.cli", *args)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    [line] = out.stderr.decode().splitlines()
+    assert line.startswith("error: OverflowError: ")
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "error: MemoryError\n"),
+    (MemoryError("grid too large"), "error: MemoryError: grid too large\n"),
+])
+def test_memory_error_is_one_error_line(runner, monkeypatch, error, line):
+    def exhausted(resolution):
+        raise error
+
+    monkeypatch.setattr(cli, "phase_grid", exhausted)
+    result = runner.invoke(main, ["phase-diagram", "--grid", "2"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == line
 
 
 class TestConfigFile:

@@ -1,11 +1,18 @@
-"""Every name a cxho module imports is used in that module.
+"""What the cxho modules import.
 
-A stdlib-``ast`` stand-in for a linter's unused-import rule, so that a
-deletion cannot leave an import behind.  ``__init__.py`` is skipped: its
-imports are the package's attributes, read from outside.
+Every name a cxho module imports is used in that module: a stdlib-``ast``
+stand-in for a linter's unused-import rule, so that a deletion cannot leave
+an import behind.  ``__init__.py`` is skipped: its import is the package's
+attribute ``BACKEND``, read from outside.
+
+A fresh process loads only the modules its command uses: ``import
+cxho.cli`` loads ``params`` and ``errors`` but none of the numeric modules.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +55,34 @@ def test_detects_a_leftover_import():
               "import numpy as np\n\n"
               "def f(x: np.ndarray):\n    return rotated_path(0.0, 1.0)\n")
     assert unused_imports(source) == ["math (line 1)", "DEFAULT_NODES (line 2)"]
+
+
+#: What ``import cxho.cli`` loads of the package.
+CLI_MODULES = {"cxho", "cxho._kernels", "cxho.cli", "cxho.errors", "cxho.params"}
+
+
+def cxho_imports(*args: str) -> set[str]:
+    """cxho modules that ``python -X importtime *args`` imports in a new
+    process, with this tree on its path."""
+    src = str(Path(cxho.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    names = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+             if line.startswith("import time:") and "|" in line}
+    return {name for name in names if name.split(".")[0] == "cxho"}
+
+
+def test_cli_import_loads_no_numeric_module():
+    assert cxho_imports("-c", "import cxho.cli") == CLI_MODULES
+
+
+def test_phase_diagram_loads_no_numeric_module():
+    loaded = cxho_imports("-m", "cxho.cli", "phase-diagram", "--grid", "2")
+    assert loaded == CLI_MODULES - {"cxho.cli"}  # it runs as __main__
+
+
+def test_submodule_import_by_name():
+    assert cxho_imports("-c", "import cxho; from cxho import fock; fock.build") \
+        == {"cxho", "cxho._kernels", "cxho.errors", "cxho.params", "cxho.fock"}
