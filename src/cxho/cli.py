@@ -131,17 +131,20 @@ def _gather(pieces: np.ndarray, first: str, last: str = "") -> str:
 
 
 def _csv_table(header: list[str], columns: list) -> str:
-    """CSV text from a header and columns of formatted cells.
+    """CSV text from a header and columns, in one ``%`` format.
 
-    The first column is a sequence with one cell per row; a later column
-    may be one cell for every row.
+    A column is a float array, one ``.17g`` cell per row, or one text cell
+    used on every row.  The row template joins ``%.17g`` for each float
+    column and the (``%``-escaped) text of each text cell; the header and
+    that template repeated once per row are formatted with the float
+    columns' values in row order.  ``'%.17g' % x`` is ``f"{x:.17g}"``.
     """
-    pieces = np.empty((len(columns[0]), 2 * len(columns)), dtype=object)
-    for i, column in enumerate(columns):
-        pieces[:, 2 * i] = column
-    pieces[:, 1::2] = ","
-    pieces[:, -1] = "\n"
-    return _gather(pieces, ",".join(header) + "\n")
+    floats = [column for column in columns if not isinstance(column, str)]
+    template = ",".join(column.replace("%", "%%") if isinstance(column, str)
+                        else "%.17g" for column in columns) + "\n"
+    head = (",".join(header) + "\n").replace("%", "%%")
+    values = np.column_stack(floats).ravel().tolist()
+    return (head + template * len(floats[0])) % tuple(values)
 
 
 def _phase_text(grid: PhaseGrid, resolution: int, fmt: str) -> str:
@@ -586,14 +589,17 @@ def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
     header = ["t", "amplitude_re", "amplitude_im", "q_op_re", "q_op_im",
               "p_op_re", "p_op_im", "q_herm_re", "q_herm_im", "p_herm_re",
               "p_herm_im", "h_herm_re", "h_herm_im", "status"]
-    # trajectory keeps every time or none; a dropped time has blank cells
-    kept = bool(traj.kept.all())
-    cells = _float_cells if kept else lambda _: ""
-    columns = [_float_cells(times)]
-    for name in ("amplitude",) + dynamics.WEAK_VALUE_OPERATORS:
-        column = getattr(traj, name)
-        columns += [cells(column.real), cells(column.imag)]
-    columns.append("ok" if kept else "vanishing_overlap")
+    # trajectory keeps every time or none; a dropped time has blank cells,
+    # and a kept one the same amplitude
+    if traj.kept.all():
+        amplitude = traj.amplitude[0]
+        columns = [times, _fmt(amplitude.real), _fmt(amplitude.imag)]
+        for name in dynamics.WEAK_VALUE_OPERATORS:
+            column = getattr(traj, name)
+            columns += [column.real, column.imag]
+        columns.append("ok")
+    else:
+        columns = [times, *[""] * 12, "vanishing_overlap"]
     _write_output(output, _csv_table(header, columns))
 
 
@@ -627,9 +633,8 @@ def cmd_wavefunction(m, omega, hbar, eps, eps_prime, n, basis, ray_angle,
         half_width = 12.0 * math.sqrt(params.hbar * (n + 1) / params.r)
     qs = np.linspace(-half_width, half_width, points) * np.exp(1j * ray_angle)
     psi = wavefunctions.eigenfunction(int(basis), n, qs, params)
-    columns = [_float_cells(part)
-               for part in (qs.real, qs.imag, psi.real, psi.imag)]
-    _write_output(output, _csv_table(["q_re", "q_im", "psi_re", "psi_im"], columns))
+    _write_output(output, _csv_table(["q_re", "q_im", "psi_re", "psi_im"],
+                                     [qs.real, qs.imag, psi.real, psi.imag]))
 
 
 if __name__ == "__main__":

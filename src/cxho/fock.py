@@ -142,12 +142,17 @@ def herm_split_defect(rep: FockRep) -> tuple[float, float, float]:
     scales = derived(rep.params)
     q2 = rep.q_herm @ rep.q_herm
     p2 = rep.p_herm @ rep.p_herm
-    direct_h = p2 / (2 * scales.m_herm) + 0.5 * scales.m_herm * scales.omega_herm**2 * q2
+    try:
+        herm_w2, anti_w2 = scales.omega_herm**2, scales.omega_anti**2
+    except OverflowError as exc:
+        raise OverflowError(f"omega = {rep.params.omega!r} overflows when "
+                            f"squared in the Hamiltonian split") from exc
+    direct_h = p2 / (2 * scales.m_herm) + 0.5 * scales.m_herm * herm_w2 * q2
     if scales.m_anti is None:
         direct_a = np.zeros_like(direct_h)
     else:
         direct_a = -1j * (p2 / (2 * scales.m_anti)
-                          + 0.5 * scales.m_anti * scales.omega_anti**2 * q2)
+                          + 0.5 * scales.m_anti * anti_w2 * q2)
     stop = rep.n_max - 2
     tan_w = math.tan(rep.params.theta_omega)
     return (

@@ -95,8 +95,12 @@ def eigenfunction(basis: int, n: int, q, params: ModelParams):
     mw = _basis_momega(basis, params)
     hbar = params.hbar
     scale = np.sqrt(mw / hbar)
-    pref = (mw / (math.pi * hbar)) ** 0.25 * math.exp(
-        -0.5 * (math.lgamma(n + 1.0) + n * math.log(2.0)))
+    try:
+        norm = (mw / (math.pi * hbar)) ** 0.25
+    except OverflowError as exc:
+        raise OverflowError(f"hbar = {hbar!r} overflows the normalization "
+                            f"(m omega / (pi hbar))**0.25") from exc
+    pref = norm * math.exp(-0.5 * (math.lgamma(n + 1.0) + n * math.log(2.0)))
     q_arr = np.asarray(q, dtype=np.complex128)
     # an overflow is reported below, not as RuntimeWarnings
     with np.errstate(over="ignore", invalid="ignore"):

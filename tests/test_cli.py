@@ -18,11 +18,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cxho
-from cxho import cli, fock, maximize as mx, wavefunctions
-from cxho.cli import (PHASE_HEADER, _float_cells, _json_dumps, _phase_text,
-                      _unit_pairs, main, parse_complex)
+from cxho import cli, dynamics, fock, maximize as mx, wavefunctions
+from cxho.cli import (PHASE_HEADER, _csv_table, _float_cells, _json_dumps,
+                      _phase_text, _unit_pairs, main, parse_complex)
 from cxho.errors import CoherentTailWarning, IllConditionedWarning
-from cxho.params import POTENTIALS, THEORIES, phase_grid
+from cxho.params import POTENTIALS, THEORIES, phase_grid, validate
 
 
 @pytest.fixture
@@ -138,6 +138,32 @@ def test_float_cells_match_per_value_format(pool, picks, step):
         cells = _float_cells(values)
         assert cells.dtype == object
         assert cells.tolist() == [f"{v:.17g}" for v in values.tolist()]
+
+
+# text cells: a constant, an empty one and ones a %-format would read
+CSV_TEXT_CELLS = ["ok", "", "100%", "%s%%d"]
+
+
+@given(pool=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                     min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=60),
+       step=st.integers(1, 3),
+       kinds=st.lists(st.integers(0, 4 + len(CSV_TEXT_CELLS)),
+                      min_size=1, max_size=8))
+def test_csv_table_matches_per_row_join(pool, picks, step, kinds):
+    x = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
+    z = np.empty(x.size, dtype=np.complex128)
+    z.real, z.imag = x, x[::-1]
+    # equal-length columns: strided views, a reversed one and a copy
+    floats = [x[::step], z.real[::step], z.imag[::step], x[::-step],
+              np.ascontiguousarray(z.imag[::step])]
+    choices = floats + CSV_TEXT_CELLS
+    columns = [floats[0], *(choices[k] for k in kinds)]
+    header = [f"c{i}%" for i in range(len(columns))]
+    cells = [[c] * floats[0].size if isinstance(c, str)
+             else [f"{v:.17g}" for v in c.tolist()] for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    assert _csv_table(header, columns) == "\n".join(lines) + "\n"
 
 
 def _phase_text_per_row(grid, fmt: str) -> str:
@@ -542,6 +568,65 @@ class TestEvolve:
         assert out.stderr.decode().splitlines() == [
             "error: evolved states must be finite"]
 
+    @pytest.mark.parametrize("args", [
+        ["--m", "0.9+0.3i", "--omega", "1.1-0.3i", "--lambda-a", "1+0.5i",
+         "--lambda-b", "0.3-0.7i", "--nmax", "64", "--steps", "5000"],
+        # the overlap vanishes at every time
+        ["--omega", "1-200i", "--steps", "400"],
+    ], ids=" ".join)
+    def test_matches_per_cell_text(self, runner, args):
+        result = runner.invoke(main, ["evolve", *args])
+        assert result.exit_code == 0
+        # lines, so that a failure is reported without a diff of the texts
+        assert (result.stdout.split("\n")
+                == _evolve_text_per_cell(args).split("\n"))
+
+
+def _evolve_text_per_cell(args: list[str]) -> str:
+    """evolve's CSV rebuilt from ``dynamics.trajectory``, one f-string per
+    cell; ``args`` are evolve flags, the others at their defaults."""
+    flags = {"--m": "1+0i", "--omega": "1+0i", "--lambda-a": "1+0i",
+             "--lambda-b": "1+0i", "--nmax": "32", "--steps": "100",
+             **dict(zip(args[::2], args[1::2]))}
+    params = validate(cli.parse_complex(flags["--m"]),
+                      cli.parse_complex(flags["--omega"]))
+    nmax, steps = int(flags["--nmax"]), int(flags["--steps"])
+    system = dynamics.TwoStateSystem(
+        *(fock.coherent_coeffs(cli.parse_complex(flags[name]), nmax).normalized()
+          for name in ("--lambda-a", "--lambda-b")),
+        0.0, 10.0, params, fock.build(params, nmax))
+    times = np.linspace(0.0, 10.0, steps + 1)
+    traj = dynamics.trajectory(system, times)
+    fields = ("amplitude",) + dynamics.WEAK_VALUE_OPERATORS
+    lines = [",".join(["t", *(f"{name}_{part}" for name in fields
+                              for part in ("re", "im")), "status"])]
+    kept = iter(range(len(traj)))
+    for t, keep in zip(times.tolist(), traj.kept.tolist()):
+        cells = [f"{t:.17g}"]
+        if keep:
+            i = next(kept)
+            for name in fields:
+                value = complex(getattr(traj, name)[i])
+                cells += [f"{value.real:.17g}", f"{value.imag:.17g}"]
+            cells.append("ok")
+        else:
+            cells += [""] * 12 + ["vanishing_overlap"]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_commands_format_in_one_pass(runner, monkeypatch):
+    # evolve and wavefunction never fall back to per-cell formatting
+    def per_cell(values):
+        raise AssertionError("per-cell formatting")
+
+    monkeypatch.setattr(cli, "_float_cells", per_cell)
+    for args in (["evolve", "--steps", "3"],
+                 ["evolve", "--omega", "1-200i", "--steps", "3"],
+                 ["wavefunction", "--points", "3"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+
 
 class TestWavefunction:
     def test_ground_peak(self, runner):
@@ -628,6 +713,8 @@ def test_numeric_overflow_is_one_error_line(args):
     assert out.stdout == b""
     [line] = out.stderr.decode().splitlines()
     assert line.startswith("error: OverflowError: ")
+    # the line names the parameter the overflow comes from, and its value
+    assert f" {args[1][2:]} = " in line
 
 
 @pytest.mark.parametrize("error, line", [
