@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VanishingOverlapError
-from .fock import FockRep, StateVec, coherent_coeffs, q_inner
+from .fock import FockRep, StateVec, _sandwich, coherent_coeffs, q_inner
 from .params import ModelParams
 
 #: Smallest overlap magnitude we are willing to divide by.
@@ -70,12 +70,16 @@ def coherent_state_at(lambda0: complex, dt: float, which: str, n_max: int,
     return StateVec(pref * coherent_coeffs(lam_t, n_max).coeffs)
 
 
-def weak_value(op: np.ndarray, a: StateVec, b: StateVec) -> complex:
-    """Normalized matrix element (b|op|a)/(b|a) in the metric inner product."""
+def weak_value(op: np.ndarray, a: StateVec,
+               b: StateVec) -> complex | np.ndarray:
+    """Normalized matrix element (b|op|a)/(b|a) in the metric inner product,
+    for an operator stored as its three diagonals (see FockRep); for a
+    stack of operators, an array with one value per operator."""
     denom = q_inner(b, a)
     if abs(denom) <= OVERLAP_GUARD:
         raise VanishingOverlapError(f"|overlap| = {abs(denom):.3e}")
-    return complex(np.vdot(b.coeffs, op @ a.coeffs) / denom)
+    values = _sandwich(np.conj(b.coeffs), op, a.coeffs) / denom
+    return complex(values) if op.ndim == 2 else values
 
 
 def weak_qp_closed(lambda_a_t: complex, lambda_b_t: complex,
@@ -141,10 +145,10 @@ def ehrenfest_residual(system: TwoStateSystem, t: float,
     if dt_fd <= 0:
         raise ValueError(f"dt_fd must be positive, got {dt_fd!r}")
 
+    ops = np.array([system.rep.q_op, system.rep.p_op])
+
     def qp_at(time):
-        a, b = system.states_at(time)
-        return (weak_value(system.rep.q_op, a, b),
-                weak_value(system.rep.p_op, a, b))
+        return weak_value(ops, *system.states_at(time))
 
     q_minus, p_minus = qp_at(t - dt_fd)
     q_mid, p_mid = qp_at(t)
@@ -153,23 +157,6 @@ def ehrenfest_residual(system: TwoStateSystem, t: float,
     dp = (p_plus - p_minus) / (2 * dt_fd)
     m, omega = system.params.m, system.params.omega
     return dq - p_mid / m, dp + m * omega * omega * q_mid
-
-
-def _bands(rep: FockRep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Main, super- and sub-diagonals of the weak-value operators.
-
-    Returns n x 5, (n-1) x 5 and (n-1) x 5 arrays, one column per entry of
-    WEAK_VALUE_OPERATORS.  Raises ValueError naming the first operator with
-    an entry outside its three diagonals, which the bands would drop.
-    """
-    ops = [getattr(rep, name) for name in WEAK_VALUE_OPERATORS]
-    levels = np.arange(rep.n_max)
-    outside = np.abs(levels[:, None] - levels) > 1
-    for name, op in zip(WEAK_VALUE_OPERATORS, ops):
-        if op[outside].any():
-            raise ValueError(f"{name} has entries outside its three diagonals")
-    return tuple(np.stack([np.diagonal(op, k) for op in ops], axis=1)
-                 for k in (0, 1, -1))
 
 
 def trajectory(system: TwoStateSystem, times) -> Trajectory:
@@ -183,8 +170,7 @@ def trajectory(system: TwoStateSystem, times) -> Trajectory:
     not depend on the other times; they agree with ``states_at``,
     ``q_inner`` and ``weak_value`` to rounding.  ``kept`` is False at every
     time if the overlap vanishes.  Raises ValueError for a NaN time or one
-    outside the window, an operator that is not tridiagonal, and an
-    amplitude or numerator that is not finite.
+    outside the window, and an amplitude or numerator that is not finite.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -194,7 +180,9 @@ def trajectory(system: TwoStateSystem, times) -> Trajectory:
     if not inside.all():
         raise ValueError(f"time {float(times[~inside][0])!r} outside "
                          f"[{system.t_a}, {system.t_b}]")
-    diag, upper, lower = _bands(system.rep)
+    bands = np.stack([getattr(system.rep, name)
+                      for name in WEAK_VALUE_OPERATORS], axis=-1)
+    diag, upper, lower = bands[1], bands[2, :-1], bands[0, :-1]
     omega, a0, b0 = system.params.omega, system.a0.coeffs, np.conj(system.b0.coeffs)
     # the finiteness check below reports an overflowing phase
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,10 +1,10 @@
-"""Truncated matrix representation of the oscillator in its mode basis.
+"""Truncated representation of the oscillator in its mode basis.
 
 All operators are expressed in the coefficients of the right eigenbasis of
 the Hamiltonian, normalized against the dual (left) basis.  In these
 coordinates the metric inner product is the plain Euclidean dot product, the
 ladder algebra is exact, and conjugation with respect to the metric is the
-ordinary conjugate transpose.
+ordinary conjugate transpose.  Each operator is stored as its diagonals.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .params import ModelParams, derived
 
-#: Recommended bound on the last retained coherent coefficient.
+#: Bound on the coherent-state mass beyond the kept levels.
 COHERENT_TAIL_BOUND = 1e-12
 
 
@@ -55,8 +55,12 @@ class StateVec:
 
 @dataclass(frozen=True)
 class FockRep:
-    """Dense operator matrices at truncation ``n_max``.
+    """Operators at truncation ``n_max``, each stored as its three diagonals.
 
+    Each operator A is a (3, n_max) array whose row 1 + k holds
+    ``np.diagonal(A, k)`` for k = -1, 0, 1, the two off-diagonals padded
+    with a zero at the end; A has no entries off these diagonals, and its
+    conjugate transpose is ``np.conj(A[::-1])``.
     ``lowering``/``raising`` carry the exact ladder entries, ``h`` is the
     diagonal Hamiltonian, ``h_adj`` its metric adjoint (omega*/omega times
     h), ``q_op``/``p_op`` the non-Hermitian position and momentum,
@@ -79,7 +83,7 @@ class FockRep:
 
 
 def build(params: ModelParams, n_max: int) -> FockRep:
-    """Assemble all operator matrices.
+    """Assemble all operators.
 
     Raises NotNormalizableError when |arg(m*omega)| >= pi/2, where the mode
     states stop being normalizable against their duals.
@@ -91,13 +95,13 @@ def build(params: ModelParams, n_max: int) -> FockRep:
             f"|arg(m*omega)| = {abs(params.theta):.6g} >= pi/2")
 
     roots = np.sqrt(np.arange(1, n_max, dtype=np.float64))
-    lowering = np.diag(roots, 1).astype(np.complex128)
-    raising = np.diag(roots, -1).astype(np.complex128)
+    lowering, raising, h, h_adj = np.zeros((4, 3, n_max), dtype=np.complex128)
+    lowering[2, :-1] = raising[0, :-1] = roots
 
     hbar, mw = params.hbar, params.momega
     levels = np.arange(n_max) + 0.5
-    h = np.diag(hbar * params.omega * levels)
-    h_adj = np.diag(hbar * np.conj(params.omega) * levels)
+    h[1] = hbar * params.omega * levels
+    h_adj[1] = hbar * np.conj(params.omega) * levels
 
     q_op = np.sqrt(hbar / (2 * mw)) * (lowering + raising)
     p_op = -1j * np.sqrt(hbar * mw / 2) * (lowering - raising)
@@ -111,23 +115,52 @@ def build(params: ModelParams, n_max: int) -> FockRep:
     )
 
 
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.abs(a).max()) if a.size else 0.0
+def _sandwich(bra: np.ndarray, op: np.ndarray, ket: np.ndarray):
+    """bra @ A @ ket for an operator A stored as in FockRep, or one value
+    per operator of a stack of them, as one dot product each."""
+    # bra[i] ket[j] for each stored entry (i, j), laid out as A is
+    pairs = np.zeros((3, ket.size), dtype=np.complex128)
+    np.multiply(bra[1:], ket[:-1], out=pairs[0, :-1])
+    np.multiply(bra, ket, out=pairs[1])
+    np.multiply(bra[:-1], ket[1:], out=pairs[2, :-1])
+    return op.reshape(op.shape[:-2] + (-1,)) @ pairs.ravel()
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Diagonals -2 .. 2 of x @ y for stacks of operators stored as in
+    FockRep, as (..., 5, n) with entry (i, i + k) at row 2 + k, column i."""
+    rows = y.copy()  # y indexed by row: entry (j, j + t - 1) at [t, j]
+    rows[..., 0, 0], rows[..., 0, 1:] = 0, y[..., 0, :-1]
+    out = np.zeros(x.shape[:-2] + (5, x.shape[-1]), dtype=np.complex128)
+    # x[i, i + s - 1] y[i + s - 1, i + s + t - 2] is on diagonal s + t - 2
+    out[..., 0:3, 1:] = x[..., 0:1, :-1] * rows[..., :-1]
+    out[..., 1:4, :] += x[..., 1:2, :] * rows
+    out[..., 2:5, :-1] += x[..., 2:3, :-1] * rows[..., 1:]
+    return out
+
+
+def _block_max(bands: np.ndarray, stop: int) -> np.ndarray:
+    """Largest |entry| of each leading stop x stop block in a stack stored
+    as ``_product`` returns it."""
+    mags = np.abs(bands[..., :stop])
+    mags[..., 3, stop - 1:] = mags[..., 4, max(stop - 2, 0):] = 0
+    return mags.max(axis=(-2, -1), initial=0.0)
 
 
 def commutator_defect(rep: FockRep, full_block: bool = False) -> float:
     """Largest violation of [A, R] = 1 and [q_herm, p_herm] = i*hbar.
 
     By default the last row and column are excluded, since they carry the
-    truncation artifact; ``full_block=True`` includes them.
+    truncation artifact; ``full_block=True`` includes them.  Every entry of
+    the block is checked, the two diagonals of each side included.
     """
-    n = rep.n_max
-    eye = np.eye(n)
-    c_ladder = rep.lowering @ rep.raising - rep.raising @ rep.lowering - eye
-    c_qp = (rep.q_herm @ rep.p_herm - rep.p_herm @ rep.q_herm
-            - 1j * rep.params.hbar * eye)
-    stop = n if full_block else n - 1
-    return max(_maxabs(c_ladder[:stop, :stop]), _maxabs(c_qp[:stop, :stop]))
+    ops = np.array([rep.lowering, rep.raising, rep.q_herm, rep.p_herm])
+    products = _product(ops, ops[[1, 0, 3, 2]])
+    commutators = products[::2] - products[1::2]
+    commutators[0, 2] -= 1
+    commutators[1, 2] -= 1j * rep.params.hbar
+    stop = rep.n_max if full_block else rep.n_max - 1
+    return float(_block_max(commutators, stop).max())
 
 
 def herm_split_defect(rep: FockRep) -> tuple[float, float, float]:
@@ -136,12 +169,13 @@ def herm_split_defect(rep: FockRep) -> tuple[float, float, float]:
     Compares ``h_herm`` against p_herm^2/(2 m_herm) + m_herm*omega_herm^2*
     q_herm^2/2 and ``h_anti`` against the corresponding anti form, on the
     leading (n_max - 2) block (quadratic operators pollute the last two
-    rows and columns).  The third value is the defect of
-    h_anti = i*tan(arg omega)*h_herm, which holds entrywise.
+    rows and columns), all five diagonals of the squares included.  The
+    third value is the defect of h_anti = i*tan(arg omega)*h_herm, which
+    holds entrywise.
     """
     scales = derived(rep.params)
-    q2 = rep.q_herm @ rep.q_herm
-    p2 = rep.p_herm @ rep.p_herm
+    coords = np.array([rep.q_herm, rep.p_herm])
+    q2, p2 = _product(coords, coords)
     try:
         herm_w2, anti_w2 = scales.omega_herm**2, scales.omega_anti**2
     except OverflowError as exc:
@@ -153,13 +187,13 @@ def herm_split_defect(rep: FockRep) -> tuple[float, float, float]:
     else:
         direct_a = -1j * (p2 / (2 * scales.m_anti)
                           + 0.5 * scales.m_anti * anti_w2 * q2)
-    stop = rep.n_max - 2
+    direct_h[1:4] -= rep.h_herm
+    direct_a[1:4] -= rep.h_anti
+    h_defect, a_defect = _block_max(np.array([direct_h, direct_a]),
+                                    rep.n_max - 2)
     tan_w = math.tan(rep.params.theta_omega)
-    return (
-        _maxabs((rep.h_herm - direct_h)[:stop, :stop]),
-        _maxabs((rep.h_anti - direct_a)[:stop, :stop]),
-        _maxabs(rep.h_anti - 1j * tan_w * rep.h_herm),
-    )
+    return (float(h_defect), float(a_defect),
+            float(np.abs(rep.h_anti - 1j * tan_w * rep.h_herm).max()))
 
 
 def conjugation_defect(rep: FockRep) -> tuple[float, float]:
@@ -169,24 +203,35 @@ def conjugation_defect(rep: FockRep) -> tuple[float, float]:
     conjugate transpose.  Both identities are exact, truncation included.
     """
     phase = cmath.exp(1j * rep.params.theta)
-    q_defect = _maxabs(rep.q_op.conj().T - phase * rep.q_op)
-    p_defect = _maxabs(rep.p_op.conj().T - rep.p_op / phase)
-    return q_defect, p_defect
+    return (float(np.abs(np.conj(rep.q_op[::-1]) - phase * rep.q_op).max()),
+            float(np.abs(np.conj(rep.p_op[::-1]) - rep.p_op / phase).max()))
 
 
 def coherent_coeffs(lam: complex, n_max: int) -> StateVec:
     """Coefficients e^{-|lam|^2/2} lam^n / sqrt(n!) of a coherent state.
 
-    Warns when the last retained coefficient exceeds the recommended tail
-    bound, signalling that ``n_max`` is too small for this ``lam``.
+    Raises ValueError when the kept coefficients have norm 0 in double
+    precision, and warns when the mass sum_{n >= n_max} |f(n)|^2 beyond the
+    kept levels exceeds COHERENT_TAIL_BOUND, signalling that ``n_max`` is
+    too small for this ``lam``.
     """
     f = np.empty(n_max, dtype=np.complex128)
     f[0] = math.exp(-0.5 * abs(lam) ** 2)
     for n in range(1, n_max):
         f[n] = f[n - 1] * lam / math.sqrt(n)
-    if abs(f[-1]) >= COHERENT_TAIL_BOUND:
+    if np.vdot(f, f) == 0:
+        raise ValueError(f"coherent state lam = {lam!r} has no mass in double "
+                         f"precision on its n_max = {n_max} kept levels")
+    # the terms past the kept levels by the same recurrence (1 - sum would
+    # cancel); past the peak at n = |lam|^2 they fall geometrically
+    r, tail, term, n = abs(lam), 0.0, float(abs(f[-1])), n_max
+    while not (n > r * r and term * term <= 2.0**-53 * tail):
+        term *= r / math.sqrt(n)
+        tail += term * term
+        n += 1
+    if tail > COHERENT_TAIL_BOUND:
         warnings.warn(
-            f"coherent tail |f({n_max - 1})| = {abs(f[-1]):.3e} exceeds "
+            f"coherent tail mass {tail:.3e} beyond level {n_max - 1} exceeds "
             f"{COHERENT_TAIL_BOUND:g}; increase n_max",
             CoherentTailWarning)
     return StateVec(f)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dynamics import level_phases
 from .errors import LengthMismatchError, VanishingOverlapError
-from .fock import FockRep, StateVec
+from .fock import FockRep, StateVec, _sandwich
 from .params import ModelParams
 
 #: Relative Im(omega) size below which the spectrum counts as real.
@@ -246,8 +246,5 @@ def max_weak_values(result: MaximizationResult, rep: FockRep
     denom = bra @ result.a.coeffs
     if abs(denom) <= 1e-300:
         raise ZeroDivisionError("maximizer overlap vanished")
-
-    def wv(op):
-        return complex((bra @ (op @ result.a.coeffs)) / denom)
-
-    return wv(rep.q_herm), wv(rep.p_herm), wv(rep.h_herm)
+    ops = np.array([rep.q_herm, rep.p_herm, rep.h_herm])
+    return tuple(map(complex, _sandwich(bra, ops, result.a.coeffs) / denom))

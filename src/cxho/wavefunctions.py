@@ -262,6 +262,9 @@ def cross_gram(params: ModelParams, n_max: int,
                             12.0 * math.sqrt(params.hbar * n_max / params.r))
     mw, hbar = params.momega, params.hbar
     _check_path_converges(mw, path)
+    if not cmath.isfinite(mw / hbar):
+        raise OverflowError(f"hbar = {hbar!r} overflows the node scale "
+                            f"sqrt(m omega / hbar)")
     x = np.sqrt(mw / hbar) * path.nodes
     envelope = path.weights * np.exp(-x * x) * path.direction
     # 1/sqrt(2^n n!) through lgamma to survive large n

@@ -60,7 +60,13 @@ def test_cli_import_does_not_load_scipy():
 # per-time route kept 39 by rounding.  The three verify runs were recorded again when S moved
 # from a real-axis quadrature to the ladder recurrence and verify's ground
 # overlaps to a narrower rule: only the metric_inverse, gram_head_entry and
-# ground_dual_overlap defects moved, each staying below 3e-14.
+# ground_dual_overlap defects moved, each staying below 3e-14.  They were
+# recorded once more when the Fock operators moved to three stored
+# diagonals: only ladder_commutator, herm_split_h, herm_split_a,
+# weak_qp_closed_vs_matrix, h_herm_weak_value, classical_solution_q and
+# ehrenfest_second_order moved, the first five by at most 4.3e-16,
+# classical_solution_q (~1e-31) by one unit in the last place and
+# ehrenfest_second_order by at most 4.5e-9 of its tolerance 0.4.
 REFERENCE_DIGESTS = {
     "phase-diagram --grid 2":
         "c8f18257021e552b3fc898a5ebd09f7711ba05500f000ce4918e1a43a51e9434",
@@ -94,11 +100,11 @@ REFERENCE_DIGESTS = {
     "wavefunction --n 3 --omega 0.9-0.3i --points 801":
         "99319b74cd35bb6bef3c2141ea24c471acd07c933c1dbed9c8fe2d76a68e4c9f",
     "verify --m 1+0i --omega 0.866-0.5i --nmax 12":
-        "a93a8518e89edb404b1a88c19d84a95ddcf93f1a182fb8003a24c00921157705",
+        "765553f201fbb2ffada20420eba077dc27755ef4446307a3e9e773b173c8b3fe",
     "verify --omega 1 --nmax 12":
-        "4921bc8fb9d3dd9cc3d486411546272f5208ff4798e7bdd3f30f7ed2bcfe4a6e",
+        "c83f19a57a872cd4f1585c71beca179049e2b5aaf1384ebe15f61b4777c06c5a",
     "verify --m 0.8+0.3i --omega 0.9-0.3i --nmax 16 --seed 7":
-        "0efe178d1c627d727342a423d2241fb300da1d773ad48042b6cd082fa964606c",
+        "267e8e792a1411a57e933e5cc386ce22ca24e1334307e055778b4f91636f3f3f",
     # recorded from the one-f-string-per-cell formatter
     "phase-diagram --grid 401":
         "3b869a294c7d6de5ebecac2a86075f76aef7790fc1a2d14bdd3cde4f91aa79e3",
@@ -528,8 +534,28 @@ class TestEvolve:
         assert out.returncode == 0
         assert out.stdout.count(b"\n") == 4
         assert out.stderr.decode().splitlines() == [
-            "warning: coherent tail |f(31)| = 1.383e-03 exceeds 1e-12; "
-            "increase n_max"]
+            "warning: coherent tail mass 1.000e+00 beyond level 31 exceeds "
+            "1e-12; increase n_max"]
+
+    def test_tail_mass_warns_past_a_tiny_last_coefficient(self):
+        # |f(31)| = 1.2e-64 is far below the bound, yet levels 0 .. 31 keep
+        # a mass of only 1.2e-127
+        out = _fresh_process("-m", "cxho.cli", "evolve", "--lambda-a", "20",
+                             "--steps", "2")
+        assert out.returncode == 0
+        assert out.stderr.decode().splitlines() == [
+            "warning: coherent tail mass 1.000e+00 beyond level 31 exceeds "
+            "1e-12; increase n_max"]
+
+    def test_zero_kept_mass_is_one_line(self):
+        # exp(-|lambda|^2 / 2) underflows, so every kept coefficient is 0
+        out = _fresh_process("-m", "cxho.cli", "evolve", "--lambda-a", "40",
+                             "--steps", "2")
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert out.stderr.decode().splitlines() == [
+            "error: coherent state lam = (40+0j) has no mass in double "
+            "precision on its n_max = 32 kept levels"]
 
     def test_tail_warning_still_recorded(self, runner):
         # the one-line text changes only how a warning is shown
@@ -706,6 +732,8 @@ def test_bad_flag_is_one_error_line(args):
     ["wavefunction", "--hbar", "1e-320", "--points", "2"],
     # omega_herm ** 2 in fock.herm_split_defect
     ["verify", "--omega", "1e300", "--nmax", "4"],
+    # m omega / hbar, which scales the cross matrix's quadrature nodes
+    ["verify", "--hbar", "1e-320", "--nmax", "4"],
 ], ids=" ".join)
 def test_numeric_overflow_is_one_error_line(args):
     out = _fresh_process("-m", "cxho.cli", *args)

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import warnings
 
@@ -7,6 +6,7 @@ import mpmath
 
 import numpy as np
 import pytest
+from helpers import bands, dense, normalizable_params
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -124,12 +124,22 @@ class TestWeakValue:
         rng = np.random.default_rng(3)
         n = 10
         herm = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        herm = herm + herm.conj().T
+        herm = bands(np.triu(np.tril(herm + herm.conj().T, 1), -1))
         for _ in range(20):
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             state = StateVec(v / np.linalg.norm(v))
             val = weak_value(herm, state, state)
             assert abs(val.imag) <= 1e-13 * abs(val)
+
+    @given(st.integers(2, 12), st.integers(0, 2**32 - 1))
+    def test_matches_dense_matrix_element(self, n, seed):
+        rng = np.random.default_rng(seed)
+        op, a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                    for shape in ((3, n), n, n))
+        op[0, -1] = op[2, -1] = 0
+        a, b = StateVec(a), StateVec(b)
+        expected = np.vdot(b.coeffs, dense(op) @ a.coeffs) / q_inner(b, a)
+        assert weak_value(op, a, b) == pytest.approx(expected, rel=1e-12)
 
     def test_vanishing_overlap(self, params_real):
         rep = build(params_real, 4)
@@ -261,19 +271,6 @@ class TestTrajectory:
 
 
 @st.composite
-def normalizable_params(draw):
-    """Parameters anywhere on the normalizable part of the closed
-    parallelogram, the domain edges and region lines weighted up."""
-    theta_m = draw(st.one_of(st.floats(0.0, PI), st.sampled_from((0.0, PI / 2, PI))))
-    s = draw(st.one_of(st.floats(-PI, 0.0), st.sampled_from((0.0, -PI / 2, -PI))))
-    radius = st.floats(0.25, 4.0)
-    params = validate(draw(radius) * cmath.exp(1j * theta_m),
-                      draw(radius) * cmath.exp(0.5j * (s - theta_m)))
-    assume(params.normalizable)
-    return params
-
-
-@st.composite
 def two_state_systems(draw):
     """A boundary pair on the normalizable part of the closed parallelogram.
 
@@ -329,7 +326,7 @@ def magnitudes(system, t, op):
     phi = max(1.0, math.exp(omega.imag * (t - system.t_a)),
               math.exp(omega.imag * (system.t_b - t)))
     return (np.abs(b.coeffs) @ np.abs(a.coeffs),
-            np.abs(b.coeffs) @ np.abs(op) @ np.abs(a.coeffs),
+            np.abs(b.coeffs) @ np.abs(dense(op)) @ np.abs(a.coeffs),
             (1 + np.abs(op).max()) * phi)
 
 
@@ -347,7 +344,8 @@ def per_time_route_bounds(system, t, op):
       exp of D (gamma_5), times the time phase, its exp and two additions
       (gamma_10); the amplitude sums n products (gamma_{2n}): K <= 2n + 23.
     * per time: each state is a0 times its exp (gamma_8 twice), then
-      op @ a and np.vdot (gamma_{2n+4}): K = 2n + 20.
+      op a by its three diagonals and np.vdot (within gamma_{2n+4}):
+      K = 2n + 20.
     * exp arguments: -1j*omega is exact, and each argument is within
       gamma_3 of itself (a difference of times, the level factor and the
       duration).  Over a band product the arguments of D and the time
@@ -362,7 +360,7 @@ def per_time_route_bounds(system, t, op):
     ``magnitudes``; the per-time route's <= 60n on to an operator entry
     and 30n more.  The amplitudes take <= 18n and 28n.
     """
-    n = op.shape[0]
+    n = op.shape[1]
     eta = gamma(3) * (n + 0.5) * phase_window(system, t)
     rel = (1 + gamma(4 * n + 43)) * math.exp(eta) - 1
     amplitude, numerator, carried = magnitudes(system, t, op)
@@ -385,7 +383,7 @@ def weak_value_bound(amplitude_bound, numerator_bound, amplitudes, values):
 
 def assert_matches_per_time_route(system, times):
     """t bit for bit and the amplitude and weak values within rounding of
-    the per-time route (states_at, q_inner and the dense weak_value); every
+    the per-time route (states_at, q_inner and weak_value); every
     column bit for bit against one-time trajectories.  Where the per-time
     route keeps a time that trajectory skips, or the other way round, its
     |amplitude| lies within rounding of OVERLAP_GUARD.  Returns the
@@ -409,10 +407,10 @@ def assert_matches_per_time_route(system, times):
         assert abs(traj.amplitude[i] - amplitude) <= amplitude_bound, t
         for name in WEAK_VALUE_OPERATORS:
             op = getattr(system.rep, name)
-            got, dense = getattr(traj, name)[i], weak_value(op, a, b)
-            assert abs(got - dense) <= weak_value_bound(
+            got, per_time = getattr(traj, name)[i], weak_value(op, a, b)
+            assert abs(got - per_time) <= weak_value_bound(
                 *per_time_route_bounds(system, t, op),
-                (traj.amplitude[i], amplitude), (got, dense)), (name, t)
+                (traj.amplitude[i], amplitude), (got, per_time)), (name, t)
     return traj
 
 
@@ -592,25 +590,6 @@ class TestCoherentSeries:
                          + scaled * tail / truncated
                          + closed_err)
                 assert abs(got - value) <= bound, (name, t)
-
-
-class TestBands:
-    @given(normalizable_params(), st.integers(2, 96))
-    def test_weak_value_operators_tridiagonal(self, params, n_max):
-        rep = build(params, n_max)
-        for name in WEAK_VALUE_OPERATORS:
-            op = getattr(rep, name)
-            assert not np.triu(op, 2).any(), name
-            assert not np.tril(op, -2).any(), name
-
-    def test_entry_off_the_band_rejected(self, params_damped):
-        rep = build(params_damped, 6)
-        q_op = rep.q_op.copy()
-        q_op[3, 1] = 1e-300
-        sys = TwoStateSystem(unit(6, 0), unit(6, 0), 0.0, 1.0, params_damped,
-                             dataclasses.replace(rep, q_op=q_op))
-        with pytest.raises(ValueError, match="q_op"):
-            trajectory(sys, [0.5])
 
 
 class TestTwoStateSystem:
