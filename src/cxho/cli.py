@@ -411,8 +411,12 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
 
     eye = np.eye(n_max)
     add("dual_normalization", np.abs(gram.cross - eye).max(), 1e-8)
-    add("metric_inverse", np.abs(gram.S @ gram.Qmat - eye).max(), 1e-8)
-    add("metric_positivity", max(0.0, -np.linalg.eigvalsh(gram.Qmat).min()), 0.0)
+    # per parity block: the entries at m + n odd are exact zeros
+    blocks = wavefunctions.parity_blocks(gram.S, gram.Qmat)
+    add("metric_inverse",
+        max(np.abs(s @ q - np.eye(len(s))).max() for s, q in blocks), 1e-8)
+    add("metric_positivity",
+        max(0.0, -min(np.linalg.eigvalsh(q).min() for _, q in blocks)), 0.0)
     # Ground overlaps on [-half, half] of the real axis (tail e^-36), in
     # Gauss-Legendre panels: the chirp exp(-i Im(mw) q^2/hbar) reaches
     # 36|tan theta| rad at the ends, and each panel resolves 400 rad of it.

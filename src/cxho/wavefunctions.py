@@ -230,16 +230,50 @@ def _finite_gram(gram: np.ndarray, n_max: int, cause: str) -> np.ndarray:
     return gram
 
 
-def _hermitian_cond(mat: np.ndarray) -> float:
-    """2-norm condition number of a Hermitian matrix, max|lambda| / min|lambda|.
+def parity_blocks(*mats: np.ndarray) -> list[list[np.ndarray]]:
+    """Views ``mat[p::2, p::2]`` of each matrix, one list per parity p = 0, 1.
 
-    Its singular values are the moduli of its eigenvalues, so one
-    ``eigvalsh`` does what the SVD in ``np.linalg.cond`` does.  A zero
-    eigenvalue gives inf.
+    The levels have parity (-1)^n at every m*omega, so S, the metric matrix
+    and the cross matrix vanish wherever m + n is odd and are these two
+    blocks; a one-level matrix has no odd block.  Writes to a view reach
+    the matrix.
     """
-    moduli = np.abs(np.linalg.eigvalsh(mat))
+    return [[mat[p::2, p::2] for mat in mats]
+            for p in range(min(2, len(mats[0])))]
+
+
+def _hermitian_cond(mat: np.ndarray) -> float:
+    """2-norm condition number of a Hermitian matrix whose entries at m + n
+    odd are 0, max|lambda| / min|lambda|.
+
+    Its eigenvalues are those of its two parity blocks and its singular
+    values are their moduli, so one ``eigvalsh`` per block, a quarter of
+    the full-size work in all, does what the SVD in ``np.linalg.cond`` does.
+    A zero eigenvalue gives inf.
+    """
+    moduli = np.abs(np.concatenate(
+        [np.linalg.eigvalsh(block) for block, in parity_blocks(mat)]))
     smallest = moduli.min()
     return float(moduli.max() / smallest) if smallest > 0 else math.inf
+
+
+def _mirrored_half(path: ContourPath) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s >= 0 of a mirror-symmetric rule and their weights, doubled
+    except at a middle node s = 0.
+
+    H_k(-x) = (-1)^k H_k(x) holds bit for bit through the recurrence, so on
+    such a rule the two nodes of a mirror pair add equal terms where m + n
+    is even and cancel where it is odd.  Any other rule raises ValueError.
+    """
+    nodes, weights = path.nodes, path.weights
+    if not ((nodes[::-1] == -nodes).all() and (weights[::-1] == weights).all()):
+        raise ValueError(
+            f"the {nodes.size}-node rule on the path at angle "
+            f"{cmath.phase(path.direction):.6g} out to |q| = "
+            f"{np.abs(nodes).max():.6g} is not mirror-symmetric about q = 0")
+    half, odd = divmod(nodes.size, 2)
+    return nodes[half:], np.concatenate((weights[half:half + odd],
+                                         2.0 * weights[half + odd:]))
 
 
 def cross_gram(params: ModelParams, n_max: int,
@@ -249,7 +283,10 @@ def cross_gram(params: ModelParams, n_max: int,
     Entry (m, n) integrates the analytic-in-m*omega product of the dual
     partner of level m with level n.  The default contour is the ray at
     -arg(m*omega)/2, on which the integrand is a real Gaussian, out to
-    12*sqrt(hbar*n_max/|m*omega|) on either side.
+    12*sqrt(hbar*n_max/|m*omega|) on either side.  The rule must be mirror
+    symmetric: the Hermite table is built on its half s >= 0 with doubled
+    weights, and each parity block is one product on that half; entries
+    at m + n odd are exact zeros.
     """
     if not params.normalizable:
         raise NotNormalizableError(
@@ -262,18 +299,22 @@ def cross_gram(params: ModelParams, n_max: int,
                             12.0 * math.sqrt(params.hbar * n_max / params.r))
     mw, hbar = params.momega, params.hbar
     _check_path_converges(mw, path)
+    nodes, weights = _mirrored_half(path)
     if not cmath.isfinite(mw / hbar):
         raise OverflowError(f"hbar = {hbar!r} overflows the node scale "
                             f"sqrt(m omega / hbar)")
-    x = np.sqrt(mw / hbar) * path.nodes
-    envelope = path.weights * np.exp(-x * x) * path.direction
+    x = np.sqrt(mw / hbar) * nodes
+    envelope = weights * np.exp(-x * x) * path.direction
     # 1/sqrt(2^n n!) through lgamma to survive large n
     lg = np.array([math.lgamma(k + 1.0) for k in range(n_max)])
     norms = np.exp(-0.5 * (lg + np.arange(n_max) * math.log(2.0)))
+    raw = np.zeros((n_max, n_max), dtype=np.complex128)
     # an overflowing Hermite table is reported by _finite_gram alone
     with np.errstate(over="ignore", invalid="ignore"):
         table = hermite_table(n_max, x)
-        raw = (table * envelope) @ table.T
+        for parity, (block,) in enumerate(parity_blocks(raw)):
+            rows = table[parity::2]
+            block[...] = (rows * envelope) @ rows.T
         gram = np.sqrt(mw / (math.pi * hbar)) * np.outer(norms, norms) * raw
     return _finite_gram(
         gram, n_max, "the Hermite polynomials overflow at the quadrature nodes")
@@ -282,7 +323,11 @@ def cross_gram(params: ModelParams, n_max: int,
 @dataclass(frozen=True)
 class GramMatrices:
     """Same-basis Gram matrix S, its inverse (the metric matrix), and the
-    dual-basis cross matrix, with the condition number of S."""
+    dual-basis cross matrix, with the condition number of S.
+
+    All three are full n_max x n_max matrices with exact zeros at m + n
+    odd; each is computed per parity block (``parity_blocks``).
+    """
 
     S: np.ndarray
     Qmat: np.ndarray
@@ -318,9 +363,12 @@ def gram_and_metric(params: ModelParams, n_max: int) -> GramMatrices:
     The cross matrix comes first, so its Hermite overflow (as at n_max 128)
     raises NonFiniteSampleError before S is built.  S comes from the ladder
     recurrence, with no quadrature nodes; an S that overflows raises
-    NonFiniteSampleError too.  The metric matrix is the inverse of S via a
-    Cholesky factorization.  Ill conditioning beyond 1e12 is reported
-    through IllConditionedWarning but the result is still returned.
+    NonFiniteSampleError too.  The condition number and the metric matrix
+    are computed per parity block, the metric as the inverse of each block
+    of S via its Cholesky factorization; a failed factorization warns once
+    and falls back to a generic inverse of each block.  Ill conditioning
+    beyond 1e12 is reported through IllConditionedWarning but the result is
+    still returned.
     """
     cross = cross_gram(params, n_max)
     # an overflowing S is reported by _finite_gram alone
@@ -333,14 +381,17 @@ def gram_and_metric(params: ModelParams, n_max: int) -> GramMatrices:
     if cond > COND_LIMIT:
         warnings.warn(f"Gram matrix condition number {cond:.3e} exceeds "
                       f"{COND_LIMIT:g}", IllConditionedWarning)
+    q_mat = np.zeros_like(s_mat)
+    blocks = parity_blocks(s_mat, q_mat)
     try:
-        chol = np.linalg.cholesky(s_mat)
-        chol_inv = np.linalg.solve(chol, np.eye(n_max, dtype=np.complex128))
-        q_mat = chol_inv.conj().T @ chol_inv
+        for s_block, q_block in blocks:
+            chol_inv = np.linalg.inv(np.linalg.cholesky(s_block))
+            q_block[...] = chol_inv.conj().T @ chol_inv
     except np.linalg.LinAlgError:
         warnings.warn("Cholesky failed; falling back to a generic inverse",
                       IllConditionedWarning)
-        q_mat = np.linalg.inv(s_mat)
+        for s_block, q_block in blocks:
+            q_block[...] = np.linalg.inv(s_block)
     q_mat = 0.5 * (q_mat + q_mat.conj().T)
 
     return GramMatrices(S=s_mat, Qmat=q_mat, cross=cross, condition_number=cond)

@@ -1,6 +1,6 @@
 """Shared test helpers: dense matrices of banded operators, the dense
-operator construction they are checked against, and a parameter strategy
-over the closed parallelogram."""
+operator construction they are checked against, the all-node cross
+matrix, and a parameter strategy over the closed parallelogram."""
 
 import cmath
 import math
@@ -9,6 +9,8 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from cxho._kernels import hermite_table
+from cxho.contour import rotated_path
 from cxho.params import validate
 
 PI = math.pi
@@ -50,6 +52,25 @@ def dense_build(params, n_max):
                 q_op=q_op, p_op=p_op, q_herm=half_turn * q_op,
                 p_herm=p_op / half_turn, h_herm=(h + h_adj) / 2,
                 h_anti=(h - h_adj) / 2)
+
+
+def cross_gram_all_nodes(params, n_max):
+    """The cross matrix as one product over every node of cross_gram's
+    default rule, with no parity split (oracle), and the same sum taken
+    over the moduli of its terms, which bounds the rounding of either."""
+    path = rotated_path(-params.theta / 2,
+                        12.0 * math.sqrt(params.hbar * n_max / params.r))
+    mw, hbar = params.momega, params.hbar
+    x = np.sqrt(mw / hbar) * path.nodes
+    envelope = path.weights * np.exp(-x * x) * path.direction
+    lg = np.array([math.lgamma(k + 1.0) for k in range(n_max)])
+    norms = np.exp(-0.5 * (lg + np.arange(n_max) * math.log(2.0)))
+    scale = np.sqrt(mw / (math.pi * hbar)) * np.outer(norms, norms)
+    table = hermite_table(n_max, x)
+    gram = scale * ((table * envelope) @ table.T)
+    magnitude = np.abs(scale) * ((np.abs(table) * np.abs(envelope))
+                                 @ np.abs(table).T)
+    return gram, magnitude
 
 
 @st.composite

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import cxho
 from cxho import cli, dynamics, fock, maximize as mx, wavefunctions
+from cxho.contour import rotated_path
 from cxho.cli import (PHASE_HEADER, _csv_table, _float_cells, _json_dumps,
                       _phase_text, _unit_pairs, main, parse_complex)
 from cxho.errors import CoherentTailWarning, IllConditionedWarning
@@ -66,7 +67,10 @@ def test_cli_import_does_not_load_scipy():
 # weak_qp_closed_vs_matrix, h_herm_weak_value, classical_solution_q and
 # ehrenfest_second_order moved, the first five by at most 4.3e-16,
 # classical_solution_q (~1e-31) by one unit in the last place and
-# ehrenfest_second_order by at most 4.5e-9 of its tolerance 0.4.
+# ehrenfest_second_order by at most 4.5e-9 of its tolerance 0.4.  They were
+# recorded again when the cross matrix moved to half of its mirror-symmetric
+# rule, one product per parity block: only dual_normalization moved, by at
+# most 4.4e-16.
 REFERENCE_DIGESTS = {
     "phase-diagram --grid 2":
         "c8f18257021e552b3fc898a5ebd09f7711ba05500f000ce4918e1a43a51e9434",
@@ -100,11 +104,11 @@ REFERENCE_DIGESTS = {
     "wavefunction --n 3 --omega 0.9-0.3i --points 801":
         "99319b74cd35bb6bef3c2141ea24c471acd07c933c1dbed9c8fe2d76a68e4c9f",
     "verify --m 1+0i --omega 0.866-0.5i --nmax 12":
-        "765553f201fbb2ffada20420eba077dc27755ef4446307a3e9e773b173c8b3fe",
+        "1224f1b0c06d9538386e7afb890529ac2effacc61102e99e91394591d7f0ce25",
     "verify --omega 1 --nmax 12":
-        "c83f19a57a872cd4f1585c71beca179049e2b5aaf1384ebe15f61b4777c06c5a",
+        "92d36a1af4fd2ed79014f7634e02a5b5ed8952c2fce108e83b3e84373289aedd",
     "verify --m 0.8+0.3i --omega 0.9-0.3i --nmax 16 --seed 7":
-        "267e8e792a1411a57e933e5cc386ce22ca24e1334307e055778b4f91636f3f3f",
+        "9278a19bd2342fe6354f912cc034da64a8e9bd38026a02d1705445deac58ffbc",
     # recorded from the one-f-string-per-cell formatter
     "phase-diagram --grid 401":
         "3b869a294c7d6de5ebecac2a86075f76aef7790fc1a2d14bdd3cde4f91aa79e3",
@@ -339,6 +343,54 @@ class TestVerify:
                   if s.startswith("error:")]
         assert "n_max = 128" in line and "Hermite" in line
         assert "overflow" in line and "SVD" not in line
+
+    def test_cholesky_fallback_is_two_warning_lines(self):
+        # cond(S) 8.6e34: the metric falls back to a generic inverse, once
+        out = _fresh_process("-m", "cxho.cli", "verify", "--omega",
+                             "0.5-0.86602540378443865i", "--nmax", "64")
+        assert out.returncode == 3
+        assert out.stderr.decode().splitlines() == [
+            "warning: Gram matrix condition number 8.553e+34 exceeds 1e+12",
+            "warning: Cholesky failed; falling back to a generic inverse"]
+        failed = {c["name"] for c in json.loads(out.stdout)["checks"]
+                  if not c["passed"]}
+        assert {"metric_inverse", "metric_positivity"} <= failed
+
+    def test_gram_step_factorizes_parity_blocks(self, runner, monkeypatch):
+        # S, the metric and the cross matrix split into even and odd levels:
+        # at nmax 64 no eigvalsh, Cholesky or inverse sees more than 32 x 32,
+        # and the cross matrix's Hermite table is built on half of the
+        # 400-node rule
+        shapes = {}
+
+        def recorded(module, name):
+            original = getattr(module, name)
+
+            def record(*args, **kwargs):
+                shapes.setdefault(name, []).append(
+                    [np.shape(a) if isinstance(a, np.ndarray) else a
+                     for a in args])
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+
+        rotated_path(0.0, 1.0)  # the shared 400-node rule, built once per process
+        for name in ("eigvalsh", "cholesky", "solve", "inv"):
+            recorded(np.linalg, name)
+        recorded(cxho._kernels, "hermite_table")
+        # wavefunctions binds the kernel by name at import
+        monkeypatch.setattr(wavefunctions, "hermite_table",
+                            cxho._kernels.hermite_table)
+        result = runner.invoke(main, ["verify", "--m", "0.8+0.3i", "--omega",
+                                      "0.9-0.3i", "--nmax", "64"])
+        # exit 3: the default cross rule does not resolve level 63
+        assert result.exit_code in (0, 3), result.output
+        matrices = [shape for name in ("eigvalsh", "cholesky", "solve", "inv")
+                    for call in shapes.get(name, []) for shape in call]
+        assert shapes["eigvalsh"] and shapes["cholesky"] and shapes["inv"]
+        assert max(max(shape) for shape in matrices) == 32
+        # the other table is gram_head_entry's level 0 on its own rule
+        assert [call for call in shapes["hermite_table"] if call[0] == 64] == [
+            [64, (200,)]]
 
     def test_gram_failure_builds_no_dense_fock_matrices(self, runner,
                                                          monkeypatch):

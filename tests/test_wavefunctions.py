@@ -5,8 +5,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cxho.contour import rotated_path
+from cxho.contour import ContourPath, rotated_path
 from cxho.errors import (
     ConvergenceViolatedError,
     IllConditionedWarning,
@@ -27,7 +29,9 @@ from cxho.wavefunctions import (
     gram_and_metric,
     ground_regulated,
     hermite,
+    parity_blocks,
 )
+from helpers import cross_gram_all_nodes, normalizable_params
 
 PI = math.pi
 
@@ -289,6 +293,73 @@ class TestCrossGram:
         with pytest.raises(NonFiniteSampleError, match="n_max = 128.*Hermite"):
             cross_gram(p, 128)
 
+    def test_asymmetric_rule_raises(self, params_tilted):
+        # the half-node sum holds only on a rule that mirrors exactly
+        good = rotated_path(-params_tilted.theta / 2, 30.0, 8)
+        shifted = ContourPath(good.nodes + 1e-3, good.weights,
+                              good.direction, good.max_tangent_angle)
+        weights = good.weights.copy()
+        weights[0] *= 1 + 2.0**-52
+        skewed = ContourPath(good.nodes, weights, good.direction,
+                             good.max_tangent_angle)
+        for path in (shifted, skewed):
+            with pytest.raises(ValueError, match="8-node rule.*not mirror"):
+                cross_gram(params_tilted, 6, path=path)
+
+    def test_odd_node_count_keeps_the_middle_node_once(self, params_tilted):
+        # at n_max 12 the default 400-node rule resolves every level
+        p, n_max = params_tilted, 12
+        width = 12.0 * math.sqrt(p.hbar * n_max / p.r)
+        odd = cross_gram(p, n_max, path=rotated_path(-p.theta / 2, width, 401))
+        assert np.abs(odd - cross_gram(p, n_max)).max() <= 1e-12
+
+
+class TestParityBlocks:
+    @pytest.mark.filterwarnings("ignore::cxho.errors.IllConditionedWarning")
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 12, 13, 64])
+    @pytest.mark.parametrize("m, omega", [
+        (1, 1), (1, 0.866 - 0.5j), (0.8 + 0.3j, 0.9 - 0.3j),
+        (2 * cmath.exp(2.5j), 0.7 * cmath.exp(-1.5j))])
+    def test_odd_sum_entries_are_zero(self, m, omega, n_max):
+        g = gram_and_metric(validate(m, omega), n_max)
+        odd = np.add.outer(np.arange(n_max), np.arange(n_max)) % 2 == 1
+        for mat in (g.S, g.Qmat, g.cross):
+            assert mat.shape == (n_max, n_max)
+            assert np.all(mat[odd] == 0)
+            # the even and odd levels are the blocks; one level has no odd one
+            blocks = [block for block, in parity_blocks(mat)]
+            assert [b.shape for b in blocks] == [
+                ((n_max - p + 1) // 2,) * 2 for p in range(min(2, n_max))]
+
+    @pytest.mark.parametrize("n_max", [3, 12, 13, 32])
+    @pytest.mark.parametrize("m, omega", [
+        (1, 1), (1, 0.866 - 0.5j), (1, cmath.exp(-0.35j)),
+        (cmath.exp(0.8j), 0.7 * cmath.exp(-0.5j))])
+    def test_metric_blocks_match_inverse(self, m, omega, n_max):
+        g = gram_and_metric(validate(m, omega), n_max)
+        assert g.condition_number < 1e12
+        for s_block, q_block in parity_blocks(g.S, g.Qmat):
+            inv = np.linalg.inv(s_block)
+            rel = np.abs(q_block - inv).max() / np.abs(inv).max()
+            assert rel <= g.condition_number * 1e-13
+
+    @settings(max_examples=60)
+    @given(params=normalizable_params(), n_max=st.integers(1, 64))
+    def test_cross_matches_all_node_formula(self, params, n_max):
+        # Both sums take the same products; the half-node one adds mirror
+        # pairs first (H_k(-x) = (-1)^k H_k(x) bit for bit, doubled weights
+        # exact).  Each has N = 400 terms or fewer and a few complex
+        # products per term (at most 2 sqrt(2) gamma_2 each) around the sum's
+        # gamma_N, so they differ by at most 2 gamma_(N+16) of the moduli.
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, magnitude = cross_gram_all_nodes(params, n_max)
+        if not np.isfinite(expected).all():
+            with pytest.raises(NonFiniteSampleError):
+                cross_gram(params, n_max)
+            return
+        got = cross_gram(params, n_max)
+        assert np.all(np.abs(got - expected) <= 2 * _gamma(416) * magnitude)
+
 
 class TestGramAndMetric:
     def test_real_parameters_identity(self, params_real):
@@ -388,6 +459,22 @@ class TestGramAndMetric:
             warnings.simplefilter("error")
             assert _hermitian_cond(mat) == math.inf
 
+    def test_cholesky_fallback_warns_once(self):
+        # cond(S) 8.6e34: in double, S is not positive definite
+        p = validate(1, 0.5 - 0.86602540378443865j)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g = gram_and_metric(p, 64)
+        messages = [str(w.message) for w in caught]
+        assert all(w.category is IllConditionedWarning for w in caught)
+        assert len(messages) == 2 and "condition number" in messages[0]
+        assert messages[1] == ("Cholesky failed; falling back to a generic "
+                               "inverse")
+        assert g.condition_number > 1e34
+        assert np.abs(g.Qmat - g.Qmat.conj().T).max() == 0.0
+        odd = np.add.outer(np.arange(64), np.arange(64)) % 2 == 1
+        assert np.all(g.Qmat[odd] == 0)
+
     def test_ill_conditioning_reported_not_fatal(self):
         p = validate(cmath.exp(1j * (PI - 0.1)), cmath.exp(-1j * PI / 2))
         assert p.theta == pytest.approx(PI / 2 - 0.1)
@@ -481,6 +568,31 @@ class TestSameBasisGramOracles:
                         + n_max * 2.0**-53 * norm2)
         assert _hermitian_cond(s_mat) == pytest.approx(
             cond, rel=2 * cond * perturbation / norm2, abs=0)
+
+    @pytest.mark.parametrize("degrees", [5, -5, 10, -10])
+    def test_dual_identity_on_leading_block(self, degrees):
+        # The untruncated S satisfies S conj(S) = I.  On the leading 16 x 16
+        # block of a 120-level S it holds to rounding and truncation: S's
+        # entries carry gamma_(8n+2) |S| (test_matches_mpmath_recurrence), the
+        # product gamma_n more, and the levels from 120 on, taken from a
+        # 240-level S whose leading block is the 120-level one, bound the
+        # truncation (their terms fall geometrically, to 1e-62 at 10 degrees).
+        # At 20 degrees the rounding grows to 3.6e-12 and the identity is no
+        # oracle there; neither is it one for the truncated inverse verify
+        # uses.
+        n_max, head = 120, 16
+        s_long = _same_basis_gram(math.radians(degrees), 2 * n_max)
+        s_mat = s_long[:n_max, :n_max]
+        assert np.array_equal(s_mat, _same_basis_gram(math.radians(degrees),
+                                                      n_max))
+        defect = np.abs((s_mat @ s_mat.conj())[:head, :head] - np.eye(head))
+        size = np.abs(s_mat) @ np.abs(s_mat)
+        tail = np.abs(s_long[:head, n_max:]) @ np.abs(s_long[n_max:, :head])
+        bound = ((2 * _gamma(8 * n_max + 2) + _gamma(n_max)) * size[:head, :head]
+                 + 2 * tail)
+        assert np.all(defect <= bound)
+        # measured: 1.3e-15 at 5 degrees, 1.2e-14 at 10
+        assert defect.max() <= (4e-15 if abs(degrees) == 5 else 4e-14)
 
 
 class TestGaussPoly:
