@@ -117,6 +117,23 @@ REFERENCE_DIGESTS = {
     # recorded from the per-row join of three zipped columns
     "phase-diagram --grid 101":
         "4333906cf53fd435f062126dae3966f6e4d776d5348f5a1fa195fb566a3fb768",
+    # recorded from the recursive JSON writer: a damped, a real (degenerate),
+    # a near-real (25 sweeps) and an underflowing (amplitude 0) omega
+    "maximize --omega 1-0.2i --T 10":
+        "27f2ae90cc8b0365e14d1854c06f54dd10699b8d3b9d6f86206d88ae036e9376",
+    "maximize --omega 1.2 --T 10":
+        "704cb7081319c7b67769cbb1da9603b3c8143ef6fccb80bad3182f505f67c456",
+    "maximize --omega 1-1e-7i --T 10":
+        "c267c81add785c577b4458c47bd4ff8d206f797adb89212400a17c969758cfbc",
+    "maximize --omega 1-200i --T 10":
+        "7b861903c12d2e6ad3699753afb1425ecb443d4672cb6ee5c502d4feed7f5df8",
+}
+
+#: Reports of runs that exit 3, recorded like REFERENCE_DIGESTS; plain
+#: ``verify`` fails dual_normalization at its default nmax 32.
+FAILING_REPORT_DIGESTS = {
+    "verify":
+        "aa3d66a437d98c4763e3659d4f229c3d9cfce03b511be021078a70403c59c3f9",
 }
 
 
@@ -126,6 +143,14 @@ def test_output_matches_reference_digest(runner, command):
     assert result.exit_code == 0
     digest = hashlib.sha256(result.stdout_bytes).hexdigest()
     assert digest == REFERENCE_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(FAILING_REPORT_DIGESTS))
+def test_failing_report_matches_reference_digest(runner, command):
+    result = runner.invoke(main, command.split())
+    assert result.exit_code == 3
+    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    assert digest == FAILING_REPORT_DIGESTS[command]
 
 
 # signed zeros, infinities, NaNs with other payloads and subnormals, which
