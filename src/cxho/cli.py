@@ -69,42 +69,62 @@ class ComplexParam(click.ParamType):
 COMPLEX = ComplexParam()
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+#: '%.17g' % x is format(float(x), ".17g"): 17 significant digits
+_fmt = "%.17g".__mod__
+
+
+def _complex_text(z) -> str:
+    return '{"re": %.17g, "im": %.17g}' % (z.real, z.imag)
+
+
+#: Leaf texts by type; the exact type is looked up first, then its bases.
+_LEAF_TEXT = {type(None): lambda _: "null", bool: ("false", "true").__getitem__,
+              int: int.__repr__, np.integer: lambda i: str(int(i)), float: _fmt,
+              np.float64: _fmt, np.floating: _fmt, complex: _complex_text,
+              np.complex128: _complex_text, np.complexfloating: _complex_text,
+              str: json.encoder.encode_basestring_ascii}
+
+
+def _record(names: list[str], pad: str) -> str:
+    """A dict's text at indent ``pad`` with a ``%s`` for each value."""
+    return "{\n" + ",\n".join(f"{pad}  {json.dumps(name)}: ".replace("%", "%%")
+                              + "%s" for name in names) + "\n" + pad + "}"
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
+    """JSON text of a tree of dicts, lists, tuples and scalars, in one pass.
+
+    A container holding a container has one item per line, indented two
+    spaces a level; a list of scalars is one line.  Leaves are formatted
+    through ``_LEAF_TEXT`` (complex as ``{"re": .., "im": ..}``).  A dict is
+    its ``_record`` template formatted once; a list of dicts with the first
+    one's keys, in order, is that template repeated and formatted once.
+    """
+    leaf = _LEAF_TEXT.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     pad = " " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        return f'{{"re": {_fmt(obj.real)}, "im": {_fmt(obj.imag)}}}'
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_json_dumps(v, indent + 2)}'
-            for k, v in obj.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple)) for v in items):
-            return "[" + ", ".join(_json_dumps(v) for v in items) + "]"
-        inner = ",\n".join(pad + "  " + _json_dumps(v, indent + 2) for v in items)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        values = tuple(_json_dumps(v, indent + 2) for v in obj.values())
+        return _record(list(map(str, obj)), pad) % values if obj else "{}"
+    if not isinstance(obj, (list, tuple)):
+        # numpy scalars and subclasses of the Python scalars
+        for kind in type(obj).__mro__:
+            if kind in _LEAF_TEXT:
+                return _LEAF_TEXT[kind](obj)
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+    if not obj:
+        return "[]"
+    names = list(map(str, obj[0])) if isinstance(obj[0], dict) else None
+    if names and all(isinstance(r, dict) and list(map(str, r)) == names
+                     for r in obj):
+        item = pad + "  " + _record(names, pad + "  ")
+        texts = tuple(_json_dumps(v, indent + 4) for r in obj for v in r.values())
+        return "[\n" + ",\n".join([item] * len(obj)) % texts + "\n" + pad + "]"
+    texts = [_json_dumps(v, indent + 2) for v in obj]
+    if not any(isinstance(v, (dict, list, tuple)) for v in obj):
+        return "[" + ", ".join(texts) + "]"
+    return "[\n" + ",\n".join(pad + "  " + v for v in texts) + "\n" + pad + "]"
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
@@ -347,25 +367,6 @@ def cmd_phase_diagram(grid, fmt, output):
     _write_output(output, _phase_text(phase_grid(grid), grid, fmt))
 
 
-def _unit_pairs(seed: int, pairs: int, n: int) -> np.ndarray:
-    """Seeded pairs (a, b) of random unit vectors as a (pairs, 2, n) array.
-
-    One (pairs, 4, n) draw holds the values of 4*pairs successive
-    ``standard_normal(n)`` draws: re a, im a, re b, im b for each pair.
-    Each vector is divided by its norm with ``np.linalg.norm``'s arithmetic
-    for a complex vector, sqrt(re.re + im.im), as stacked matmuls making the
-    same BLAS dots, so it has the bits of ``v / np.linalg.norm(v)``.
-    """
-    x = np.random.default_rng(seed).standard_normal((pairs, 4, n))
-    vecs = x[:, 0::2] + 1j * x[:, 1::2]
-    re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
-    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-    units = vecs / np.sqrt(sq[..., 0])
-    if not np.isfinite(units).all():
-        raise ValueError("coeffs must be finite")
-    return units
-
-
 def _verify_checks(params: ModelParams, n_max: int, seed: int,
                    tol_override: float | None) -> list[dict]:
     """Run the cross-module property suite; one record per check."""
@@ -436,30 +437,29 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     n_dyn = 40
     rep_dyn = fock.build(params, n_dyn)
     lam_a, lam_b = 1.0, 0.6 + 0.2j
-    duration = 4.0
+    duration, t = 4.0, 1.25
     system = dynamics.TwoStateSystem(
         fock.coherent_coeffs(lam_a, n_dyn), fock.coherent_coeffs(lam_b, n_dyn),
         0.0, duration, params, rep_dyn)
-    # from the evolved states, not trajectory, whose amplitude is constant
-    amps = np.array([fock.q_inner(b, a) for a, b in
-                     map(system.states_at, np.linspace(0.0, duration, 5))])
+    # one batch: the amplitude at five times (not from trajectory, whose
+    # amplitude is constant), weak values at t and for Ehrenfest at 1 -+ dt
+    a, b = system.evolve([*np.linspace(0.0, duration, 5), t,
+                          1.0 - 2e-2, 1.0, 1.0 + 2e-2, 1.0 - 1e-2, 1.0, 1.0 + 1e-2])
+    amps = dynamics.overlaps(a[:5], b[:5])
     add("amplitude_time_independence",
         np.abs(amps - amps[0]).max() / abs(amps[0]), 1e-12)
     closed = dynamics.coherent_state_at(lam_a, 1.0, "A", n_dyn, params)
-    propagated = dynamics.evolve_a(fock.coherent_coeffs(lam_a, n_dyn), 1.0, params)
-    add("coherent_two_route",
-        np.abs(closed.coeffs - propagated.coeffs).max(), 1e-10)
-    t = 1.25
-    a_t, b_t = system.states_at(t)
+    # row 1 is a0 propagated to t = 1.0 from t_a = 0
+    add("coherent_two_route", np.abs(closed.coeffs - a[1]).max(), 1e-10)
+    qp = dynamics.weak_values(np.array([rep_dyn.q_op, rep_dyn.p_op]), a[5:], b[5:])
     q_closed, p_closed = dynamics.weak_qp_closed(
         dynamics.coherent_lambda(lam_a, t, "A", params),
         dynamics.coherent_lambda(lam_b, t - duration, "B", params), params)
-    q_matrix, p_matrix = dynamics.weak_value(
-        np.array([rep_dyn.q_op, rep_dyn.p_op]), a_t, b_t)
+    q_matrix, p_matrix = qp[0]
     add("weak_qp_closed_vs_matrix",
         max(abs(q_matrix - q_closed), abs(p_matrix - p_closed)), 1e-9)
-    r_coarse = dynamics.ehrenfest_residual(system, 1.0, 2e-2)
-    r_fine = dynamics.ehrenfest_residual(system, 1.0, 1e-2)
+    r_coarse = dynamics.ehrenfest_from_weak_values(qp[1:4], 2e-2, params)
+    r_fine = dynamics.ehrenfest_from_weak_values(qp[4:], 1e-2, params)
     ratios = [abs(c) / abs(f) for c, f in zip(r_coarse, r_fine) if abs(f) > 0]
     add("ehrenfest_second_order",
         max(abs(r - 4.0) for r in ratios) if ratios else 0.0, 0.4)
@@ -468,7 +468,7 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     result = mx.maximize(duration_max, params, 8, seed=seed)
     add("maximize_matches_analytic",
         abs(result.amplitude_abs - result.analytic_max), 1e-9)
-    units = _unit_pairs(seed, 200, 8)
+    units = mx.unit_pairs(seed, 200, 8)
     amps = mx.amplitudes(units[:, 0], units[:, 1], duration_max, params)
     # np.hypot has the bits of abs(complex); np.abs does not
     worst = float((np.hypot(amps.real, amps.imag) - result.analytic_max).max())

@@ -134,10 +134,12 @@ def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def rotated_path(angle: float, half_width: float,
                  n_nodes: int = DEFAULT_NODES) -> ContourPath:
     """Gauss-Legendre discretization of q(s) = s*e^{i angle}, |s| <= half_width."""
-    if abs(angle) >= math.pi / 2:
+    # each test is written so that a NaN fails it
+    if not abs(angle) < math.pi / 2:
         raise AngleTooSteepError(f"|angle| must be < pi/2, got {angle!r}")
-    if half_width <= 0:
-        raise ValueError(f"half_width must be positive, got {half_width!r}")
+    if not 0 < half_width < math.inf:
+        raise ValueError(
+            f"half_width must be finite and positive, got {half_width!r}")
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
     x, w = _legendre_rule(n_nodes)

@@ -12,12 +12,13 @@ PRL 60 (1988) 1351), so the amplitude does not depend on t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import VanishingOverlapError
-from .fock import FockRep, StateVec, _sandwich, coherent_coeffs, q_inner
+from .errors import LengthMismatchError, VanishingOverlapError
+from .fock import FockRep, StateVec, _sandwich, coherent_coeffs
 from .params import ModelParams
 
 #: Smallest overlap magnitude we are willing to divide by.
@@ -27,8 +28,9 @@ OVERLAP_GUARD = 1e-300
 WEAK_VALUE_OPERATORS = ("q_op", "p_op", "q_herm", "p_herm", "h_herm")
 
 
-def level_phases(omega: complex, dt: float, n: int) -> np.ndarray:
-    """Level phases exp(-i*omega*(k+1/2)*dt) for k = 0 .. n-1."""
+def level_phases(omega: complex, dt, n: int) -> np.ndarray:
+    """Level phases exp(-i*omega*(k+1/2)*dt) for k = 0 .. n-1; for a column
+    of steps dt, one row of them per step."""
     return np.exp(-1j * omega * (np.arange(n) + 0.5) * dt)
 
 
@@ -70,15 +72,51 @@ def coherent_state_at(lambda0: complex, dt: float, which: str, n_max: int,
     return StateVec(pref * coherent_coeffs(lam_t, n_max).coeffs)
 
 
+def overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Metric overlaps (b_i|a_i) of the row pairs of two (T, n) arrays.
+
+    One stacked matmul makes the same BLAS dot per row as ``q_inner``, so
+    each entry has its bits.  Rows that are not all finite raise
+    ValueError, as building them as StateVecs would.
+    """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("coeffs must be finite")
+    return np.matmul(np.conj(b)[:, None, :], a[:, :, None])[:, 0, 0]
+
+
+def weak_values(ops: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Normalized matrix elements (b_i|op|a_i)/(b_i|a_i) of the row pairs of
+    two (T, n) arrays, for an operator stored as its three diagonals (see
+    FockRep), shape (T,), or a stack of k of them, shape (T, k).
+
+    Each row makes the dots and the division of the one-pair case, so it
+    has the bits of ``weak_value``.  Rows are checked in order, as
+    ``states_at`` and ``weak_value`` check one time after the other: the
+    first row whose states are not finite raises ValueError, or whose
+    |overlap| is at most OVERLAP_GUARD raises VanishingOverlapError.
+    """
+    finite = np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+    bra = np.conj(b)
+    denom = np.matmul(bra[:, None, :], a[:, :, None])[:, 0, 0]
+    size = np.hypot(denom.real, denom.imag)  # the bits of abs(complex)
+    bad = ~finite | (size <= OVERLAP_GUARD)
+    if bad.any():
+        row = int(bad.argmax())
+        if not finite[row]:
+            raise ValueError("coeffs must be finite")
+        raise VanishingOverlapError(f"|overlap| = {size[row]:.3e}")
+    return _sandwich(bra, ops, a) / (denom if ops.ndim == 2 else denom[:, None])
+
+
 def weak_value(op: np.ndarray, a: StateVec,
                b: StateVec) -> complex | np.ndarray:
     """Normalized matrix element (b|op|a)/(b|a) in the metric inner product,
     for an operator stored as its three diagonals (see FockRep); for a
-    stack of operators, an array with one value per operator."""
-    denom = q_inner(b, a)
-    if abs(denom) <= OVERLAP_GUARD:
-        raise VanishingOverlapError(f"|overlap| = {abs(denom):.3e}")
-    values = _sandwich(np.conj(b.coeffs), op, a.coeffs) / denom
+    stack of operators, an array with one value per operator.  The one-row
+    case of ``weak_values``."""
+    if len(a) != len(b):
+        raise LengthMismatchError(f"lengths differ: {len(a)} vs {len(b)}")
+    values = weak_values(op, a.coeffs[None], b.coeffs[None])[0]
     return complex(values) if op.ndim == 2 else values
 
 
@@ -109,9 +147,27 @@ class TwoStateSystem:
                 raise ValueError(f"{name} must be metric-normalized, "
                                  f"norm = {state.norm!r}")
 
+    def evolve(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """The forward and backward states at each of a 1-D array of
+        times, as two (T, n) arrays, one row per time.
+
+        Row i is a0 (b0) times ``level_phases`` at the step from t_a (t_b)
+        to times[i], in its operation order, so it has the bits of
+        ``evolve_a`` (``evolve_b``) at that step.  Rows are not checked:
+        an overflowing phase gives a row that is not finite, which
+        ``overlaps``, ``weak_values`` and ``states_at`` reject.
+        """
+        steps = np.asarray(times, dtype=float)[:, None]
+        omega, n = self.params.omega, len(self.a0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.a0.coeffs * level_phases(omega, steps - self.t_a, n),
+                    self.b0.coeffs * level_phases(np.conj(omega),
+                                                  steps - self.t_b, n))
+
     def states_at(self, t: float) -> tuple[StateVec, StateVec]:
-        return (evolve_a(self.a0, t - self.t_a, self.params),
-                evolve_b(self.b0, t - self.t_b, self.params))
+        """The evolved pair at one time; the one-time case of ``evolve``."""
+        a, b = self.evolve([t])
+        return StateVec(a[0]), StateVec(b[0])
 
 
 @dataclass(frozen=True)
@@ -139,23 +195,26 @@ def ehrenfest_residual(system: TwoStateSystem, t: float,
                        dt_fd: float) -> tuple[complex, complex]:
     """Residuals of d<q>/dt = <p>/m and d<p>/dt = -m*omega^2*<q>.
 
-    Central finite differences of the matrix-route weak values; both
-    residuals shrink as O(dt_fd^2).
+    Central finite differences of the matrix-route weak values, from
+    ``weak_values`` at t - dt_fd, t and t + dt_fd; both residuals shrink as
+    O(dt_fd^2).
     """
-    if dt_fd <= 0:
-        raise ValueError(f"dt_fd must be positive, got {dt_fd!r}")
-
+    # written so that a NaN step fails it
+    if not 0 < dt_fd < math.inf:
+        raise ValueError(f"dt_fd must be finite and positive, got {dt_fd!r}")
     ops = np.array([system.rep.q_op, system.rep.p_op])
+    qp = weak_values(ops, *system.evolve([t - dt_fd, t, t + dt_fd]))
+    return ehrenfest_from_weak_values(qp, dt_fd, system.params)
 
-    def qp_at(time):
-        return weak_value(ops, *system.states_at(time))
 
-    q_minus, p_minus = qp_at(t - dt_fd)
-    q_mid, p_mid = qp_at(t)
-    q_plus, p_plus = qp_at(t + dt_fd)
+def ehrenfest_from_weak_values(qp: np.ndarray, dt_fd: float,
+                               params: ModelParams) -> tuple[complex, complex]:
+    """``ehrenfest_residual`` from the weak values of q_op and p_op at
+    t - dt_fd, t and t + dt_fd, the rows of a (3, 2) array."""
+    (q_minus, p_minus), (q_mid, p_mid), (q_plus, p_plus) = qp
     dq = (q_plus - q_minus) / (2 * dt_fd)
     dp = (p_plus - p_minus) / (2 * dt_fd)
-    m, omega = system.params.m, system.params.omega
+    m, omega = params.m, params.omega
     return dq - p_mid / m, dp + m * omega * omega * q_mid
 
 

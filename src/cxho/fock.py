@@ -117,13 +117,16 @@ def build(params: ModelParams, n_max: int) -> FockRep:
 
 def _sandwich(bra: np.ndarray, op: np.ndarray, ket: np.ndarray):
     """bra @ A @ ket for an operator A stored as in FockRep, or one value
-    per operator of a stack of them, as one dot product each."""
+    per operator of a stack of them, as one dot product each; for the rows
+    of two (T, n) arrays, a leading axis of T results, each row one
+    matrix-vector product (or dot) with the bits of the one-row case."""
     # bra[i] ket[j] for each stored entry (i, j), laid out as A is
-    pairs = np.zeros((3, ket.size), dtype=np.complex128)
-    np.multiply(bra[1:], ket[:-1], out=pairs[0, :-1])
-    np.multiply(bra, ket, out=pairs[1])
-    np.multiply(bra[:-1], ket[1:], out=pairs[2, :-1])
-    return op.reshape(op.shape[:-2] + (-1,)) @ pairs.ravel()
+    pairs = np.zeros(ket.shape[:-1] + (3, ket.shape[-1]), dtype=np.complex128)
+    np.multiply(bra[..., 1:], ket[..., :-1], out=pairs[..., 0, :-1])
+    np.multiply(bra, ket, out=pairs[..., 1, :])
+    np.multiply(bra[..., :-1], ket[..., 1:], out=pairs[..., 2, :-1])
+    columns = pairs.reshape(pairs.shape[:-2] + (-1, 1))
+    return np.matmul(op.reshape(op.shape[:-2] + (-1,)), columns)[..., 0]
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -56,6 +56,25 @@ def amplitudes(a: np.ndarray, b: np.ndarray, duration: float,
     return np.matmul(np.conj(b)[:, None, :], weighted[:, :, None])[:, 0, 0]
 
 
+def unit_pairs(seed: int, pairs: int, n: int) -> np.ndarray:
+    """Seeded pairs (a, b) of random unit vectors as a (pairs, 2, n) array.
+
+    One (pairs, 4, n) draw holds the values of 4*pairs successive
+    ``standard_normal(n)`` draws: re a, im a, re b, im b for each pair.
+    Each vector is divided by its norm with ``np.linalg.norm``'s arithmetic
+    for a complex vector, sqrt(re.re + im.im), as stacked matmuls making the
+    same BLAS dots, so it has the bits of ``v / np.linalg.norm(v)``.
+    """
+    x = np.random.default_rng(seed).standard_normal((pairs, 4, n))
+    vecs = x[:, 0::2] + 1j * x[:, 1::2]
+    re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
+    sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    units = vecs / np.sqrt(sq[..., 0])
+    if not np.isfinite(units).all():
+        raise ValueError("coeffs must be finite")
+    return units
+
+
 def amplitude(a: StateVec, b: StateVec, duration: float,
               params: ModelParams) -> complex:
     """Transition amplitude between boundary states for the given duration.

@@ -1,8 +1,10 @@
 """Shared test helpers: dense matrices of banded operators, the dense
 operator construction they are checked against, the all-node cross
-matrix, and a parameter strategy over the closed parallelogram."""
+matrix, a parameter strategy over the closed parallelogram, and the
+recursive JSON writer the CLI's one-pass writer is checked against."""
 
 import cmath
+import json
 import math
 
 import numpy as np
@@ -84,3 +86,41 @@ def normalizable_params(draw):
                       draw(radius) * cmath.exp(0.5j * (s - theta_m)))
     assume(params.normalizable)
     return params
+
+
+def json_dumps_recursive(obj, indent=0):
+    """The CLI's JSON layout, one recursive call per node (oracle for
+    ``cxho.cli._json_dumps``)."""
+    pad = " " * indent
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    if isinstance(obj, (complex, np.complexfloating)):
+        return (f'{{"re": {format(float(obj.real), ".17g")}, '
+                f'"im": {format(float(obj.imag), ".17g")}}}')
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            f'{pad}  {json.dumps(str(k))}: {json_dumps_recursive(v, indent + 2)}'
+            for k, v in obj.items())
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        items = list(obj)
+        if not items:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple)) for v in items):
+            return "[" + ", ".join(json_dumps_recursive(v) for v in items) + "]"
+        inner = ",\n".join(pad + "  " + json_dumps_recursive(v, indent + 2)
+                           for v in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")

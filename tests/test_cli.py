@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from helpers import json_dumps_recursive
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ import cxho
 from cxho import cli, dynamics, fock, maximize as mx, wavefunctions
 from cxho.contour import rotated_path
 from cxho.cli import (PHASE_HEADER, _csv_table, _float_cells, _json_dumps,
-                      _phase_text, _unit_pairs, main, parse_complex)
+                      _phase_text, main, parse_complex)
 from cxho.errors import CoherentTailWarning, IllConditionedWarning
 from cxho.params import POTENTIALS, THEORIES, phase_grid, validate
 
@@ -173,6 +175,66 @@ def test_float_cells_match_per_value_format(pool, picks, step):
         cells = _float_cells(values)
         assert cells.dtype == object
         assert cells.tolist() == [f"{v:.17g}" for v in values.tolist()]
+
+
+class _Level(enum.IntEnum):
+    TOP = 7
+
+
+# text that a %-format, a JSON escape or an ASCII encoder would change
+JSON_TEXT = st.text(st.sampled_from(["%", "s", '"', "\\", "\n", "é", "λ",
+                                     "\U0001d53b", "a", " "]), max_size=6)
+JSON_LEAVES = (
+    st.sampled_from(SPECIAL_FLOATS) | st.floats() | st.integers() | st.booleans()
+    | st.none() | JSON_TEXT | st.complex_numbers()
+    | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.complex_numbers().map(np.complex128) | st.booleans().map(np.bool_)
+    | JSON_TEXT.map(np.str_) | st.just(_Level.TOP)
+    | st.sampled_from([set(), object()]))
+
+
+@st.composite
+def json_records(draw, values):
+    """A list of dicts whose keys are one list of names, or (mixed) that
+    list permuted, cut short or extended by a name in some of them."""
+    names = draw(st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True))
+    records = []
+    for _ in range(draw(st.integers(1, 4))):
+        keys = list(names)
+        if records and draw(st.booleans()):
+            keys = draw(st.permutations(keys))[:draw(st.integers(0, len(keys)))]
+            keys += draw(st.lists(JSON_TEXT, max_size=1))
+        records.append({k: draw(values) for k in keys})
+    return records
+
+
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=3).map(tuple)
+                      | st.dictionaries(JSON_TEXT | st.integers(), children,
+                                        max_size=4)
+                      | json_records(children)),
+    max_leaves=24)
+
+
+@example(tree=[{"%s": 1.0}, {"%s": 2.0}])
+@example(tree=[{"a": 1, "b": 2}, {"b": 3, "a": 4}])
+@example(tree=[{"a": 1, "b": 2}, {"a": 3}])
+@example(tree=[{1: None}, {"1": None}, {1.0: None}])
+@example(tree={"x": [], "y": {}, "z": [[], {}], "w": [0.5, 1 - 2j]})
+@given(tree=JSON_TREES)
+def test_json_dumps_matches_recursive_writer(tree):
+    try:
+        expected = json_dumps_recursive(tree)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _json_dumps(tree)
+        return
+    assert _json_dumps(tree) == expected
+    for indent in (2, 6):
+        assert _json_dumps(tree, indent) == json_dumps_recursive(tree, indent)
 
 
 # text cells: a constant, an empty one and ones a %-format would read
@@ -417,6 +479,49 @@ class TestVerify:
         assert [call for call in shapes["hermite_table"] if call[0] == 64] == [
             [64, (200,)]]
 
+    def test_dynamics_checks_build_few_state_vectors(self, runner,
+                                                      monkeypatch):
+        # the coherent pair is evolved to all twelve times as two arrays;
+        # the boundary states, the closed form and the maximizers are
+        # StateVecs (32 when every time built its own pair)
+        built = []
+        post_init = fock.StateVec.__post_init__
+
+        def counted(self):
+            built.append(np.shape(self.coeffs))
+            post_init(self)
+
+        monkeypatch.setattr(fock.StateVec, "__post_init__", counted)
+        result = runner.invoke(main, ["verify", "--m", "1+0i", "--omega",
+                                      "0.866-0.5i", "--nmax", "12"])
+        assert result.exit_code == 0, result.output
+        assert len(built) <= 8, built
+
+    @pytest.mark.parametrize("args, stderr", [
+        # the overlap underflows below the guard at t = 1.25
+        (["--m", "0.3+0.9i", "--omega",
+          "-166.45873461885697-363.7189707302727i", "--nmax", "4"],
+         "error: |overlap| = 5.939e-317\n"),
+        # it is 0 at t = 1.25, and amplitude_time_independence divides by
+        # its value 0 at t = 0 first
+        (["--omega", "1-800i", "--nmax", "2"],
+         "warning: invalid value encountered in scalar divide\n"
+         "error: |overlap| = 0.000e+00\n"),
+        # Im(omega) > 0 inside the angle tolerance: the backward phases
+        # overflow at t = 0 (two numpy warning lines came first before the
+        # states were evolved as one batch)
+        (["--omega", "1e12+400i", "--nmax", "2", "--eps", "1e-14",
+          "--eps-prime", "1e-14"],
+         "error: coeffs must be finite\n"),
+    ])
+    def test_dynamics_errors_keep_their_order(self, args, stderr):
+        if "--eps" not in args:
+            args = [*args, "--eps", "1e-9", "--eps-prime", "1e-9"]
+        out = _fresh_process("-m", "cxho.cli", "verify", *args)
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert out.stderr.decode() == stderr
+
     def test_gram_failure_builds_no_dense_fock_matrices(self, runner,
                                                          monkeypatch):
         sizes = []
@@ -496,7 +601,7 @@ class TestVerify:
     def test_unit_pairs_match_per_pair_draws(self, seed):
         # 4 * 200 draws of 8 normals, each vector over np.linalg.norm
         rng = np.random.default_rng(seed)
-        units = _unit_pairs(seed, 200, 8)
+        units = mx.unit_pairs(seed, 200, 8)
         for a, b in units:
             for unit in (a, b):
                 v = rng.standard_normal(8) + 1j * rng.standard_normal(8)

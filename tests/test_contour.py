@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -133,9 +134,15 @@ class TestRotatedPath:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            rotated_path(0.0, -1.0)
-        with pytest.raises(ValueError):
             rotated_path(0.0, 1.0, n_nodes=1)
+        with pytest.raises(AngleTooSteepError, match="got nan"):
+            rotated_path(math.nan, 1.0)
+
+    @pytest.mark.parametrize("half_width", [-1.0, 0.0, math.nan, math.inf])
+    def test_half_width_must_be_finite_and_positive(self, half_width):
+        with pytest.raises(ValueError, match=re.escape(
+                f"half_width must be finite and positive, got {half_width!r}")):
+            rotated_path(0.0, half_width)
 
 
 class TestLegendreRuleCache:

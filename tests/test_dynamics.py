@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import mpmath
@@ -7,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from helpers import bands, dense, normalizable_params
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cxho.dynamics import (
@@ -19,9 +20,11 @@ from cxho.dynamics import (
     ehrenfest_residual,
     evolve_a,
     evolve_b,
+    overlaps,
     trajectory,
     weak_qp_closed,
     weak_value,
+    weak_values,
 )
 from cxho.errors import CoherentTailWarning, VanishingOverlapError
 from cxho.fock import StateVec, build, coherent_coeffs, q_inner
@@ -198,9 +201,75 @@ class TestEhrenfest:
         r1, r2 = ehrenfest_residual(sys, 1.0, 1e-3)
         assert r1 == 0.0 and r2 == 0.0
 
-    def test_bad_step(self, coherent_system):
-        with pytest.raises(ValueError):
-            ehrenfest_residual(coherent_system, 1.0, 0.0)
+    @pytest.mark.parametrize("dt_fd", [0.0, -1e-2, math.nan, math.inf])
+    def test_bad_step(self, coherent_system, dt_fd):
+        with pytest.raises(ValueError, match=re.escape(
+                f"dt_fd must be finite and positive, got {dt_fd!r}")):
+            ehrenfest_residual(coherent_system, 1.0, dt_fd)
+
+
+def one_pair_numerator(bra, op, ket):
+    """bra @ op @ ket for operators stored as in FockRep, one matrix-vector
+    product (or dot) over the stored entries, as one pair of states."""
+    pairs = np.zeros((3, ket.size), dtype=np.complex128)
+    pairs[0, :-1], pairs[1], pairs[2, :-1] = bra[1:] * ket[:-1], bra * ket, bra[:-1] * ket[1:]
+    return op.reshape(op.shape[:-2] + (-1,)) @ pairs.ravel()
+
+
+class TestEvolveBatch:
+    """``evolve``, ``overlaps`` and ``weak_values`` row by row against the
+    one-time route: each state from ``evolve_a``/``evolve_b``, np.vdot for
+    the overlap and ``one_pair_numerator`` over it."""
+
+    @settings(max_examples=60)
+    @given(params=normalizable_params(), n=st.sampled_from([2, 8, 40, 64]),
+           seed=st.integers(0, 2**32 - 1), t_a=st.floats(-5.0, 5.0),
+           duration=st.floats(0.01, 10.0), data=st.data())
+    def test_rows_have_the_bits_of_one_time(self, params, n, seed, t_a,
+                                            duration, data):
+        rng = np.random.default_rng(seed)
+        a0, b0 = (StateVec(v / np.linalg.norm(v)) for v in
+                  rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n)))
+        t_b = t_a + duration
+        rep = build(params, n)
+        system = TwoStateSystem(a0, b0, t_a, t_b, params, rep)
+        times = data.draw(st.lists(st.floats(t_a, t_b) | st.sampled_from((t_a, t_b)),
+                                   min_size=1, max_size=6))
+        a, b = system.evolve(times)
+        ops = np.array([getattr(rep, name) for name in WEAK_VALUE_OPERATORS])
+        amps, weak, single = [], [], []
+        for i, t in enumerate(times):
+            a_t = evolve_a(a0, t - t_a, params).coeffs
+            b_t = evolve_b(b0, t - t_b, params).coeffs
+            np.testing.assert_array_equal(a[i], a_t)
+            np.testing.assert_array_equal(b[i], b_t)
+            np.testing.assert_array_equal(system.states_at(t)[1].coeffs, b_t)
+            amps.append(np.vdot(b_t, a_t))
+            weak.append(one_pair_numerator(np.conj(b_t), ops, a_t)
+                        / complex(amps[-1]))
+            single.append(complex(one_pair_numerator(np.conj(b_t), rep.q_op, a_t)
+                                  / complex(amps[-1])))
+        np.testing.assert_array_equal(overlaps(a, b), amps)
+        assume(min(map(abs, amps)) > OVERLAP_GUARD)
+        np.testing.assert_array_equal(weak_values(ops, a, b), weak)
+        np.testing.assert_array_equal(weak_values(rep.q_op, a, b), single)
+
+    def test_rows_fail_in_time_order(self, params_damped):
+        # the overlap of the orthogonal pair vanishes at every time, and the
+        # backward phases overflow far past t_b: the earlier row decides,
+        # as states_at and weak_value would one time after the other
+        rep = build(params_damped, 4)
+        system = TwoStateSystem(unit(4, 0), unit(4, 1), 0.0, 1.0,
+                                params_damped, rep)
+        ops = np.array([rep.q_op, rep.p_op])
+        with pytest.raises(VanishingOverlapError, match=r"= 0\.000e\+00$"):
+            weak_values(ops, *system.evolve([0.5, 1e5]))
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            weak_values(ops, *system.evolve([1e5, 0.5]))
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            overlaps(*system.evolve([0.5, 1e5]))
+        with pytest.raises(ValueError, match="coeffs must be finite"):
+            system.states_at(1e5)
 
 
 class TestTrajectory:
