@@ -1,17 +1,14 @@
 """Hot numeric kernels, vectorized with numpy over the nodes.
 
-``BACKEND`` names the implementation in use; it is always ``"numpy"``.
-Both stay because the benchmark harness in ``perfbench`` reads them: every
-run's provenance records ``cxho.BACKEND``, ``kernel_times`` times the two
-kernels through this module, and ``tracing.LAYERS`` traces it as the
-``kernels`` layer.
+The module stays separate because the benchmark harness in ``perfbench``
+reads it: ``kernel_times`` times the two kernels through this module, and
+``tracing.LAYERS`` traces it as the ``kernels`` layer.  ``cxho.BACKEND``,
+which every run's provenance records, names this implementation.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-BACKEND = "numpy"
 
 
 def hermite_table(n_max: int, z: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import CxhoError
 from .params import (POTENTIAL_TABLE, THEORIES, ModelParams, PhaseGrid,
-                     phase_grid, validate)
+                     check_length_scale, phase_grid, validate)
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -373,6 +373,7 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     from . import dynamics, fock, maximize as mx, wavefunctions
     from .contour import rotated_path
 
+    check_length_scale(params)  # which every width below is built from
     checks = []
 
     def add(name, defect, tolerance):
@@ -635,6 +636,7 @@ def cmd_wavefunction(m, omega, hbar, eps, eps_prime, n, basis, ray_angle,
     if half_width is not None and not 0 < half_width < math.inf:
         _fail_config(f"half-width must be finite and positive, got {half_width!r}")
     if half_width is None:
+        check_length_scale(params)
         half_width = 12.0 * math.sqrt(params.hbar * (n + 1) / params.r)
     qs = np.linspace(-half_width, half_width, points) * np.exp(1j * ray_angle)
     psi = wavefunctions.eigenfunction(int(basis), n, qs, params)

@@ -80,24 +80,6 @@ def delta_domain_ok(q: complex) -> bool:
     return q.real * q.real - q.imag * q.imag > 0
 
 
-@dataclass(frozen=True)
-class SmearedDelta:
-    """Smeared delta of width eps centered at a complex point."""
-
-    eps: complex
-    center: complex = 0j
-
-    def __post_init__(self):
-        if self.eps == 0:
-            raise ValueError("eps must be nonzero")
-
-    def __call__(self, q):
-        return delta_eval(np.asarray(q) - self.center, self.eps)
-
-    def domain_ok(self, q: complex) -> bool:
-        return delta_domain_ok(q - self.center)
-
-
 def delta_scale_ok(a: complex, q: complex, eps: complex
                    ) -> tuple[bool, float]:
     """Check the rescaling identity delta_eps(a q) = sign(Re a)/a * delta_{eps/a^2}(q).
@@ -172,5 +154,5 @@ def smear(f, q0: complex, eps: complex, path: ContourPath) -> complex:
         raise InvalidPathError(
             f"delta smearing needs tangent angle < pi/4, "
             f"got {path.max_tangent_angle!r}")
-    delta = SmearedDelta(eps, q0)
-    return contour_integrate(lambda q: np.asarray(f(q)) * delta(q), path)
+    return contour_integrate(
+        lambda q: np.asarray(f(q)) * delta_eval(q - q0, eps), path)

@@ -3,11 +3,11 @@
 The forward state evolves under the Hamiltonian, the backward (final-time)
 state under its metric adjoint, so level n of the forward state picks up
 exp(-i*omega*(n+1/2)*dt) while the backward state picks up the conjugate
-frequency.  The normalized matrix element between them,
-(b|O|a)/(b|a) in the metric inner product, is the weak value sampled along
-a trajectory.  Each band product conj(b_k(t)) a_l(t), |k - l| <= 1, is a
-product at the boundary times times phases (Aharonov, Albert & Vaidman,
-PRL 60 (1988) 1351), so the amplitude does not depend on t.
+frequency.  Overlaps and matrix elements between states are formed here
+alone; the weak value is (b|O|a)/(b|a) in the metric inner product.  Each
+band product conj(b_k(t)) a_l(t), |k - l| <= 1, is a product at the
+boundary times times phases (Aharonov, Albert & Vaidman, PRL 60 (1988)
+1351), so the amplitude does not depend on t.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatchError, VanishingOverlapError
-from .fock import FockRep, StateVec, _sandwich, coherent_coeffs
+from .fock import FockRep, StateVec, coherent_coeffs
 from .params import ModelParams
 
 #: Smallest overlap magnitude we are willing to divide by.
@@ -44,14 +44,17 @@ def evolve_b(b0: StateVec, dt: float, params: ModelParams) -> StateVec:
     return StateVec(b0.coeffs * level_phases(np.conj(params.omega), dt, len(b0)))
 
 
+def _frequency(which: str, params: ModelParams) -> complex:
+    """omega for an 'A' (forward) state, its conjugate for a 'B' one."""
+    if which not in ("A", "B"):
+        raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+    return params.omega if which == "A" else np.conj(params.omega)
+
+
 def coherent_lambda(lambda0: complex, dt: float, which: str,
                     params: ModelParams) -> complex:
     """Closed-form coherent label at time offset dt for an 'A' or 'B' state."""
-    if which == "A":
-        return lambda0 * np.exp(-1j * params.omega * dt)
-    if which == "B":
-        return lambda0 * np.exp(-1j * np.conj(params.omega) * dt)
-    raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+    return lambda0 * np.exp(-1j * _frequency(which, params) * dt)
 
 
 def coherent_state_at(lambda0: complex, dt: float, which: str, n_max: int,
@@ -61,14 +64,10 @@ def coherent_state_at(lambda0: complex, dt: float, which: str, n_max: int,
     Must agree with propagating the coherent coefficients level by level, up
     to the truncation tail.
     """
-    omega_i = params.omega.imag
+    omega = _frequency(which, params)
     lam_t = coherent_lambda(lambda0, dt, which, params)
-    if which == "A":
-        pref = (np.exp(-0.5j * params.omega * dt)
-                * np.exp(-0.5 * abs(lambda0) ** 2 * (1 - np.exp(2 * omega_i * dt))))
-    else:  # "B"; coherent_lambda rejected any other value
-        pref = (np.exp(-0.5j * np.conj(params.omega) * dt)
-                * np.exp(-0.5 * abs(lambda0) ** 2 * (1 - np.exp(-2 * omega_i * dt))))
+    pref = (np.exp(-0.5j * omega * dt) * np.exp(
+        -0.5 * abs(lambda0) ** 2 * (1 - np.exp(2 * omega.imag * dt))))
     return StateVec(pref * coherent_coeffs(lam_t, n_max).coeffs)
 
 
@@ -89,7 +88,9 @@ def weak_values(ops: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     two (T, n) arrays, for an operator stored as its three diagonals (see
     FockRep), shape (T,), or a stack of k of them, shape (T, k).
 
-    Each row makes the dots and the division of the one-pair case, so it
+    Each row's numerator is one matrix-vector product of the stacked
+    diagonals with the products conj(b_k) a_l at their entries (k, l), and
+    each row makes the dots and the division of the one-pair case, so it
     has the bits of ``weak_value``.  Rows are checked in order, as
     ``states_at`` and ``weak_value`` check one time after the other: the
     first row whose states are not finite raises ValueError, or whose
@@ -105,7 +106,13 @@ def weak_values(ops: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if not finite[row]:
             raise ValueError("coeffs must be finite")
         raise VanishingOverlapError(f"|overlap| = {size[row]:.3e}")
-    return _sandwich(bra, ops, a) / (denom if ops.ndim == 2 else denom[:, None])
+    pairs = np.zeros((len(a), 3, a.shape[1]), dtype=np.complex128)
+    np.multiply(bra[:, 1:], a[:, :-1], out=pairs[:, 0, :-1])
+    np.multiply(bra, a, out=pairs[:, 1])
+    np.multiply(bra[:, :-1], a[:, 1:], out=pairs[:, 2, :-1])
+    numerators = np.matmul(ops.reshape(ops.shape[:-2] + (-1,)),
+                           pairs.reshape(len(a), -1, 1))[..., 0]
+    return numerators / (denom if ops.ndim == 2 else denom[:, None])
 
 
 def weak_value(op: np.ndarray, a: StateVec,

@@ -4,7 +4,8 @@ All operators are expressed in the coefficients of the right eigenbasis of
 the Hamiltonian, normalized against the dual (left) basis.  In these
 coordinates the metric inner product is the plain Euclidean dot product, the
 ladder algebra is exact, and conjugation with respect to the metric is the
-ordinary conjugate transpose.  Each operator is stored as its diagonals.
+ordinary conjugate transpose.  Each operator is stored as its diagonals;
+the matrix elements between two states are formed in ``dynamics``.
 """
 
 from __future__ import annotations
@@ -113,20 +114,6 @@ def build(params: ModelParams, n_max: int) -> FockRep:
         q_herm=half_turn * q_op, p_herm=p_op / half_turn,
         h_herm=(h + h_adj) / 2, h_anti=(h - h_adj) / 2,
     )
-
-
-def _sandwich(bra: np.ndarray, op: np.ndarray, ket: np.ndarray):
-    """bra @ A @ ket for an operator A stored as in FockRep, or one value
-    per operator of a stack of them, as one dot product each; for the rows
-    of two (T, n) arrays, a leading axis of T results, each row one
-    matrix-vector product (or dot) with the bits of the one-row case."""
-    # bra[i] ket[j] for each stored entry (i, j), laid out as A is
-    pairs = np.zeros(ket.shape[:-1] + (3, ket.shape[-1]), dtype=np.complex128)
-    np.multiply(bra[..., 1:], ket[..., :-1], out=pairs[..., 0, :-1])
-    np.multiply(bra, ket, out=pairs[..., 1, :])
-    np.multiply(bra[..., :-1], ket[..., 1:], out=pairs[..., 2, :-1])
-    columns = pairs.reshape(pairs.shape[:-2] + (-1, 1))
-    return np.matmul(op.reshape(op.shape[:-2] + (-1,)), columns)[..., 0]
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import level_phases
+from .dynamics import level_phases, overlaps, weak_values
 from .errors import LengthMismatchError, VanishingOverlapError
-from .fock import FockRep, StateVec, _sandwich
+from .fock import FockRep, StateVec
 from .params import ModelParams
 
 #: Relative Im(omega) size below which the spectrum counts as real.
@@ -47,13 +47,12 @@ def amplitudes(a: np.ndarray, b: np.ndarray, duration: float,
                params: ModelParams) -> np.ndarray:
     """Transition amplitudes of the row pairs of two (pairs, n) arrays.
 
-    Row i gives sum_n conj(b_in) a_in exp(-i*omega*(n+1/2)*T), computed by
-    one stacked matmul that makes the same BLAS dot per row as
-    ``np.vdot(b[i], kernel * a[i])``, so every entry has the bits of the
-    one-pair computation.
+    Row i gives sum_n conj(b_in) a_in exp(-i*omega*(n+1/2)*T), the overlap
+    of b[i] with the kernel image of a[i]: ``dynamics.overlaps``, which has
+    the bits of ``np.vdot(b[i], kernel * a[i])`` and rejects rows that are
+    not all finite.
     """
-    weighted = level_phases(params.omega, duration, a.shape[1]) * a
-    return np.matmul(np.conj(b)[:, None, :], weighted[:, :, None])[:, 0, 0]
+    return overlaps(level_phases(params.omega, duration, a.shape[1]) * a, b)
 
 
 def unit_pairs(seed: int, pairs: int, n: int) -> np.ndarray:
@@ -253,17 +252,15 @@ def max_weak_values(result: MaximizationResult, rep: FockRep
                     ) -> tuple[complex, complex, complex]:
     """Weak values of q_herm, p_herm and h_herm between the maximizers.
 
-    The backward state is transported to the initial time through the
-    kernel, scaled as in ``maximize`` (the ratios do not see the scale),
-    before forming the normalized matrix elements.  For a
-    non-degenerate converged result both coordinate values vanish and the
+    ``dynamics.weak_values`` between a and b*conj(K): b transported to the
+    initial time through the kernel K, scaled as in ``maximize`` (the
+    ratios do not see the scale).  The overlap has modulus |K a| > 0.  For
+    a non-degenerate converged result both coordinate values vanish and the
     energy value is the level-zero entry of h_herm; in the degenerate case
     the values are still returned but carry no such guarantee.
     """
     kernel = _scaled_kernel(rep.params, result.duration, result.a.coeffs.size)
-    bra = np.conj(result.b.coeffs) * kernel
-    denom = bra @ result.a.coeffs
-    if abs(denom) <= 1e-300:
-        raise ZeroDivisionError("maximizer overlap vanished")
     ops = np.array([rep.q_herm, rep.p_herm, rep.h_herm])
-    return tuple(map(complex, _sandwich(bra, ops, result.a.coeffs) / denom))
+    values = weak_values(ops, result.a.coeffs[None],
+                         (result.b.coeffs * np.conj(kernel))[None])
+    return tuple(map(complex, values[0]))

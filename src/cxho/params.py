@@ -255,6 +255,16 @@ def derived(params: ModelParams) -> DerivedScales:
     )
 
 
+def check_length_scale(params: ModelParams) -> None:
+    """ValueError naming hbar and m*omega unless hbar/|m*omega|, which every
+    default width is built from, is a positive finite double."""
+    scale = params.hbar / params.r
+    if not 0 < scale < math.inf:
+        raise ValueError(f"the length scale hbar/|m*omega| leaves the double "
+                         f"range: hbar = {params.hbar!r} and |m*omega| = "
+                         f"{params.r!r} give {scale!r}")
+
+
 def regulated_momega(momega: complex, eps: float, eps_prime: float
                      ) -> tuple[complex, complex]:
     """The two regulator-shifted m*omega products (basis 1, basis 2).

@@ -115,15 +115,14 @@ def eigenfunction(basis: int, n: int, q, params: ModelParams):
     return vals if np.ndim(q) else complex(vals)
 
 
-def _resolve_regulators(params: ModelParams, eps, eps_prime) -> tuple[float, float]:
+def _regulated_basis(basis: int, params: ModelParams, eps, eps_prime):
+    """(alpha, beta, C, m*omega, +-eps', 1 - eps*eps') of a regulated basis:
+    basis 1 has alpha, beta = mw1, mw2, and basis 2 is its conjugate partner
+    (alpha and beta swapped) with eps' negated."""
     eps = params.eps if eps is None else float(eps)
     eps_prime = params.eps_prime if eps_prime is None else float(eps_prime)
     if eps < 0 or eps_prime < 0 or eps * eps_prime >= 1:
         raise ValueError(f"invalid regulators ({eps!r}, {eps_prime!r})")
-    return eps, eps_prime
-
-
-def _regulated_data(params: ModelParams, eps: float, eps_prime: float):
     mw = params.momega
     mw1, mw2 = regulated_momega(mw, eps, eps_prime)
     if mw1.real <= 0 or mw2.real <= 0:
@@ -133,9 +132,15 @@ def _regulated_data(params: ModelParams, eps: float, eps_prime: float):
     if mw.real <= eps_prime or (eps > 0 and mw.real >= 1.0 / eps):
         raise ConvergenceViolatedError(
             f"need eps' < Re(m*omega) < 1/eps, got Re = {mw.real:.6g}")
-    c = (mw * (1 - eps * eps_prime)
+    shrink = 1 - eps * eps_prime
+    c = (mw * shrink
          / (math.pi * params.hbar * (1 - mw * mw * eps * eps))) ** 0.25
-    return mw1, mw2, c
+    if basis == 1:
+        return mw1, mw2, c, mw, eps_prime, shrink
+    if basis == 2:
+        return (np.conj(mw2), np.conj(mw1), np.conj(c), np.conj(mw),
+                -eps_prime, shrink)
+    raise ValueError(f"basis must be 1 or 2, got {basis!r}")
 
 
 def ground_regulated(basis: int, q, params: ModelParams,
@@ -147,14 +152,7 @@ def ground_regulated(basis: int, q, params: ModelParams,
     two ground states equal one.  Regulators default to the ones stored in
     ``params``; pass 0 explicitly for the regulator-free forms.
     """
-    eps, eps_prime = _resolve_regulators(params, eps, eps_prime)
-    mw1, mw2, c = _regulated_data(params, eps, eps_prime)
-    if basis == 1:
-        alpha, pref = mw1, c
-    elif basis == 2:
-        alpha, pref = np.conj(mw2), np.conj(c)
-    else:
-        raise ValueError(f"basis must be 1 or 2, got {basis!r}")
+    alpha, _, pref, *_ = _regulated_basis(basis, params, eps, eps_prime)
     q_arr = np.asarray(q, dtype=np.complex128)
     vals = pref * np.exp(-0.5 * alpha / params.hbar * q_arr**2)
     return vals if np.ndim(q) else complex(vals)
@@ -171,20 +169,10 @@ def excited_regulated(basis: int, n: int, params: ModelParams,
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    eps, eps_prime = _resolve_regulators(params, eps, eps_prime)
-    mw1, mw2, c = _regulated_data(params, eps, eps_prime)
-    hbar, mw = params.hbar, params.momega
-    if basis == 1:
-        alpha, beta = mw1, mw2
-        step = np.sqrt(mw / (2 * hbar)) * (1 + eps_prime / mw) / math.sqrt(1 - eps * eps_prime)
-        pref = c
-    elif basis == 2:
-        alpha, beta = np.conj(mw2), np.conj(mw1)
-        mwc = np.conj(mw)
-        step = np.sqrt(mwc / (2 * hbar)) * (1 - eps_prime / mwc) / math.sqrt(1 - eps * eps_prime)
-        pref = np.conj(c)
-    else:
-        raise ValueError(f"basis must be 1 or 2, got {basis!r}")
+    alpha, beta, pref, mw, shift, shrink = _regulated_basis(
+        basis, params, eps, eps_prime)
+    hbar = params.hbar
+    step = np.sqrt(mw / (2 * hbar)) * (1 + shift / mw) / math.sqrt(shrink)
 
     # (q - (hbar/beta) d/dq) maps p(q) e^{-alpha q^2/(2 hbar)} to
     # [(1 + alpha/beta) q p - (hbar/beta) p'] e^{-alpha q^2/(2 hbar)}

@@ -1,19 +1,26 @@
 """Shared test helpers: dense matrices of banded operators, the dense
 operator construction they are checked against, the all-node cross
-matrix, a parameter strategy over the closed parallelogram, and the
-recursive JSON writer the CLI's one-pass writer is checked against."""
+matrix, a parameter strategy over the closed parallelogram, the recursive
+JSON writer the CLI's one-pass writer is checked against, and the former
+per-branch forms of the weak-value, amplitude, coherent and regulated
+routes, which the merged routes must match bit for bit."""
 
 import cmath
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from cxho._kernels import hermite_table
 from cxho.contour import rotated_path
-from cxho.params import validate
+from cxho.dynamics import level_phases
+from cxho.errors import ConvergenceViolatedError
+from cxho.fock import StateVec, coherent_coeffs
+from cxho.maximize import _scaled_kernel
+from cxho.params import regulated_momega, validate
 
 PI = math.pi
 
@@ -73,6 +80,118 @@ def cross_gram_all_nodes(params, n_max):
     magnitude = np.abs(scale) * ((np.abs(table) * np.abs(envelope))
                                  @ np.abs(table).T)
     return gram, magnitude
+
+
+def assert_same_outcome(route, oracle):
+    """``route()`` raises what ``oracle()`` raises, type and text, or
+    returns an array equal to the oracle's."""
+    try:
+        expected = oracle()
+    except Exception as exc:
+        with pytest.raises(type(exc)) as raised:
+            route()
+        assert str(raised.value) == str(exc)
+        return
+    np.testing.assert_array_equal(route(), expected)
+
+
+def amplitudes_matmul(a, b, duration, params):
+    """``maximize.amplitudes`` as one explicit stacked matmul (oracle)."""
+    weighted = level_phases(params.omega, duration, a.shape[1]) * a
+    return np.matmul(np.conj(b)[:, None, :], weighted[:, :, None])[:, 0, 0]
+
+
+def sandwich(bra, op, ket):
+    """bra @ A @ ket for an operator A stored as in FockRep, or one value
+    per operator of a stack of them, as one matrix-vector product over the
+    stored entries (the former ``fock._sandwich``)."""
+    pairs = np.zeros(ket.shape[:-1] + (3, ket.shape[-1]), dtype=np.complex128)
+    np.multiply(bra[..., 1:], ket[..., :-1], out=pairs[..., 0, :-1])
+    np.multiply(bra, ket, out=pairs[..., 1, :])
+    np.multiply(bra[..., :-1], ket[..., 1:], out=pairs[..., 2, :-1])
+    columns = pairs.reshape(pairs.shape[:-2] + (-1, 1))
+    return np.matmul(op.reshape(op.shape[:-2] + (-1,)), columns)[..., 0]
+
+
+def max_weak_values_bra(result, rep):
+    """``maximize.max_weak_values`` from the transported bra, its overlap
+    and one ``sandwich`` (oracle)."""
+    kernel = _scaled_kernel(rep.params, result.duration, result.a.coeffs.size)
+    bra = np.conj(result.b.coeffs) * kernel
+    denom = bra @ result.a.coeffs
+    if abs(denom) <= 1e-300:
+        raise ZeroDivisionError("maximizer overlap vanished")
+    ops = np.array([rep.q_herm, rep.p_herm, rep.h_herm])
+    return tuple(map(complex, sandwich(bra, ops, result.a.coeffs) / denom))
+
+
+def coherent_lambda_branches(lambda0, dt, which, params):
+    """``dynamics.coherent_lambda`` with one formula per state (oracle)."""
+    if which == "A":
+        return lambda0 * np.exp(-1j * params.omega * dt)
+    if which == "B":
+        return lambda0 * np.exp(-1j * np.conj(params.omega) * dt)
+    raise ValueError(f"which must be 'A' or 'B', got {which!r}")
+
+
+def coherent_state_at_branches(lambda0, dt, which, n_max, params):
+    """``dynamics.coherent_state_at`` with one formula per state (oracle)."""
+    omega_i = params.omega.imag
+    lam_t = coherent_lambda_branches(lambda0, dt, which, params)
+    if which == "A":
+        pref = (np.exp(-0.5j * params.omega * dt) * np.exp(
+            -0.5 * abs(lambda0) ** 2 * (1 - np.exp(2 * omega_i * dt))))
+    else:
+        pref = (np.exp(-0.5j * np.conj(params.omega) * dt) * np.exp(
+            -0.5 * abs(lambda0) ** 2 * (1 - np.exp(-2 * omega_i * dt))))
+    return StateVec(pref * coherent_coeffs(lam_t, n_max).coeffs)
+
+
+def regulated_branches(basis, params, eps=None, eps_prime=None):
+    """(alpha, beta, C, ladder step) of the regulated forms, one branch per
+    basis, basis 2's step with 1 - eps'/conj(m*omega) (oracle)."""
+    eps = params.eps if eps is None else float(eps)
+    eps_prime = params.eps_prime if eps_prime is None else float(eps_prime)
+    if eps < 0 or eps_prime < 0 or eps * eps_prime >= 1:
+        raise ValueError(f"invalid regulators ({eps!r}, {eps_prime!r})")
+    hbar, mw = params.hbar, params.momega
+    mw1, mw2 = regulated_momega(mw, eps, eps_prime)
+    if mw1.real <= 0 or mw2.real <= 0:
+        raise ConvergenceViolatedError(
+            f"need Re of both shifted m*omega products > 0, got "
+            f"{mw1.real:.6g} and {mw2.real:.6g}")
+    if mw.real <= eps_prime or (eps > 0 and mw.real >= 1.0 / eps):
+        raise ConvergenceViolatedError(
+            f"need eps' < Re(m*omega) < 1/eps, got Re = {mw.real:.6g}")
+    c = (mw * (1 - eps * eps_prime)
+         / (math.pi * hbar * (1 - mw * mw * eps * eps))) ** 0.25
+    if basis == 1:
+        step = (np.sqrt(mw / (2 * hbar)) * (1 + eps_prime / mw)
+                / math.sqrt(1 - eps * eps_prime))
+        return mw1, mw2, c, step
+    if basis == 2:
+        mwc = np.conj(mw)
+        step = (np.sqrt(mwc / (2 * hbar)) * (1 - eps_prime / mwc)
+                / math.sqrt(1 - eps * eps_prime))
+        return np.conj(mw2), np.conj(mw1), np.conj(c), step
+    raise ValueError(f"basis must be 1 or 2, got {basis!r}")
+
+
+def excited_regulated_branches(basis, n, params, eps=None, eps_prime=None):
+    """Polynomial coefficients and Gaussian scale of
+    ``wavefunctions.excited_regulated`` from ``regulated_branches``
+    (oracle)."""
+    alpha, beta, pref, step = regulated_branches(basis, params, eps, eps_prime)
+    hbar = params.hbar
+    poly = np.array([1.0 + 0j])
+    grow = 1.0 + alpha / beta
+    for _ in range(n):
+        shifted = np.concatenate(([0j], grow * poly))
+        deriv = poly[1:] * np.arange(1, poly.size)
+        shifted[:deriv.size] -= (hbar / beta) * deriv
+        poly = shifted
+    scale = pref * step**n * math.exp(-0.5 * math.lgamma(n + 1.0))
+    return scale * poly, alpha / hbar
 
 
 @st.composite

@@ -927,6 +927,37 @@ def test_numeric_overflow_is_one_error_line(args):
     assert f" {args[1][2:]} = " in line
 
 
+@pytest.mark.parametrize("args", [
+    # hbar/|m*omega| underflows to 0
+    ["verify", "--m", "1e100+1e99i", "--hbar", "1e-100", "--omega",
+     "5.403023058681397e+149-8.4147098480789648e+149i", "--nmax", "2",
+     "--eps", "1e-9", "--eps-prime", "1e-9"],
+    # hbar/|m*omega| overflows to inf
+    ["verify", "--hbar", "1e300", "--m", "1e-10+0i", "--omega", "1e-10",
+     "--nmax", "2"],
+    ["wavefunction", "--hbar", "1e300", "--m", "1e-10+0i", "--omega",
+     "1e-10", "--points", "3"],
+], ids=" ".join)
+def test_extreme_length_scale_is_one_error_line(args):
+    # -W error turns a warning before the line into a traceback
+    out = _fresh_process("-W", "error", "-m", "cxho.cli", *args)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    [line] = out.stderr.decode().splitlines()
+    assert line.startswith("error: the length scale hbar/|m*omega| leaves "
+                           "the double range: hbar = ")
+    assert " and |m*omega| = " in line
+
+
+def test_explicit_width_needs_no_length_scale(runner):
+    # the scale is checked where a default width is built from it
+    result = runner.invoke(main, ["wavefunction", "--hbar", "1e300", "--m",
+                                  "1e-10+0i", "--omega", "1e-10", "--points",
+                                  "3", "--half-width", "1"])
+    assert result.exit_code == 0, result.output
+    assert len(result.stdout.splitlines()) == 4
+
+
 @pytest.mark.parametrize("error, line", [
     (MemoryError(), "error: MemoryError\n"),
     (MemoryError("grid too large"), "error: MemoryError: grid too large\n"),

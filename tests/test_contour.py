@@ -8,7 +8,6 @@ import pytest
 from cxho import contour
 from cxho.contour import (
     ContourPath,
-    SmearedDelta,
     contour_integrate,
     delta_domain_ok,
     delta_eval,
@@ -30,6 +29,10 @@ SQRT_PI = math.sqrt(PI)
 
 
 class TestDeltaEval:
+    def test_zero_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps must be nonzero"):
+            delta_eval(0.0, 0.0)
+
     def test_peak_value(self):
         # sqrt(1/(4 pi eps)) at eps = 0.01
         assert delta_eval(0.0, 0.01) == pytest.approx(
@@ -250,14 +253,14 @@ class TestSmear:
         with pytest.raises(InvalidPathError):
             smear(lambda q: q, 0.0, 1e-3, path)
 
-
-class TestSmearedDelta:
-    def test_callable_and_domain(self):
-        d = SmearedDelta(0.01, center=1.0)
-        assert d(1.0) == pytest.approx(delta_eval(0.0, 0.01))
-        assert d.domain_ok(2.0)
-        assert not d.domain_ok(1.0 + 0.5j)
+    def test_delta_is_centered_at_q0(self):
+        # f vanishes at every node but q0, where the delta takes its peak
+        # value: the integrand is f(q) * delta_eval(q - q0, eps)
+        path = rotated_path(0.0, 1.0, 3)
+        q0 = path.nodes[2]
+        val = smear(lambda q: (q == q0).astype(float), q0, 0.01, path)
+        assert val == path.direction * path.weights[2] * delta_eval(0.0, 0.01)
 
     def test_zero_eps_rejected(self):
-        with pytest.raises(ValueError):
-            SmearedDelta(0.0)
+        with pytest.raises(ValueError, match="eps must be nonzero"):
+            smear(lambda q: q, 0.0, 0.0, rotated_path(0.0, 1.0, 32))

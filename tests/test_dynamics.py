@@ -7,7 +7,8 @@ import mpmath
 
 import numpy as np
 import pytest
-from helpers import bands, dense, normalizable_params
+from helpers import (assert_same_outcome, bands, coherent_lambda_branches,
+                     coherent_state_at_branches, dense, normalizable_params)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,26 @@ class TestCoherentStateAt:
             propagated = evolver(coherent_coeffs(1.0, 40), 1.0, params_damped)
             np.testing.assert_allclose(closed.coeffs, propagated.coeffs,
                                        rtol=0, atol=1e-10)
+
+
+class TestCoherentBranches:
+    """One formula on omega (A) or its conjugate (B) has the bits of the
+    former formula per state."""
+
+    @given(params=normalizable_params(), n=st.sampled_from([2, 8, 32]),
+           which=st.sampled_from("AB"),
+           lambda0=st.complex_numbers(max_magnitude=3.0),
+           dt=st.floats(-3.0, 3.0))
+    def test_match_former_branches(self, params, n, which, lambda0, dt):
+        args = lambda0, dt, which, params
+        assert_same_outcome(lambda: coherent_lambda(*args),
+                            lambda: coherent_lambda_branches(*args))
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", CoherentTailWarning)
+            assert_same_outcome(
+                lambda: coherent_state_at(lambda0, dt, which, n, params).coeffs,
+                lambda: coherent_state_at_branches(lambda0, dt, which, n,
+                                                   params).coeffs)
 
 
 class TestWeakValue:

@@ -2,11 +2,12 @@
 
 Every name a cxho module imports is used in that module: a stdlib-``ast``
 stand-in for a linter's unused-import rule, so that a deletion cannot leave
-an import behind.  ``__init__.py`` is skipped: its import is the package's
-attribute ``BACKEND``, read from outside.
+an import behind.  No cxho module imports an underscore name from another:
+what two modules share is public in one of them.
 
-A fresh process loads only the modules its command uses: ``import
-cxho.cli`` loads ``params`` and ``errors`` but none of the numeric modules.
+A fresh process loads only the modules its command uses: ``import cxho``
+loads no submodule and not numpy, and ``import cxho.cli`` loads ``params``
+and ``errors`` but none of the numeric modules.
 """
 
 import ast
@@ -19,8 +20,7 @@ import pytest
 
 import cxho
 
-MODULES = sorted(p for p in Path(cxho.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = sorted(Path(cxho.__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +37,19 @@ def unused_imports(source: str) -> list[str]:
     loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items()
             if name not in loaded]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names that ``source`` imports from a cxho module (a
+    submodule imported from the package, ``from . import _kernels``, is
+    not a name of another module)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.level or node.module.split(".")[0] == "cxho"):
+            found += [f"{alias.name} (line {node.lineno})"
+                      for alias in node.names if alias.name.startswith("_")]
+    return found
 
 
 def test_modules_found():
@@ -57,21 +70,45 @@ def test_detects_a_leftover_import():
     assert unused_imports(source) == ["math (line 1)", "DEFAULT_NODES (line 2)"]
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_import_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_detects_a_private_import():
+    source = ("from .fock import FockRep, _sandwich\n"
+              "from cxho.contour import _legendre_rule\n"
+              "from . import _kernels\nfrom ._kernels import hermite_table\n"
+              "from __future__ import annotations\nfrom os import _exit\n")
+    assert private_imports(source) == ["_sandwich (line 1)",
+                                       "_legendre_rule (line 2)"]
+
+
 #: What ``import cxho.cli`` loads of the package.
-CLI_MODULES = {"cxho", "cxho._kernels", "cxho.cli", "cxho.errors", "cxho.params"}
+CLI_MODULES = {"cxho", "cxho.cli", "cxho.errors", "cxho.params"}
 
 
-def cxho_imports(*args: str) -> set[str]:
-    """cxho modules that ``python -X importtime *args`` imports in a new
-    process, with this tree on its path."""
+def imported(*args: str) -> set[str]:
+    """Modules that ``python -X importtime *args`` imports in a new process,
+    with this tree on its path."""
     src = str(Path(cxho.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-X", "importtime", *args],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
     assert out.returncode == 0, out.stderr
-    names = {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
-             if line.startswith("import time:") and "|" in line}
-    return {name for name in names if name.split(".")[0] == "cxho"}
+    return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def cxho_imports(*args: str) -> set[str]:
+    """cxho modules that ``imported(*args)`` finds."""
+    return {name for name in imported(*args) if name.split(".")[0] == "cxho"}
+
+
+def test_package_import_loads_no_submodule_nor_numpy():
+    names = imported("-c", "import cxho; cxho.BACKEND")
+    assert {name for name in names if name.split(".")[0] in ("cxho", "numpy")} \
+        == {"cxho"}
 
 
 def test_cli_import_loads_no_numeric_module():
@@ -85,4 +122,4 @@ def test_phase_diagram_loads_no_numeric_module():
 
 def test_submodule_import_by_name():
     assert cxho_imports("-c", "import cxho; from cxho import fock; fock.build") \
-        == {"cxho", "cxho._kernels", "cxho.errors", "cxho.params", "cxho.fock"}
+        == {"cxho", "cxho.errors", "cxho.params", "cxho.fock"}

@@ -1,10 +1,11 @@
 import numpy as np
 
+import cxho
 from cxho import _kernels
 
 
 def test_backend_reported():
-    assert _kernels.BACKEND == "numpy"
+    assert cxho.BACKEND == "numpy"
 
 
 def test_hermite_table_low_orders():

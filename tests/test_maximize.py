@@ -1,9 +1,12 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from helpers import (amplitudes_matmul, assert_same_outcome,
+                     max_weak_values_bra, normalizable_params)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -97,6 +100,25 @@ class TestAmplitudes:
         assert np.hypot(amps.real, amps.imag).tolist() == [
             abs(amplitude(StateVec(a[i]), StateVec(b[i]), duration, params))
             for i in range(pairs)]
+
+
+class TestFormerForms:
+    """``amplitudes`` and ``max_weak_values`` go through ``dynamics``'
+    overlaps and weak values; their former forms must have the same bits."""
+
+    @given(params=normalizable_params(), n=st.sampled_from([2, 8, 32]),
+           duration=st.floats(0.1, 20.0), seed=st.integers(0, 2**16))
+    def test_match_former_forms(self, params, n, duration, seed):
+        units = mx.unit_pairs(seed, 16, n)
+        a, b = units[:, 0], units[:, 1]
+        assert_same_outcome(lambda: amplitudes(a, b, duration, params),
+                            lambda: amplitudes_matmul(a, b, duration, params))
+        rep = build(params, n)
+        result = maximize(duration, params, n, seed=seed)
+        drawn = dataclasses.replace(result, a=StateVec(a[0]), b=StateVec(b[0]))
+        for res in (result, drawn):
+            assert_same_outcome(lambda: max_weak_values(res, rep),
+                                lambda: max_weak_values_bra(res, rep))
 
 
 class TestAnalyticMax:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cxho.params import (
     THEORIES,
     Potential,
     Theory,
+    check_length_scale,
     classify_grid,
     classify_phase,
     derived,
@@ -229,6 +231,20 @@ class TestDerived:
             assert d.m_herm * d.omega_herm == pytest.approx(p.r_m * p.r_omega,
                                                             rel=1e-12)
             assert d.m_eff == pytest.approx(p.r_m * cmath.exp(-1j * p.theta_omega))
+
+
+class TestCheckLengthScale:
+    @pytest.mark.parametrize("hbar, m", [(1.0, 1.0), (1e-320, 1.0),
+                                         (1e300, 1e-8), (1e-300, 1e8)])
+    def test_scale_in_range_passes(self, hbar, m):
+        check_length_scale(validate(m, 1.0, hbar=hbar))
+
+    @pytest.mark.parametrize("hbar, m, scale", [(1e-100, 1e250, "0.0"),
+                                                (1e300, 1e-10, "inf")])
+    def test_scale_out_of_range_names_hbar_and_momega(self, hbar, m, scale):
+        with pytest.raises(ValueError, match=re.escape(
+                f"hbar = {hbar!r} and |m*omega| = {float(m)!r} give {scale}")):
+            check_length_scale(validate(m, 1.0, hbar=hbar))
 
 
 class TestEigenvalue:

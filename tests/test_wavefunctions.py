@@ -31,7 +31,9 @@ from cxho.wavefunctions import (
     hermite,
     parity_blocks,
 )
-from helpers import cross_gram_all_nodes, normalizable_params
+from helpers import (assert_same_outcome, cross_gram_all_nodes,
+                     excited_regulated_branches, normalizable_params,
+                     regulated_branches)
 
 PI = math.pi
 
@@ -179,6 +181,33 @@ class TestGroundRegulated:
         with pytest.raises(ConvergenceViolatedError):
             # Re(m*omega) above 1/eps
             ground_regulated(1, 0.0, validate(3.0, 1.0), eps=0.4, eps_prime=1e-3)
+
+
+class TestRegulatedBranches:
+    """The regulated forms read basis 2 as the conjugate partner of basis 1
+    with eps' negated; they must have the bits of the former branches."""
+
+    @given(params=normalizable_params(), n=st.sampled_from([2, 8, 32]),
+           basis=st.sampled_from([1, 2]),
+           eps=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 0.6)),
+           eps_prime=st.one_of(st.none(), st.just(0.0), st.floats(0.0, 0.6)))
+    def test_match_former_branches(self, params, n, basis, eps, eps_prime):
+        q = np.linspace(-2.0, 2.0, 9) * cmath.exp(-0.25j * params.theta)
+
+        def ground_oracle():
+            alpha, _, pref, _ = regulated_branches(basis, params, eps,
+                                                   eps_prime)
+            return pref * np.exp(-0.5 * alpha / params.hbar * q**2)
+
+        def excited():
+            gp = excited_regulated(basis, n, params, eps, eps_prime)
+            return np.r_[gp.poly_coeffs, gp.gauss_scale]
+
+        assert_same_outcome(
+            lambda: ground_regulated(basis, q, params, eps, eps_prime),
+            ground_oracle)
+        assert_same_outcome(excited, lambda: np.r_[excited_regulated_branches(
+            basis, n, params, eps, eps_prime)])
 
 
 class TestExcitedRegulated:
