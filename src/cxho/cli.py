@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import CxhoError
 from .params import (POTENTIAL_TABLE, THEORIES, ModelParams, PhaseGrid,
-                     check_length_scale, phase_grid, validate)
+                     check_energy_scale, check_length_scale, phase_grid,
+                     validate)
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -73,14 +74,24 @@ COMPLEX = ComplexParam()
 _fmt = "%.17g".__mod__
 
 
+def _float_text(x) -> str:
+    """``_fmt`` of a finite float; JSON has no token for nan or inf."""
+    if not math.isfinite(x):
+        raise ValueError(f"a report cannot hold the non-finite number {x!r}")
+    return _fmt(x)
+
+
 def _complex_text(z) -> str:
+    if not cmath.isfinite(z):
+        raise ValueError(f"a report cannot hold the non-finite number {z!r}")
     return '{"re": %.17g, "im": %.17g}' % (z.real, z.imag)
 
 
 #: Leaf texts by type; the exact type is looked up first, then its bases.
 _LEAF_TEXT = {type(None): lambda _: "null", bool: ("false", "true").__getitem__,
-              int: int.__repr__, np.integer: lambda i: str(int(i)), float: _fmt,
-              np.float64: _fmt, np.floating: _fmt, complex: _complex_text,
+              int: int.__repr__, np.integer: lambda i: str(int(i)),
+              float: _float_text, np.float64: _float_text,
+              np.floating: _float_text, complex: _complex_text,
               np.complex128: _complex_text, np.complexfloating: _complex_text,
               str: json.encoder.encode_basestring_ascii}
 
@@ -96,7 +107,8 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
     A container holding a container has one item per line, indented two
     spaces a level; a list of scalars is one line.  Leaves are formatted
-    through ``_LEAF_TEXT`` (complex as ``{"re": .., "im": ..}``).  A dict is
+    through ``_LEAF_TEXT`` (complex as ``{"re": .., "im": ..}``); a nan or
+    an infinity raises ValueError, never a bare token.  A dict is
     its ``_record`` template formatted once; a list of dicts with the first
     one's keys, in order, is that template repeated and formatted once.
     """
@@ -373,7 +385,9 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     from . import dynamics, fock, maximize as mx, wavefunctions
     from .contour import rotated_path
 
+    n_dyn = 40  # levels of the dynamics checks
     check_length_scale(params)  # which every width below is built from
+    check_energy_scale(params, n_max, max(n_max, n_dyn))
     checks = []
 
     def add(name, defect, tolerance):
@@ -423,7 +437,10 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     # Gauss-Legendre panels: the chirp exp(-i Im(mw) q^2/hbar) reaches
     # 36|tan theta| rad at the ends, and each panel resolves 400 rad of it.
     mw = params.momega
-    half = 6.0 * math.sqrt(params.hbar / mw.real)
+    # 6 sqrt(hbar / Re(m omega)), from the checked length scale hbar/r:
+    # hbar / Re(m omega) itself may overflow where cos theta is small
+    half = 6.0 * math.sqrt(params.hbar / params.r) / math.sqrt(
+        math.cos(params.theta))
     panels = min(64, 1 + int(36 * abs(mw.imag) / mw.real / 400))
     rule = rotated_path(0.0, half / panels)
     centers = half / panels * np.arange(1 - panels, panels, 2)
@@ -435,7 +452,6 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
                  * wavefunctions.ground_regulated(1, q, params))
     add("ground_dual_overlap", abs(np.dot(weights, integrand) - 1.0), 1e-10)
 
-    n_dyn = 40
     rep_dyn = fock.build(params, n_dyn)
     lam_a, lam_b = 1.0, 0.6 + 0.2j
     duration, t = 4.0, 1.25

@@ -9,6 +9,13 @@ L(q) = (Re q)^2 - (Im q)^2 > 0, which is why smearing contours must keep
 their tangent within pi/4 of the horizontal.  All integrals use
 Gauss-Legendre nodes mapped onto a straight rotated segment
 q(s) = s * exp(i*angle).
+
+The Gauss-Legendre rule is built by Halley's and Newton's method on P_n
+from Tricomi's starting values (cf. Hale & Townsend, SIAM J. Sci. Comput.
+35 (2013) A652),
+on the nodes s >= 0 only, and mirrored, so it is symmetric bit for bit.
+Its nodes are as accurate as numpy's ``leggauss`` and its weights more
+accurate, and it costs a fraction of ``leggauss``' dense eigenproblem.
 """
 
 from __future__ import annotations
@@ -104,10 +111,53 @@ def delta_scale_ok(a: complex, q: complex, eps: complex
     return ok, abs(lhs - rhs)
 
 
+#: Halley sweeps from Tricomi's starting values; the pass that gives the
+#: weights corrects the nodes once more, by a Newton step.
+_HALLEY_SWEEPS = 1
+
+
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) by the three-term recurrence, written as
+    P_{j+1} = x P_j + j/(j+1) (x P_j - P_{j-1}); n >= 1."""
+    prev, cur = np.ones_like(x), x
+    for j in range(1, n):
+        nxt = x * cur
+        diff = nxt - prev
+        diff *= j / (j + 1)
+        nxt += diff
+        prev, cur = cur, nxt
+    return cur, prev
+
+
 @functools.lru_cache(maxsize=8)
 def _legendre_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per size."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], built once per size.
+
+    The n//2 nodes x > 0, and x = 0 at odd n, start from Tricomi's
+    asymptotic roots of P_n and take a Halley step on P_n, whose P_n'' the
+    Legendre equation gives.  The last pass takes a Newton step and gives
+    the weights 2/((1-x)(1+x) P_n'(x)^2) at the nodes before it, to first
+    order in the step (d log w/dx = -2x/(1-x^2) at a root).  The other
+    half is the mirror image, so x[::-1] == -x and w[::-1] == w.
+    """
+    n = n_nodes
+    half, odd = divmod(n, 2)
+    theta = (4 * np.arange(half, 0, -1) - 1) * (math.pi / (4 * n + 2))
+    x = np.concatenate((np.zeros(odd), np.cos(theta) * (
+        1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta)**2) / (384 * n**4))))
+    for sweep in range(_HALLEY_SWEEPS + 1):
+        p_n, p_prev = _legendre_pair(n, x)
+        gap = (1 - x) * (1 + x)
+        # (1 - x^2) P_n'(x), free of cancellation near a root
+        slope = n * (p_prev - x * p_n)
+        step = p_n * gap / slope
+        if sweep < _HALLEY_SWEEPS:
+            # P_n''/P_n' = (2x - n(n+1) P_n/P_n') / (1 - x^2)
+            step /= 1 - 0.5 * step * (2 * x - n * (n + 1) * step) / gap
+        last, x = x, x - step
+    w = 2 * gap / slope**2 * (1 + 2 * last * step / gap)
+    x = np.concatenate((-x[::-1][:half], x))
+    w = np.concatenate((w[::-1][:half], w))
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w

@@ -265,6 +265,18 @@ def check_length_scale(params: ModelParams) -> None:
                          f"{params.r!r} give {scale!r}")
 
 
+def check_energy_scale(params: ModelParams, n_max: int, n_levels: int) -> None:
+    """ValueError naming hbar, omega and nmax unless hbar*|omega|*(2n + 1),
+    which bounds |h + h^dagger| on the n = ``n_levels`` levels a run at
+    ``n_max`` builds, is a finite double."""
+    scale = params.hbar * params.r_omega * (2 * n_levels + 1)
+    if not scale < math.inf:
+        raise ValueError(f"the energy scale hbar*|omega| leaves the double "
+                         f"range at nmax = {n_max}: hbar = {params.hbar!r} and "
+                         f"|omega| = {params.r_omega!r} give hbar*|omega|*(2n + 1)"
+                         f" = {scale!r} on n = {n_levels} levels")
+
+
 def regulated_momega(momega: complex, eps: float, eps_prime: float
                      ) -> tuple[complex, complex]:
     """The two regulator-shifted m*omega products (basis 1, basis 2).

@@ -210,12 +210,13 @@ def _check_path_converges(momega: complex, path: ContourPath) -> None:
             f"for arg(m*omega) = {cmath.phase(momega):.6g}")
 
 
-def _finite_gram(gram: np.ndarray, n_max: int, cause: str) -> np.ndarray:
-    """``gram`` if every entry is finite, else NonFiniteSampleError naming ``cause``."""
-    if not np.isfinite(gram).all():
+def _finite_gram(values: np.ndarray, n_max: int, cause: str) -> np.ndarray:
+    """``values`` (a Gram matrix or the table it is built from) if every
+    entry is finite, else NonFiniteSampleError naming ``cause``."""
+    if not np.isfinite(values).all():
         raise NonFiniteSampleError(
             f"Gram matrix at n_max = {n_max} is not finite: {cause}")
-    return gram
+    return values
 
 
 def parity_blocks(*mats: np.ndarray) -> list[list[np.ndarray]]:
@@ -271,10 +272,11 @@ def cross_gram(params: ModelParams, n_max: int,
     Entry (m, n) integrates the analytic-in-m*omega product of the dual
     partner of level m with level n.  The default contour is the ray at
     -arg(m*omega)/2, on which the integrand is a real Gaussian, out to
-    12*sqrt(hbar*n_max/|m*omega|) on either side.  The rule must be mirror
-    symmetric: the Hermite table is built on its half s >= 0 with doubled
-    weights, and each parity block is one product on that half; entries
-    at m + n odd are exact zeros.
+    12*sqrt(hbar/|m*omega|)*sqrt(n_max) on either side.  The rule must be
+    mirror symmetric: the Hermite table is built on its half s >= 0 with
+    doubled weights, checked for overflow, normalized row by row in place
+    and each parity block is one product on that half; entries at m + n
+    odd are exact zeros.
     """
     if not params.normalizable:
         raise NotNormalizableError(
@@ -283,29 +285,34 @@ def cross_gram(params: ModelParams, n_max: int,
         raise ValidityExceededError(
             f"n_max = {n_max} >= 1/eps = {1.0 / params.eps:.6g}")
     if path is None:
-        path = rotated_path(-params.theta / 2,
-                            12.0 * math.sqrt(params.hbar * n_max / params.r))
+        # sqrt(hbar/r) first: hbar * n_max may overflow where the width does not
+        path = rotated_path(-params.theta / 2, 12.0 * math.sqrt(
+            params.hbar / params.r) * math.sqrt(n_max))
     mw, hbar = params.momega, params.hbar
     _check_path_converges(mw, path)
     nodes, weights = _mirrored_half(path)
-    if not cmath.isfinite(mw / hbar):
+    ratio = mw / hbar
+    if not cmath.isfinite(ratio):
         raise OverflowError(f"hbar = {hbar!r} overflows the node scale "
                             f"sqrt(m omega / hbar)")
-    x = np.sqrt(mw / hbar) * nodes
+    x = np.sqrt(ratio) * nodes
     envelope = weights * np.exp(-x * x) * path.direction
-    # 1/sqrt(2^n n!) through lgamma to survive large n
-    lg = np.array([math.lgamma(k + 1.0) for k in range(n_max)])
-    norms = np.exp(-0.5 * (lg + np.arange(n_max) * math.log(2.0)))
-    raw = np.zeros((n_max, n_max), dtype=np.complex128)
-    # an overflowing Hermite table is reported by _finite_gram alone
+    cause = "the Hermite polynomials overflow at the quadrature nodes"
+    # an overflow is reported by _finite_gram alone: in the table before
+    # any product, and in the products off the default ray, where x is
+    # not real and the normalized rows times exp(-x^2/2) need not stay
+    # bounded
     with np.errstate(over="ignore", invalid="ignore"):
-        table = hermite_table(n_max, x)
-        for parity, (block,) in enumerate(parity_blocks(raw)):
+        table = _finite_gram(hermite_table(n_max, x), n_max, cause)
+        # rows times 1/sqrt(2^k k!), through lgamma to survive large k
+        lg = np.array([math.lgamma(k + 1.0) for k in range(n_max)])
+        table *= np.exp(-0.5 * (lg + np.arange(n_max) * math.log(2.0)))[:, None]
+        gram = np.zeros((n_max, n_max), dtype=np.complex128)
+        for parity, (block,) in enumerate(parity_blocks(gram)):
             rows = table[parity::2]
             block[...] = (rows * envelope) @ rows.T
-        gram = np.sqrt(mw / (math.pi * hbar)) * np.outer(norms, norms) * raw
-    return _finite_gram(
-        gram, n_max, "the Hermite polynomials overflow at the quadrature nodes")
+        gram *= np.sqrt(ratio / math.pi)  # pi * hbar may overflow
+    return _finite_gram(gram, n_max, cause)
 
 
 @dataclass(frozen=True)

@@ -220,10 +220,12 @@ def json_dumps_recursive(obj, indent=0):
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite number {obj!r}")
         return format(float(obj), ".17g")
     if isinstance(obj, (complex, np.complexfloating)):
-        return (f'{{"re": {format(float(obj.real), ".17g")}, '
-                f'"im": {format(float(obj.imag), ".17g")}}}')
+        return (f'{{"re": {json_dumps_recursive(float(obj.real))}, '
+                f'"im": {json_dumps_recursive(float(obj.imag))}}}')
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):

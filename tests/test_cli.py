@@ -105,12 +105,15 @@ REFERENCE_DIGESTS = {
         "4f2dd518657e409e323a5866f2deda43cbdf05b85c978c2fc39f5c8afa2187d4",
     "wavefunction --n 3 --omega 0.9-0.3i --points 801":
         "99319b74cd35bb6bef3c2141ea24c471acd07c933c1dbed9c8fe2d76a68e4c9f",
+    # re-recorded for cxho's own Gauss-Legendre rule and the in-place cross
+    # matrix: only dual_normalization, gram_head_entry and
+    # ground_dual_overlap moved, and none changed between passed and failed
     "verify --m 1+0i --omega 0.866-0.5i --nmax 12":
-        "1224f1b0c06d9538386e7afb890529ac2effacc61102e99e91394591d7f0ce25",
+        "80a265502c1ed55bf540358dec5dd33b5763b92fd111d23436bdc71894137e3f",
     "verify --omega 1 --nmax 12":
-        "92d36a1af4fd2ed79014f7634e02a5b5ed8952c2fce108e83b3e84373289aedd",
+        "11de509e350df701bdb88e126b1d93b018e24ef410f5884e240d20284b483028",
     "verify --m 0.8+0.3i --omega 0.9-0.3i --nmax 16 --seed 7":
-        "9278a19bd2342fe6354f912cc034da64a8e9bd38026a02d1705445deac58ffbc",
+        "5389ab6dfac5bfdcf0416d8923db4145ea8354f7e64e90dc94b812ce4dc19087",
     # recorded from the one-f-string-per-cell formatter
     "phase-diagram --grid 401":
         "3b869a294c7d6de5ebecac2a86075f76aef7790fc1a2d14bdd3cde4f91aa79e3",
@@ -132,10 +135,11 @@ REFERENCE_DIGESTS = {
 }
 
 #: Reports of runs that exit 3, recorded like REFERENCE_DIGESTS; plain
-#: ``verify`` fails dual_normalization at its default nmax 32.
+#: ``verify`` fails dual_normalization at its default nmax 32 (re-recorded
+#: like the verify entries above).
 FAILING_REPORT_DIGESTS = {
     "verify":
-        "aa3d66a437d98c4763e3659d4f229c3d9cfce03b511be021078a70403c59c3f9",
+        "9d5b22ff0b3702842a008ce84ba65aef7f9e9200c39d7b54fd26edeb888edbc3",
 }
 
 
@@ -228,8 +232,9 @@ JSON_TREES = st.recursive(
 def test_json_dumps_matches_recursive_writer(tree):
     try:
         expected = json_dumps_recursive(tree)
-    except TypeError:
-        with pytest.raises(TypeError):
+    except (TypeError, ValueError) as exc:
+        # an unserializable leaf, or a nan or infinity
+        with pytest.raises(type(exc)):
             _json_dumps(tree)
         return
     assert _json_dumps(tree) == expected
@@ -947,6 +952,30 @@ def test_extreme_length_scale_is_one_error_line(args):
     assert line.startswith("error: the length scale hbar/|m*omega| leaves "
                            "the double range: hbar = ")
     assert " and |m*omega| = " in line
+
+
+@pytest.mark.parametrize("nmax", [12, None, 128])
+def test_extreme_energy_scale_is_one_error_line(nmax):
+    # hbar*|omega| is in range, h + h^dagger on verify's levels is not; the
+    # run must stop before any array work, which would write nan and inf
+    args = ["verify", "--hbar", "1e307"] + (["--nmax", str(nmax)] if nmax else [])
+    out = _fresh_process("-W", "error", "-m", "cxho.cli", *args)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    [line] = out.stderr.decode().splitlines()
+    assert line.startswith("error: the energy scale hbar*|omega| leaves the "
+                           f"double range at nmax = {nmax or 32}: hbar = 1e+307 "
+                           "and |omega| = 1.0 give ")
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, -math.inf, np.float64(math.inf), np.float32(math.nan),
+    complex(1.0, math.inf), np.complex128(complex(math.nan, 0.0))])
+def test_json_dumps_rejects_non_finite_numbers(value):
+    # JSON has no nan or inf token; a report never holds one bare
+    for tree in (value, [value], {"checks": [{"defect": value}]}):
+        with pytest.raises(ValueError, match="non-finite number"):
+            _json_dumps(tree)
 
 
 def test_explicit_width_needs_no_length_scale(runner):

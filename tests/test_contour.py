@@ -2,6 +2,7 @@ import cmath
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -150,14 +151,14 @@ class TestRotatedPath:
 
 class TestLegendreRuleCache:
     def test_one_build_per_node_count(self, monkeypatch):
-        leggauss = np.polynomial.legendre.leggauss
+        legendre_pair = contour._legendre_pair
         calls = []
 
-        def counted(deg):
-            calls.append(deg)
-            return leggauss(deg)
+        def counted(n, x):
+            calls.append(n)
+            return legendre_pair(n, x)
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        monkeypatch.setattr(contour, "_legendre_pair", counted)
         contour._legendre_rule.cache_clear()
         try:
             params = validate(1, cmath.exp(-1j * PI / 6))
@@ -165,7 +166,8 @@ class TestLegendreRuleCache:
             cross_gram(params, 12)
         finally:
             contour._legendre_rule.cache_clear()
-        assert calls == [contour.DEFAULT_NODES]
+        # one build: the Halley sweep and the pass that gives the weights
+        assert calls == [contour.DEFAULT_NODES] * (contour._HALLEY_SWEEPS + 1)
 
     def test_cached_rule_is_read_only(self):
         x, w = contour._legendre_rule(64)
@@ -178,10 +180,65 @@ class TestLegendreRuleCache:
         first = rotated_path(0.0, 2.0, 64)
         first.nodes[:] = 0.0
         first.weights[:] = 0.0
-        x, w = np.polynomial.legendre.leggauss(64)
+        x, w = contour._legendre_rule(64)
         second = rotated_path(0.0, 2.0, 64)
         np.testing.assert_array_equal(second.nodes, 2.0 * x)
         np.testing.assert_array_equal(second.weights, 2.0 * w)
+
+
+def mp_gauss_legendre(n, x0):
+    """The node of the n-point Gauss-Legendre rule next to x0 and its
+    weight 2/((1 - x^2) P_n'(x)^2), by Newton's method on mpmath's P_n at
+    40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(x0)
+        for _ in range(4):
+            p_n, p_prev = mp.legendre(n, x), mp.legendre(n - 1, x)
+            # (1 - x^2) P_n'(x) = n (P_{n-1}(x) - x P_n(x))
+            slope = n * (p_prev - x * p_n)
+            x -= p_n * (1 - x * x) / slope
+        slope = n * (mp.legendre(n - 1, x) - x * mp.legendre(n, x))
+        return x, 2 * (1 - x * x) / slope**2
+
+
+def assert_rule_matches_mpmath(n, indices):
+    """Nodes within 2.3e-16 and weights within 1e-11 relative of the
+    40-digit rule, at the given indices of the n-point rule."""
+    x, w = contour._legendre_rule(n)
+    for i in indices:
+        node, weight = mp_gauss_legendre(n, x[i])
+        assert abs(float(node - x[i])) <= 2.3e-16, (n, i)
+        assert abs(float((weight - w[i]) / weight)) <= 1e-11, (n, i)
+
+
+class TestLegendreRule:
+    """The rule against mpmath; each test fails on numpy's leggauss weights
+    at n = 400 or without the Halley sweep."""
+
+    def test_every_node_and_weight_up_to_64(self):
+        for n in range(1, 65):
+            assert_rule_matches_mpmath(n, range(n))
+
+    @pytest.mark.parametrize("n", [400, 401, 600, 800])
+    def test_large_rules_at_both_ends_and_inside(self, n):
+        # the ends, where leggauss' weights are least accurate, the middle
+        # and a few nodes between
+        assert_rule_matches_mpmath(
+            n, [0, 1, n // 7, n // 2 - 1, n // 2, n // 2 + 1, 3 * n // 4,
+                n - 2, n - 1])
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64, 65, 400, 401])
+    def test_exact_on_even_powers_and_mirror_symmetric(self, n):
+        x, w = contour._legendre_rule(n)
+        assert (x[::-1] == -x).all() and (w[::-1] == w).all()
+        assert (np.diff(x) > 0).all() and (w > 0).all()
+        assert -1 < x[0] and x[-1] < 1
+        # x^(2k), k < n, has degree <= 2n - 2: exact up to the rounding of
+        # an n-term recurrence
+        for k in range(n):
+            exact = 2 / (2 * k + 1)
+            value = math.fsum((w * x ** (2 * k)).tolist())
+            assert abs(value - exact) <= n * 2.0**-52 * exact, (n, k)
 
 
 class TestContourIntegrate:

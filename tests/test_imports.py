@@ -123,3 +123,10 @@ def test_phase_diagram_loads_no_numeric_module():
 def test_submodule_import_by_name():
     assert cxho_imports("-c", "import cxho; from cxho import fock; fock.build") \
         == {"cxho", "cxho.errors", "cxho.params", "cxho.fock"}
+
+
+def test_verify_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rule is built here, not by numpy's leggauss
+    loaded = imported("-m", "cxho.cli", "verify", "--nmax", "4")
+    assert {name for name in loaded
+            if name.split(".")[:2] == ["numpy", "polynomial"]} == set()

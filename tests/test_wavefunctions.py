@@ -322,6 +322,22 @@ class TestCrossGram:
         with pytest.raises(NonFiniteSampleError, match="n_max = 128.*Hermite"):
             cross_gram(p, 128)
 
+    def test_hermite_overflow_raised_before_any_product(self, monkeypatch):
+        # the table is checked before the parity-block products are formed
+        called = []
+        monkeypatch.setattr(wavefunctions, "parity_blocks",
+                            lambda *mats: called.append(mats) or [])
+        p = validate(0.8 + 0.3j, 0.9 - 0.3j)
+        with pytest.raises(NonFiniteSampleError, match="n_max = 128.*Hermite"):
+            cross_gram(p, 128)
+        assert called == []
+
+    def test_default_width_at_extreme_hbar(self):
+        # hbar * n_max and pi * hbar overflow; 12 sqrt(hbar/r) sqrt(n_max)
+        # and sqrt(m omega / hbar / pi) do not
+        p = validate(1, 1, hbar=1e308)
+        assert np.abs(cross_gram(p, 12) - np.eye(12)).max() < 1e-14
+
     def test_asymmetric_rule_raises(self, params_tilted):
         # the half-node sum holds only on a rule that mirrors exactly
         good = rotated_path(-params_tilted.theta / 2, 30.0, 8)
