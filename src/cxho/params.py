@@ -277,6 +277,24 @@ def check_energy_scale(params: ModelParams, n_max: int, n_levels: int) -> None:
                          f" = {scale!r} on n = {n_levels} levels")
 
 
+def check_square_scales(params: ModelParams, n_max: int, n_levels: int) -> None:
+    """ValueError naming hbar, m*omega and nmax unless hbar*|m*omega|*(2n + 1),
+    which bounds the momentum squares p_herm^2 on the n = ``n_levels``
+    levels a run at ``n_max`` builds, and 36*hbar/Re(m*omega), the square
+    of verify's ground-overlap half-width 6*sqrt(hbar/Re(m*omega)), are
+    finite doubles.  The second is not checked where Re(m*omega) <= 0,
+    which fails as not normalizable."""
+    momentum = params.hbar * params.r * (2 * n_levels + 1)
+    length = (36 * (params.hbar / params.momega.real) if params.normalizable
+              else 0.0)
+    if not (momentum < math.inf and length < math.inf):
+        raise ValueError(f"the momentum and length squares leave the double "
+                         f"range at nmax = {n_max}: hbar = {params.hbar!r} and "
+                         f"m*omega = {params.momega!r} give hbar*|m*omega|*"
+                         f"(2n + 1) = {momentum!r} on n = {n_levels} levels and "
+                         f"36*hbar/Re(m*omega) = {length!r}")
+
+
 def regulated_momega(momega: complex, eps: float, eps_prime: float
                      ) -> tuple[complex, complex]:
     """The two regulator-shifted m*omega products (basis 1, basis 2).

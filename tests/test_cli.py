@@ -242,10 +242,22 @@ def test_json_dumps_matches_recursive_writer(tree):
         assert _json_dumps(tree, indent) == json_dumps_recursive(tree, indent)
 
 
-# text cells: a constant, an empty one and ones a %-format would read
-CSV_TEXT_CELLS = ["ok", "", "100%", "%s%%d"]
+# text cells: a constant, an empty one, ones a %-format would read, evolve's
+# status for a vanishing overlap and one that is not ASCII
+CSV_TEXT_CELLS = ["ok", "", "100%", "%s%%d", "vanishing_overlap",
+                  "\u03bb\u00e9\U0001d53b"]
+
+# 1000000000000000.25 is a decimal tie at 17 digits (half to even gives
+# ...0.2); 1e-07 is 9.99...95e-08, below the power of ten its log10 names
+FORMAT_EDGES = [1000000000000000.25, 1e-07, 0.01, -2.5e-05, 0.0, 3.14]
 
 
+# rows in several chunks, every column kind, the edges in every chunk
+@example(pool=FORMAT_EDGES, picks=list(range(6)) * 160, step=1,
+         kinds=list(range(5 + len(CSV_TEXT_CELLS))))
+# evolve's rows where the overlap vanishes: one float column, the rest text
+@example(pool=FORMAT_EDGES[:2], picks=[0, 1, 1], step=1,
+         kinds=[6] * 12 + [9])
 @given(pool=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
                      min_size=1, max_size=6),
        picks=st.lists(st.integers(0, 5), max_size=60),
@@ -264,8 +276,52 @@ def test_csv_table_matches_per_row_join(pool, picks, step, kinds):
     header = [f"c{i}%" for i in range(len(columns))]
     cells = [[c] * floats[0].size if isinstance(c, str)
              else [f"{v:.17g}" for v in c.tolist()] for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    assert _csv_table(header, columns) == "\n".join(lines) + "\n"
+    lines = [",".join(header), *map(",".join, zip(*cells)), ""]
+    # lines, so that a failure is reported without a diff of the texts
+    assert "".join(_csv_table(header, columns)).split("\n") == lines
+
+
+def _float_of_bits(bits: int) -> float:
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@st.composite
+def decimal_ties(draw):
+    """x with x*10^s exactly halfway between two 17-digit integers:
+    q/2^(s + 1) with q odd, q*5^s in [2*10^16, 2*10^17) and q < 2^53."""
+    s = draw(st.integers(1, 23))
+    low = -(-2 * 10 ** 16 // 5 ** s)
+    high = min((2 * 10 ** 17 - 1) // 5 ** s, 2 ** 53 - 1)
+    q = 2 * draw(st.integers(low // 2, (high - 1) // 2)) + 1
+    return draw(st.sampled_from([1, -1])) * q / 2 ** (s + 1)
+
+
+@st.composite
+def next_to_powers_of_ten(draw):
+    """10^k, 1e-12 <= 10^k <= 1e17, or one ulp either side of it."""
+    x = float(f"1e{draw(st.integers(-12, 17))}")
+    return draw(st.sampled_from([x, math.nextafter(x, 0.0),
+                                 math.nextafter(x, math.inf)]))
+
+
+FORMAT_CASES = (
+    st.integers(0, 2 ** 64 - 1).map(_float_of_bits)
+    | decimal_ties()
+    # the doubles nearest 18-digit decimals that end in 5
+    | st.builds(lambda digits, k: float(f"{digits}5e-{k}"),
+                st.integers(10 ** 16, 10 ** 17 - 1), st.integers(1, 40))
+    | next_to_powers_of_ten()
+    # 2^51 <= x < 2^52 needs no shift, and the formatter stops at 2^52
+    | st.integers(2 ** 52, 2 ** 54).map(lambda i: i / 2)
+    | st.sampled_from(SPECIAL_FLOATS))
+
+
+@example(values=FORMAT_EDGES + [1e-11, math.nextafter(1e-11, 1.0),
+                                2.0 ** 52, math.nextafter(2.0 ** 52, 0.0)])
+@given(values=st.lists(FORMAT_CASES, min_size=1, max_size=30))
+def test_csv_cells_match_per_value_format(values):
+    lines = "".join(_csv_table(["x"], [np.array(values)])).splitlines()
+    assert lines[1:] == [f"{v:.17g}" for v in values]
 
 
 def _phase_text_per_row(grid, fmt: str) -> str:
@@ -966,6 +1022,27 @@ def test_extreme_energy_scale_is_one_error_line(nmax):
     assert line.startswith("error: the energy scale hbar*|omega| leaves the "
                            f"double range at nmax = {nmax or 32}: hbar = 1e+307 "
                            "and |omega| = 1.0 give ")
+
+
+@pytest.mark.parametrize("args, square", [
+    # p_herm^2 ~ hbar*|m*omega|*(n + 1/2) in herm_split_defect
+    (["--m", "100", "--hbar", "3e305", "--nmax", "12"],
+     "hbar*|m*omega|*(2n + 1) = inf on n = 40 levels"),
+    # q^2 at the ground overlaps' half-width 6*sqrt(hbar/Re(m*omega))
+    (["--m", "0.01", "--hbar", "1e305", "--nmax", "2"],
+     "36*hbar/Re(m*omega) = inf"),
+], ids=["momentum", "length"])
+def test_extreme_square_scale_is_one_error_line(args, square):
+    # -W error turns a warning before the line into a traceback
+    out = _fresh_process("-W", "error", "-m", "cxho.cli", "verify", *args)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    [line] = out.stderr.decode().splitlines()
+    assert line.startswith("error: the momentum and length squares leave the "
+                           f"double range at nmax = {args[-1]}: hbar = "
+                           f"{float(args[3])!r} and m*omega = "
+                           f"{complex(float(args[1]))!r} give ")
+    assert square in line
 
 
 @pytest.mark.parametrize("value", [

@@ -130,3 +130,11 @@ def test_verify_loads_no_numpy_polynomial():
     loaded = imported("-m", "cxho.cli", "verify", "--nmax", "4")
     assert {name for name in loaded
             if name.split(".")[:2] == ["numpy", "polynomial"]} == set()
+
+
+def test_evolve_loads_only_its_numeric_modules():
+    # its CSV writer is numpy arithmetic alone: np.unique without
+    # return_inverse, say, would load numpy.ma on its first call
+    loaded = imported("-m", "cxho.cli", "evolve", "--steps", "2000")
+    assert loaded - imported("-c", "import cxho.cli") == {
+        "cxho.dynamics", "cxho.fock", "runpy"}
