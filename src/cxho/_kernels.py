@@ -1,9 +1,9 @@
 """Hot numeric kernels, vectorized with numpy over the nodes.
 
-The module stays separate because the benchmark harness in ``perfbench``
-reads it: ``kernel_times`` times the two kernels through this module, and
-``tracing.LAYERS`` traces it as the ``kernels`` layer.  ``cxho.BACKEND``,
-which every run's provenance records, names this implementation.
+No cxho module calls ``poly_gauss_eval``.  The module stays separate
+because the benchmark harness in ``perfbench`` reads it: ``kernel_times``
+times both kernels through it, and ``tracing.LAYERS`` traces it as the
+``kernels`` layer.  ``cxho.BACKEND`` names this implementation.
 """
 
 from __future__ import annotations

@@ -427,8 +427,9 @@ def _load_config(ctx: click.Context, param: click.Parameter,
     """Load a JSON config file into ``ctx.default_map``.
 
     Keys are parameter or flag names, dashes or underscores alike; a null
-    leaves the default and flags given explicitly win.  Unknown keys, a
-    repeated key and two keys naming one parameter are rejected.
+    leaves the default and flags given explicitly win; any other value but
+    a string is read from its JSON text, as a flag would be.  Unknown keys,
+    a repeated key and two keys naming one parameter are rejected.
     """
     if path is None:
         return
@@ -455,8 +456,9 @@ def _load_config(ctx: click.Context, param: click.Parameter,
                          f"both set {option.name!r}")
         key_of[option.name] = key
         if raw is not None:
+            text = raw if isinstance(raw, str) else json.dumps(raw)
             try:
-                default_map[option.name] = option.type.convert(raw, option, ctx)
+                default_map[option.name] = option.type.convert(text, option, ctx)
             except click.BadParameter as exc:
                 _fail_config(f"config field {key!r}: {exc}")
     ctx.default_map = default_map

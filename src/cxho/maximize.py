@@ -155,13 +155,20 @@ def maximize(duration: float, params: ModelParams, n_max: int,
     the states do, and the vanishing of the coordinate weak values needs
     the states themselves.)  ``iterations`` counts sweeps and
     ``max_iters`` caps them; ``converged=False`` flags hitting the cap,
-    and the result is still returned.  A start whose norm is 0 or overflows
-    raises ValueError; one whose image under the scaled kernel has norm 0
-    in double precision raises VanishingOverlapError.
+    and the result is still returned.  An exponent omega*(n_max - 1/2)*T
+    or a start norm that overflows, or a start norm of 0, raises
+    ValueError; a start whose image under the scaled kernel has norm 0 in
+    double precision raises VanishingOverlapError.
     """
     _check_duration(duration)
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
+    exponent = params.omega * (n_max - 0.5) * duration
+    if not np.isfinite(exponent):
+        raise ValueError(f"the kernel exponent omega*(nmax - 1/2)*T leaves the "
+                         f"double range: T = {duration!r}, omega = "
+                         f"{params.omega!r} and nmax = {n_max} give "
+                         f"{exponent!r}")
     kernel = _scaled_kernel(params, duration, n_max)
     scale = _level0_scale(params, duration)
 
@@ -196,8 +203,9 @@ def maximize(duration: float, params: ModelParams, n_max: int,
     # log |D_n|^2 shifted so that the top level a carries has log-weight
     # exactly 0; a level a does not carry stays empty (weight 0)
     carried = a_vec != 0
-    log_weights = np.where(
-        carried, 2.0 * duration * params.omega.imag * np.arange(n_max), -np.inf)
+    with np.errstate(over="ignore"):  # an exponent of -inf is weight 0
+        log_weights = np.where(carried, 2.0 * duration * params.omega.imag
+                               * np.arange(n_max), -np.inf)
     top = int(np.argmax(log_weights))
     log_weights -= log_weights[top]
 

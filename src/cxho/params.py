@@ -58,6 +58,9 @@ POTENTIAL_TABLE = {
                  4: Potential.HO, 5: Potential.HO},
 }
 
+#: Unit a of the frame change t -> a*t that gives Re(a*m) > 0, per theory.
+FRAME_FACTOR = {Theory.UTT: 1 + 0j, Theory.ITT: -1j, Theory.FTT: -1 + 0j}
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -172,55 +175,13 @@ def validate(m: complex, omega: complex, hbar: float = 1.0,
 
 
 def classify_phase(theta_m: float, theta_omega: float) -> PhaseClassification:
-    """Classify a point of the (theta_m, theta_omega) plane.
-
-    The theory label follows the sign of Re(m): UTT for theta_m in
-    [0, pi/2), ITT on the line theta_m = pi/2, FTT for (pi/2, pi].  The
-    region index 1..5 follows s = theta_m + 2*theta_omega through
-    {0}, (-pi/2, 0), {-pi/2}, (-pi, -pi/2), {-pi}; the boundary lines own
-    their labels.  Raises OutOfDomainError outside the parallelogram or for
-    a NaN angle.
-    """
-    # both tests are written so that a NaN angle fails them
-    if not -ANGLE_TOL <= theta_m <= math.pi + ANGLE_TOL:
-        raise OutOfDomainError(f"theta_m = {theta_m:.6g} outside [0, pi]")
-    s = theta_m + 2 * theta_omega
-    if not -math.pi - 2 * ANGLE_TOL <= s <= 2 * ANGLE_TOL:
-        raise OutOfDomainError(
-            f"theta_m + 2*theta_omega = {s:.6g} outside [-pi, 0]")
-
-    if abs(s) <= ANGLE_TOL:
-        region = 1
-    elif abs(s + math.pi / 2) <= ANGLE_TOL:
-        region = 3
-    elif abs(s + math.pi) <= ANGLE_TOL:
-        region = 5
-    elif s > -math.pi / 2:
-        region = 2
-    else:
-        region = 4
-
-    if abs(theta_m - math.pi / 2) <= ANGLE_TOL:
-        theory = Theory.ITT
-        frame_factor = -1j
-    elif theta_m < math.pi / 2:
-        theory = Theory.UTT
-        frame_factor = 1 + 0j
-    else:
-        theory = Theory.FTT
-        frame_factor = -1 + 0j
-
-    theta = theta_m + theta_omega
-    normalizable = abs(theta) < math.pi / 2 - ANGLE_TOL
-    # |theta| reaches pi/2 only at the two corners (0, -pi/2) and (pi, -pi/2).
-    excluded_corner = not normalizable
-
-    return PhaseClassification(
-        theory=theory, region=region,
-        potential=POTENTIAL_TABLE[theory][region],
-        excluded_corner=excluded_corner, normalizable=normalizable,
-        frame_factor=frame_factor,
-    )
+    """:func:`classify_grid` at one point, with the theory's frame factor."""
+    grid = classify_grid(theta_m, theta_omega)
+    theory = THEORIES[grid.theory]
+    return PhaseClassification(theory, int(grid.region),
+                               POTENTIALS[grid.potential],
+                               bool(grid.excluded_corner),
+                               bool(grid.normalizable), FRAME_FACTOR[theory])
 
 
 def new_frame(params: ModelParams) -> tuple[complex, complex, complex]:
@@ -349,11 +310,13 @@ _POTENTIAL_CODE = np.array(
 
 
 def classify_grid(theta_m, theta_omega) -> PhaseGrid:
-    """Vectorized :func:`classify_phase` over broadcast arrays of angles.
+    """Classify the points of broadcast arrays of (theta_m, theta_omega).
 
-    Applies the same tests in the same floating-point order, so every point
-    gets the labels the scalar function gives it.  Raises OutOfDomainError
-    if any point lies outside the parallelogram or has a NaN angle.
+    The theory follows the sign of Re(m): UTT for theta_m in [0, pi/2), ITT
+    on the line pi/2, FTT for (pi/2, pi].  The region 1..5 follows
+    s = theta_m + 2*theta_omega through {0}, (-pi/2, 0), {-pi/2},
+    (-pi, -pi/2), {-pi}; boundary lines own their labels.  Raises
+    OutOfDomainError if a point is outside the parallelogram or NaN.
     """
     theta_m, theta_omega = np.broadcast_arrays(
         np.asarray(theta_m, dtype=float), np.asarray(theta_omega, dtype=float))

@@ -1,8 +1,9 @@
 """Position-space wavefunctions and the Gram/metric matrices of the mode basis.
 
-Level wavefunctions are Hermite polynomials times a complex Gaussian, with
-the complex product m*omega entering everywhere a real frequency would in
-the textbook oscillator.  Overlaps between the two bases are analytic in
+Level wavefunctions, with or without the regulators, are Hermite
+polynomials times a complex Gaussian, all evaluated by ``_hermite_level``;
+the complex product m*omega enters everywhere a real frequency would in the
+textbook oscillator.  Overlaps between the two bases are analytic in
 m*omega and are computed on a contour rotated by -arg(m*omega)/2, which
 maps the integrand onto a real Gaussian.  Same-basis overlaps involve both
 m*omega and its conjugate; they depend on theta = arg(m*omega) alone and
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import hermite_table, poly_gauss_eval
+from ._kernels import hermite_table
 from .contour import ContourPath, rotated_path
 from .errors import (
     ConvergenceViolatedError,
@@ -47,27 +48,23 @@ def hermite(n: int, z):
     return complex(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
 
 
-@dataclass(frozen=True)
-class GaussPoly:
-    """Polynomial times Gaussian: p(q - shift) * exp(-gauss_scale*(q-shift)^2/2)."""
-
-    poly_coeffs: np.ndarray
-    gauss_scale: complex
-    shift: complex = 0j
-
-    def __post_init__(self):
-        c = np.array(self.poly_coeffs, dtype=np.complex128)
-        c.flags.writeable = False
-        object.__setattr__(self, "poly_coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return self.poly_coeffs.size - 1
-
-    def __call__(self, q):
-        q_arr = np.atleast_1d(np.asarray(q, dtype=np.complex128)).ravel()
-        vals = poly_gauss_eval(self.poly_coeffs, self.gauss_scale, self.shift, q_arr)
-        return complex(vals[0]) if np.ndim(q) == 0 else vals.reshape(np.shape(q))
+def _hermite_level(n: int, q, pref, mu, alpha, hbar: float):
+    """pref/sqrt(2^n n!) * H_n(mu*q) * exp(-alpha*q^2/(2 hbar)) at q, a
+    scalar or an array; NonFiniteSampleError where a sample is not finite,
+    naming H_n or the Gaussian."""
+    pref = pref * math.exp(-0.5 * (math.lgamma(n + 1.0) + n * math.log(2.0)))
+    q_arr = np.asarray(q, dtype=np.complex128)
+    # an overflow is reported below, not as RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = hermite(n, mu * q_arr)
+        vals = pref * poly * np.exp(-0.5 * alpha / hbar * q_arr**2)
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        factor = "H_n" if not np.isfinite(poly).all() else "the Gaussian"
+        raise NonFiniteSampleError(
+            f"level n = {n} is not finite at {bad} of {vals.size} samples: "
+            f"{factor} overflows there")
+    return vals if np.ndim(q) else complex(vals)
 
 
 def _basis_momega(basis: int, params: ModelParams) -> complex:
@@ -100,19 +97,7 @@ def eigenfunction(basis: int, n: int, q, params: ModelParams):
     except OverflowError as exc:
         raise OverflowError(f"hbar = {hbar!r} overflows the normalization "
                             f"(m omega / (pi hbar))**0.25") from exc
-    pref = norm * math.exp(-0.5 * (math.lgamma(n + 1.0) + n * math.log(2.0)))
-    q_arr = np.asarray(q, dtype=np.complex128)
-    # an overflow is reported below, not as RuntimeWarnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        poly = hermite(n, scale * q_arr)
-        vals = pref * poly * np.exp(-0.5 * mw / hbar * q_arr**2)
-    bad = np.count_nonzero(~np.isfinite(vals))
-    if bad:
-        factor = "H_n" if not np.isfinite(poly).all() else "the Gaussian"
-        raise NonFiniteSampleError(
-            f"level n = {n} is not finite at {bad} of {vals.size} samples: "
-            f"{factor} overflows there")
-    return vals if np.ndim(q) else complex(vals)
+    return _hermite_level(n, q, norm, scale, mw, hbar)
 
 
 def _regulated_basis(basis: int, params: ModelParams, eps, eps_prime):
@@ -158,14 +143,14 @@ def ground_regulated(basis: int, q, params: ModelParams,
     return vals if np.ndim(q) else complex(vals)
 
 
-def excited_regulated(basis: int, n: int, params: ModelParams,
-                      eps: float | None = None,
-                      eps_prime: float | None = None) -> GaussPoly:
-    """Finite-regulator level-n wavefunction as an exact GaussPoly.
+def excited_regulated(basis: int, n: int, q, params: ModelParams,
+                      eps: float | None = None, eps_prime: float | None = None):
+    """Finite-regulator level-n wavefunction at q, a scalar or an array.
 
-    The ladder differential operator (q - (hbar/beta) d/dq) is applied n
-    times through a polynomial-coefficient recurrence, never by numerical
-    differentiation.
+    The ladder (1 + alpha/beta) q - (hbar/beta) d/dq maps lambda^k H_k(mu q)
+    to lambda^(k+1) H_(k+1)(mu q), mu = sqrt((alpha + beta)/(2 hbar)),
+    lambda = hbar*mu/beta: the level is H_n(mu q) times the ground state,
+    scaled.  Raises NonFiniteSampleError where a sample is not finite.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -173,18 +158,9 @@ def excited_regulated(basis: int, n: int, params: ModelParams,
         basis, params, eps, eps_prime)
     hbar = params.hbar
     step = np.sqrt(mw / (2 * hbar)) * (1 + shift / mw) / math.sqrt(shrink)
-
-    # (q - (hbar/beta) d/dq) maps p(q) e^{-alpha q^2/(2 hbar)} to
-    # [(1 + alpha/beta) q p - (hbar/beta) p'] e^{-alpha q^2/(2 hbar)}
-    poly = np.array([1.0 + 0j])
-    grow = 1.0 + alpha / beta
-    for _ in range(n):
-        shifted = np.concatenate(([0j], grow * poly))
-        deriv = poly[1:] * np.arange(1, poly.size)
-        shifted[:deriv.size] -= (hbar / beta) * deriv
-        poly = shifted
-    scale = pref * step**n * math.exp(-0.5 * math.lgamma(n + 1.0))
-    return GaussPoly(poly_coeffs=scale * poly, gauss_scale=alpha / hbar)
+    mu = np.sqrt((alpha + beta) / (2 * hbar))
+    gain = math.sqrt(2) * step * hbar * mu / beta
+    return _hermite_level(n, q, pref * gain**n, mu, alpha, hbar)
 
 
 def coherent_wavefunction(basis: int, lam: complex, q, params: ModelParams):

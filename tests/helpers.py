@@ -1,14 +1,17 @@
 """Shared test helpers: dense matrices of banded operators, the dense
 operator construction they are checked against, the all-node cross
 matrix, a parameter strategy over the closed parallelogram, the recursive
-JSON writer the CLI's one-pass writer is checked against, and the former
+JSON writer the CLI's one-pass writer is checked against, the former
 per-branch forms of the weak-value, amplitude, coherent and regulated
-routes, which the merged routes must match bit for bit."""
+routes, which the merged routes must match bit for bit, the former scalar
+phase classifier, and the former monomial route of the regulated levels,
+run in mpmath."""
 
 import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume
@@ -17,10 +20,18 @@ from hypothesis import strategies as st
 from cxho._kernels import hermite_table
 from cxho.contour import rotated_path
 from cxho.dynamics import level_phases
-from cxho.errors import ConvergenceViolatedError
+from cxho.errors import ConvergenceViolatedError, OutOfDomainError
 from cxho.fock import StateVec, coherent_coeffs
 from cxho.maximize import _scaled_kernel
-from cxho.params import regulated_momega, validate
+from cxho.params import (
+    ANGLE_TOL,
+    POTENTIAL_TABLE,
+    PhaseClassification,
+    Theory,
+    regulated_momega,
+    validate,
+)
+from cxho.wavefunctions import _hermite_level
 
 PI = math.pi
 
@@ -177,21 +188,93 @@ def regulated_branches(basis, params, eps=None, eps_prime=None):
     raise ValueError(f"basis must be 1 or 2, got {basis!r}")
 
 
-def excited_regulated_branches(basis, n, params, eps=None, eps_prime=None):
-    """Polynomial coefficients and Gaussian scale of
-    ``wavefunctions.excited_regulated`` from ``regulated_branches``
-    (oracle)."""
+def excited_regulated_branches(basis, n, q, params, eps=None, eps_prime=None):
+    """``wavefunctions.excited_regulated`` on the data of
+    ``regulated_branches`` (oracle)."""
     alpha, beta, pref, step = regulated_branches(basis, params, eps, eps_prime)
     hbar = params.hbar
-    poly = np.array([1.0 + 0j])
-    grow = 1.0 + alpha / beta
-    for _ in range(n):
-        shifted = np.concatenate(([0j], grow * poly))
-        deriv = poly[1:] * np.arange(1, poly.size)
-        shifted[:deriv.size] -= (hbar / beta) * deriv
-        poly = shifted
-    scale = pref * step**n * math.exp(-0.5 * math.lgamma(n + 1.0))
-    return scale * poly, alpha / hbar
+    mu = np.sqrt((alpha + beta) / (2 * hbar))
+    gain = math.sqrt(2) * step * hbar * mu / beta
+    return _hermite_level(n, q, pref * gain**n, mu, alpha, hbar)
+
+
+def excited_regulated_ladder(basis, n, q, params, eps, eps_prime, dps=120):
+    """The regulated level n at the points q by the former monomial route,
+    in mpmath at ``dps`` digits from the doubles of ``params`` (oracle):
+    the coefficients of p -> (1 + alpha/beta) q p - (hbar/beta) p',
+    applied n times to p = 1, times C step^n/sqrt(n!) exp(-alpha q^2/2 hbar),
+    with one branch per basis as in ``regulated_branches``."""
+    with mpmath.workdps(dps):
+        hbar, mw = mpmath.mpf(params.hbar), mpmath.mpc(params.momega)
+        eps, eps_prime = mpmath.mpf(eps), mpmath.mpf(eps_prime)
+        shrink = 1 - eps * eps_prime
+        mw1 = (mw - eps_prime) / (1 - mw * eps)
+        mw2 = (mw + eps_prime) / (1 + mw * eps)
+        c = (mw * shrink / (mpmath.pi * hbar * (1 - mw * mw * eps * eps))) ** 0.25
+        if basis == 1:
+            alpha, beta = mw1, mw2
+            step = mpmath.sqrt(mw / (2 * hbar)) * (1 + eps_prime / mw)
+        else:
+            mw = mpmath.conj(mw)
+            alpha, beta, c = mpmath.conj(mw2), mpmath.conj(mw1), mpmath.conj(c)
+            step = mpmath.sqrt(mw / (2 * hbar)) * (1 - eps_prime / mw)
+        step /= mpmath.sqrt(shrink)
+        grow, drift = 1 + alpha / beta, hbar / beta
+        poly = [mpmath.mpc(1)]
+        for _ in range(n):
+            shifted = [mpmath.mpc(0)] + [grow * p for p in poly]
+            for k in range(1, len(poly)):
+                shifted[k - 1] -= drift * k * poly[k]
+            poly = shifted
+        scale = c * step**n / mpmath.sqrt(mpmath.factorial(n))
+        return np.array([complex(scale * mpmath.polyval(poly[::-1], z)
+                                 * mpmath.exp(-alpha * z * z / (2 * hbar)))
+                         for z in map(mpmath.mpc, q)])
+
+
+def classify_phase_scalar(theta_m, theta_omega):
+    """The former scalar ``params.classify_phase``, one comparison at a
+    time (oracle for ``classify_grid``)."""
+    # both tests are written so that a NaN angle fails them
+    if not -ANGLE_TOL <= theta_m <= math.pi + ANGLE_TOL:
+        raise OutOfDomainError(f"theta_m = {theta_m:.6g} outside [0, pi]")
+    s = theta_m + 2 * theta_omega
+    if not -math.pi - 2 * ANGLE_TOL <= s <= 2 * ANGLE_TOL:
+        raise OutOfDomainError(
+            f"theta_m + 2*theta_omega = {s:.6g} outside [-pi, 0]")
+
+    if abs(s) <= ANGLE_TOL:
+        region = 1
+    elif abs(s + math.pi / 2) <= ANGLE_TOL:
+        region = 3
+    elif abs(s + math.pi) <= ANGLE_TOL:
+        region = 5
+    elif s > -math.pi / 2:
+        region = 2
+    else:
+        region = 4
+
+    if abs(theta_m - math.pi / 2) <= ANGLE_TOL:
+        theory = Theory.ITT
+        frame_factor = -1j
+    elif theta_m < math.pi / 2:
+        theory = Theory.UTT
+        frame_factor = 1 + 0j
+    else:
+        theory = Theory.FTT
+        frame_factor = -1 + 0j
+
+    theta = theta_m + theta_omega
+    normalizable = abs(theta) < math.pi / 2 - ANGLE_TOL
+    # |theta| reaches pi/2 only at the two corners (0, -pi/2) and (pi, -pi/2).
+    excluded_corner = not normalizable
+
+    return PhaseClassification(
+        theory=theory, region=region,
+        potential=POTENTIAL_TABLE[theory][region],
+        excluded_corner=excluded_corner, normalizable=normalizable,
+        frame_factor=frame_factor,
+    )
 
 
 @st.composite

@@ -244,16 +244,16 @@ def test_c10_regulated_wavefunctions():
     for n in (0, 3):
         errs = []
         for eps in (1e-2, 1e-3):
-            gp = excited_regulated(1, n, params, eps=eps, eps_prime=eps)
-            errs.append(np.abs(gp(qs) - eigenfunction(1, n, qs, params)).max())
+            vals = excited_regulated(1, n, qs, params, eps=eps, eps_prime=eps)
+            errs.append(np.abs(vals - eigenfunction(1, n, qs, params)).max())
         ratio = errs[0] / errs[1]
         checks.append((f"level {n} linear regulator rate (ratio {ratio:.2f})",
                        5 < ratio < 20))
     rng = np.random.default_rng(13)
     sample = rng.normal(size=20) + 0.05j * rng.normal(size=20)
     for n in range(6):
-        gp = excited_regulated(1, n, params, eps=0, eps_prime=0)
-        rel = (np.abs(gp(sample) - eigenfunction(1, n, sample, params))
+        vals = excited_regulated(1, n, sample, params, eps=0, eps_prime=0)
+        rel = (np.abs(vals - eigenfunction(1, n, sample, params))
                / np.abs(eigenfunction(1, n, sample, params)))
         checks.append((f"regulator-free level {n}", rel.max() <= 1e-12))
     report(10, "regulated ground and excited wavefunctions", checks)

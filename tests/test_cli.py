@@ -1024,6 +1024,32 @@ def test_extreme_energy_scale_is_one_error_line(nmax):
                            "and |omega| = 1.0 give ")
 
 
+@pytest.mark.parametrize("args", [
+    ["--T", "1e307", "--nmax", "32"],
+    ["--omega", "1-0.1i", "--T", "1e308", "--nmax", "32"],
+], ids=" ".join)
+def test_extreme_kernel_exponent_is_one_error_line(args):
+    # -W error turns a warning before the line into a traceback
+    out = _fresh_process("-W", "error", "-m", "cxho.cli", "maximize", *args)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    [line] = out.stderr.decode().splitlines()
+    assert line.startswith("error: the kernel exponent omega*(nmax - 1/2)*T "
+                           "leaves the double range: T = ")
+    assert " omega = " in line and " and nmax = 32 give " in line
+
+
+def test_overflowing_log_weights_are_weight_zero_without_warnings():
+    # 2T*Im(omega)*n overflows to -inf from n = 18 on, which is weight 0;
+    # the kernel exponent itself is in range
+    out = _fresh_process("-W", "error", "-m", "cxho.cli", "maximize",
+                         "--omega", "1-1i", "--T", "5e306", "--nmax", "32")
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == b""
+    report = json.loads(out.stdout)
+    assert report["converged"] and report["ground_overlap"] == 1
+
+
 @pytest.mark.parametrize("args, square", [
     # p_herm^2 ~ hbar*|m*omega|*(n + 1/2) in herm_split_defect
     (["--m", "100", "--hbar", "3e305", "--nmax", "12"],
@@ -1206,6 +1232,21 @@ CONFIG_ERRORS = {
                      "config field 'grid' appears twice"),
     "value out of range": ("verify", '{"nmax": 1}', 2,
                            "nmax must be >= 2, got 1"),
+    # a number or boolean is read as its JSON text, as a flag would be
+    "fractional integer": ("phase-diagram", '{"grid": 2.9}', 2,
+                           "config field 'grid': '2.9' is not a valid "
+                           "integer"),
+    "boolean integer": ("maximize", '{"seed": true}', 2,
+                        "config field 'seed': 'true' is not a valid integer"),
+    "float-text integer": ("maximize", '{"nmax": 12.0}', 2,
+                           "config field 'nmax': '12.0' is not a valid "
+                           "integer"),
+    "boolean choice": ("phase-diagram", '{"format": false}', 2,
+                       "config field 'format': "),
+    "list value": ("phase-diagram", '{"grid": [2]}', 2,
+                   "config field 'grid': '[2]' is not a valid integer"),
+    "object value": ("maximize", '{"T": {"re": 1}}', 2,
+                     "config field 'T': "),
 }
 
 

@@ -3,7 +3,10 @@
 Every name a cxho module imports is used in that module: a stdlib-``ast``
 stand-in for a linter's unused-import rule, so that a deletion cannot leave
 an import behind.  No cxho module imports an underscore name from another:
-what two modules share is public in one of them.
+what two modules share is public in one of them.  No module but
+``_kernels`` names ``poly_gauss_eval``: the level wavefunctions have one
+evaluation, the scaled Hermite function, and the monomial kernel stays only
+for the benchmark harness, which times it.
 
 A fresh process loads only the modules its command uses: ``import cxho``
 loads no submodule and not numpy, and ``import cxho.cli`` loads ``params``
@@ -52,6 +55,20 @@ def private_imports(source: str) -> list[str]:
     return found
 
 
+def names_used(source: str) -> set[str]:
+    """Every identifier ``source`` refers to: names, attribute names and
+    imported names, aliases included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (*node.name.split("."), node.asname)))
+    return found
+
+
 def test_modules_found():
     assert {p.stem for p in MODULES} >= {
         "cli", "contour", "dynamics", "fock", "maximize", "params",
@@ -82,6 +99,21 @@ def test_detects_a_private_import():
               "from __future__ import annotations\nfrom os import _exit\n")
     assert private_imports(source) == ["_sandwich (line 1)",
                                        "_legendre_rule (line 2)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "_kernels"],
+                         ids=lambda p: p.name)
+def test_no_module_but_kernels_names_poly_gauss_eval(path):
+    assert "poly_gauss_eval" not in names_used(path.read_text())
+
+
+@pytest.mark.parametrize("source", [
+    "from ._kernels import poly_gauss_eval as evaluate\n",
+    "from . import _kernels\n_kernels.poly_gauss_eval(c, s, 0, q)\n",
+    "import cxho._kernels\nf = getattr(cxho, 'x') or cxho._kernels.poly_gauss_eval\n",
+])
+def test_detects_a_poly_gauss_eval_reference(source):
+    assert "poly_gauss_eval" in names_used(source)
 
 
 #: What ``import cxho.cli`` loads of the package.

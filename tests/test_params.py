@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from helpers import classify_phase_scalar
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from cxho.errors import (
 )
 from cxho.params import (
     ANGLE_TOL,
+    FRAME_FACTOR,
     POTENTIALS,
     THEORIES,
     Potential,
@@ -339,9 +341,10 @@ class TestPhaseGrid:
 
 
 def assert_matches_scalar(grid, theta_m, theta_omega):
-    """Every point of a PhaseGrid carries classify_phase's labels."""
+    """Every point of a PhaseGrid carries the labels of the former scalar
+    classifier."""
     for k, (tm, tw) in enumerate(zip(theta_m, theta_omega)):
-        c = classify_phase(tm, tw)
+        c = classify_phase_scalar(tm, tw)
         got = (THEORIES[grid.theory[k]], int(grid.region[k]),
                POTENTIALS[grid.potential[k]], bool(grid.normalizable[k]),
                bool(grid.excluded_corner[k]))
@@ -444,7 +447,7 @@ class TestClassifyGrid:
            st.integers(0, 20))
     def test_out_of_domain_raises(self, points, bad, where):
         with pytest.raises(OutOfDomainError):
-            classify_phase(*bad)
+            classify_phase_scalar(*bad)
         points.insert(where, bad)
         theta_m, theta_omega = map(np.array, zip(*points))
         with pytest.raises(OutOfDomainError):
@@ -456,7 +459,7 @@ class TestClassifyGrid:
         (math.nan, math.nan, r"outside \[0, pi\]")])
     def test_nan_angle_raises(self, theta_m, theta_omega, failed_test):
         with pytest.raises(OutOfDomainError, match=failed_test):
-            classify_phase(theta_m, theta_omega)
+            classify_phase_scalar(theta_m, theta_omega)
         with pytest.raises(OutOfDomainError, match=failed_test):
             classify_grid(theta_m, theta_omega)
 
@@ -476,3 +479,57 @@ class TestClassifyGrid:
             assert column.shape == (2, 1)
         assert grid.excluded_corner.tolist() == [[True], [True]]
         assert classify_grid(0.0, 0.0).potential.shape == ()
+
+
+#: Offsets of the points drawn on or near a line: on it, at the tolerance
+#: edge and past it.
+LINE_OFFSETS = (0.0, ANGLE_TOL, -ANGLE_TOL, 3 * ANGLE_TOL, -3 * ANGLE_TOL)
+
+
+def _line_or_free(lines, interval):
+    """A float in the interval, or one of ``LINE_OFFSETS`` off a line."""
+    return st.one_of(st.floats(*interval), st.tuples(
+        st.sampled_from(lines), st.sampled_from(LINE_OFFSETS)).map(sum))
+
+
+@st.composite
+def line_points(draw):
+    """A point of the closed parallelogram, on or just off its edges and
+    region lines (both coordinates on lines near a corner), an exact
+    corner, or one of those with a NaN angle."""
+    point = draw(st.one_of(st.sampled_from(CORNERS), st.builds(
+        lambda theta_m, s: (theta_m, (s - theta_m) / 2),
+        _line_or_free(THETA_M_LINES, (0.0, PI)),
+        _line_or_free(S_LINES, (-PI, 0.0)))))
+    nan = draw(st.sampled_from((None, None, None, 0, 1)))
+    return point if nan is None else tuple(
+        math.nan if k == nan else x for k, x in enumerate(point))
+
+
+class TestClassifyPhaseOracle:
+    """``classify_phase`` is ``classify_grid`` at one point; it must give
+    the former scalar classifier's labels, units and error texts."""
+
+    @given(line_points())
+    def test_matches_scalar_oracle(self, point):
+        try:
+            expected = classify_phase_scalar(*point)
+        except OutOfDomainError as exc:
+            with pytest.raises(OutOfDomainError) as raised:
+                classify_phase(*point)
+            assert str(raised.value) == str(exc)
+            return
+        got = classify_phase(*point)
+        assert got == expected
+        assert type(got.region) is int and type(got.normalizable) is bool
+
+    @given(line_points())
+    def test_unit_of_each_theory(self, point):
+        try:
+            got = classify_phase(*point)
+        except OutOfDomainError:
+            return
+        assert got.frame_factor == FRAME_FACTOR[got.theory]
+        # the unit a has |a| = 1 and turns m into the right half plane
+        assert abs(got.frame_factor) == 1
+        assert (got.frame_factor * cmath.exp(1j * point[0])).real > 0

@@ -19,7 +19,6 @@ from cxho.errors import (
 from cxho import wavefunctions
 from cxho.params import validate
 from cxho.wavefunctions import (
-    GaussPoly,
     _hermitian_cond,
     _same_basis_gram,
     coherent_wavefunction,
@@ -32,8 +31,8 @@ from cxho.wavefunctions import (
     parity_blocks,
 )
 from helpers import (assert_same_outcome, cross_gram_all_nodes,
-                     excited_regulated_branches, normalizable_params,
-                     regulated_branches)
+                     excited_regulated_branches, excited_regulated_ladder,
+                     normalizable_params, regulated_branches)
 
 PI = math.pi
 
@@ -199,52 +198,88 @@ class TestRegulatedBranches:
                                                    eps_prime)
             return pref * np.exp(-0.5 * alpha / params.hbar * q**2)
 
-        def excited():
-            gp = excited_regulated(basis, n, params, eps, eps_prime)
-            return np.r_[gp.poly_coeffs, gp.gauss_scale]
-
         assert_same_outcome(
             lambda: ground_regulated(basis, q, params, eps, eps_prime),
             ground_oracle)
-        assert_same_outcome(excited, lambda: np.r_[excited_regulated_branches(
-            basis, n, params, eps, eps_prime)])
+        assert_same_outcome(
+            lambda: excited_regulated(basis, n, q, params, eps, eps_prime),
+            lambda: excited_regulated_branches(basis, n, q, params, eps,
+                                               eps_prime))
 
 
 class TestExcitedRegulated:
     def test_reduces_to_ground(self, params_tilted):
-        gp = excited_regulated(1, 0, params_tilted)
         for q in (0.0, 0.7, 1.3 - 0.1j):
-            assert gp(q) == pytest.approx(ground_regulated(1, q, params_tilted),
-                                          rel=1e-14)
+            assert excited_regulated(1, 0, q, params_tilted) == pytest.approx(
+                ground_regulated(1, q, params_tilted), rel=1e-14)
+
+    @pytest.mark.parametrize("basis", [1, 2])
+    @pytest.mark.parametrize("eps", [None, 0.0, 1e-2])
+    def test_level_zero_is_ground_bit_for_bit(self, params_tilted, basis, eps):
+        q = np.array([0.0, 0.7, -2.5, 1.3 - 0.1j])
+        assert np.array_equal(
+            excited_regulated(basis, 0, q, params_tilted, eps, eps),
+            ground_regulated(basis, q, params_tilted, eps, eps))
+        assert (excited_regulated(basis, 0, 0.7, params_tilted, eps, eps)
+                == ground_regulated(basis, 0.7, params_tilted, eps, eps))
 
     def test_regulator_free_matches_eigenfunction(self, params_tilted):
         rng = np.random.default_rng(6)
         qs = rng.normal(size=20) + 0.05j * rng.normal(size=20)
         for basis in (1, 2):
-            for n in range(6):
-                gp = excited_regulated(basis, n, params_tilted, eps=0, eps_prime=0)
+            for n in (*range(6), 40, 64, 128):
+                got = excited_regulated(basis, n, qs, params_tilted, eps=0,
+                                        eps_prime=0)
                 expected = eigenfunction(basis, n, qs, params_tilted)
-                np.testing.assert_allclose(gp(qs), expected, rtol=1e-12)
+                np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_first_level_polynomial_part(self, params_real):
         # basis 1, n = 1, regulator-free, m*omega = hbar = 1: the ladder
-        # yields 2q and the prefactor sqrt(1/2)*C, so the linear coefficient
-        # is sqrt(2)*pi^{-1/4}
-        gp = excited_regulated(1, 1, params_real, eps=0, eps_prime=0)
-        assert gp.poly_coeffs[0] == 0
-        assert gp.poly_coeffs[1] == pytest.approx(math.sqrt(2) * PI ** -0.25,
-                                                  rel=1e-14)
+        # yields 2q and the prefactor sqrt(1/2)*C, so the level is
+        # sqrt(2)*pi^{-1/4} q exp(-q^2/2)
+        qs = np.array([0.0, 0.4, -1.1, 2.0 + 0.3j])
+        got = excited_regulated(1, 1, qs, params_real, eps=0, eps_prime=0)
+        assert got[0] == 0
+        np.testing.assert_allclose(
+            got, math.sqrt(2) * PI ** -0.25 * qs * np.exp(-qs**2 / 2),
+            rtol=1e-14)
 
     def test_linear_regulator_convergence(self, params_tilted):
         # pointwise error against the regulator-free form scales like eps
         qs = np.array([0.3, 0.9, 1.4])
         errs = []
         for eps in (1e-2, 1e-3):
-            gp = excited_regulated(1, 2, params_tilted, eps=eps, eps_prime=eps)
+            vals = excited_regulated(1, 2, qs, params_tilted, eps=eps,
+                                     eps_prime=eps)
             exact = eigenfunction(1, 2, qs, params_tilted)
-            errs.append(np.abs(gp(qs) - exact).max())
+            errs.append(np.abs(vals - exact).max())
         ratio = errs[0] / errs[1]
         assert 5 < ratio < 20
+
+    @pytest.mark.parametrize("n", [40, 64, 128])
+    @pytest.mark.parametrize("basis", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 1e-3, 1e-2])
+    def test_matches_mpmath_monomial_ladder(self, n, basis, eps):
+        # the former monomial route at 120 digits, over the turning-point
+        # range; in double its alternating coefficients cancel, to an error
+        # of 5.5e-5 of max|psi| at n = 64 and 3e7 at n = 128
+        params = validate(1, 0.866 - 0.5j)
+        qs = np.linspace(-1.0, 1.0, 21) * math.sqrt((2 * n + 1) * params.hbar
+                                                    / params.r)
+        expected = excited_regulated_ladder(basis, n, qs, params, eps, eps)
+        got = excited_regulated(basis, n, qs, params, eps, eps)
+        # measured: at most 6.4e-14
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_hermite_overflow_raises_without_warnings(self):
+        params = validate(1, 0.866 - 0.5j)
+        qs = np.linspace(-1.0, 1.0, 41) * math.sqrt(401 * params.hbar / params.r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteSampleError,
+                               match="n = 200 is not finite at 2 of 41 "
+                                     "samples: H_n overflows"):
+                excited_regulated(2, 200, qs, params, 1e-2, 1e-2)
 
 
 class TestCoherentWavefunction:
@@ -638,19 +673,3 @@ class TestSameBasisGramOracles:
         assert np.all(defect <= bound)
         # measured: 1.3e-15 at 5 degrees, 1.2e-14 at 10
         assert defect.max() <= (4e-15 if abs(degrees) == 5 else 4e-14)
-
-
-class TestGaussPoly:
-    def test_call_matches_manual(self):
-        gp = GaussPoly(poly_coeffs=np.array([1.0, 0.0, 2.0]),
-                       gauss_scale=0.5 - 0.1j, shift=0.2)
-        q = 1.1 + 0.3j
-        w = q - 0.2
-        manual = (1 + 2 * w * w) * cmath.exp(-0.5 * (0.5 - 0.1j) * w * w)
-        assert gp(q) == pytest.approx(manual, rel=1e-14)
-        assert gp.degree == 2
-
-    def test_immutable_coeffs(self):
-        gp = GaussPoly(poly_coeffs=np.array([1.0]), gauss_scale=1.0)
-        with pytest.raises(ValueError):
-            gp.poly_coeffs[0] = 3.0
