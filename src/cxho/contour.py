@@ -24,7 +24,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ _EXP_MIN = -745.0
 DEFAULT_NODES = 400
 
 
-@dataclass(frozen=True)
-class ContourPath:
+class ContourPath(NamedTuple):
     """Discretized straight path in the complex plane.
 
     ``nodes`` are ordered by real part, ``weights`` are the positive

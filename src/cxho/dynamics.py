@@ -13,7 +13,7 @@ boundary times times phases (Aharonov, Albert & Vaidman, PRL 60 (1988)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -137,22 +137,25 @@ def weak_qp_closed(lambda_a_t: complex, lambda_b_t: complex,
     return complex(q), complex(p)
 
 
-@dataclass(frozen=True)
 class TwoStateSystem:
     """Boundary states at their own times, both metric-normalized."""
 
-    a0: StateVec
-    b0: StateVec
-    t_a: float
-    t_b: float
-    params: ModelParams
-    rep: FockRep
+    __slots__ = ("a0", "b0", "t_a", "t_b", "params", "rep")
 
-    def __post_init__(self):
-        for name, state in (("a0", self.a0), ("b0", self.b0)):
+    def __init__(self, a0: StateVec, b0: StateVec, t_a: float, t_b: float,
+                 params: ModelParams, rep: FockRep):
+        for name, state in (("a0", a0), ("b0", b0)):
             if abs(state.norm - 1.0) > 1e-12:
                 raise ValueError(f"{name} must be metric-normalized, "
                                  f"norm = {state.norm!r}")
+        for name, value in zip(self.__slots__, (a0, b0, t_a, t_b, params, rep)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def evolve(self, times) -> tuple[np.ndarray, np.ndarray]:
         """The forward and backward states at each of a 1-D array of
@@ -177,12 +180,13 @@ class TwoStateSystem:
         return StateVec(a[0]), StateVec(b[0])
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Amplitude and weak values along a time grid, one array per field.
 
     ``kept`` has one entry per input time and is False where the overlap
     vanishes; every other column holds only the kept samples, in input order.
+    ``len`` is the number of kept samples, so ``_replace`` does not apply
+    (as for ``params.PhaseGrid``).
     """
 
     t: np.ndarray

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,20 +28,29 @@ from .params import ModelParams, derived
 COHERENT_TAIL_BOUND = 1e-12
 
 
-@dataclass(frozen=True)
 class StateVec:
-    """Immutable coefficient vector in the mode basis."""
+    """Immutable coefficient vector in the mode basis: a read-only complex
+    copy of ``coeffs``, which must be one-dimensional and finite."""
 
-    coeffs: np.ndarray
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128)
+    def __init__(self, coeffs):
+        c = np.array(coeffs, dtype=np.complex128)
         if c.ndim != 1:
             raise ValueError("coeffs must be one-dimensional")
         if not np.isfinite(c).all():
             raise ValueError("coeffs must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"StateVec(coeffs={self.coeffs!r})"
 
     def __len__(self) -> int:
         return self.coeffs.size
@@ -54,8 +63,7 @@ class StateVec:
         return StateVec(self.coeffs / self.norm)
 
 
-@dataclass(frozen=True)
-class FockRep:
+class FockRep(NamedTuple):
     """Operators at truncation ``n_max``, each stored as its three diagonals.
 
     Each operator A is a (3, n_max) array whose row 1 + k holds

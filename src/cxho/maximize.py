@@ -15,7 +15,7 @@ iteration in which every sweep squares the contraction of the previous one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,15 +99,15 @@ def _check_duration(duration: float) -> None:
 
 def analytic_max(duration: float, params: ModelParams,
                  n_max: int) -> tuple[float, tuple[int, ...]]:
-    """Supremum of |amplitude| over unit pairs, and the levels achieving it."""
+    """Supremum of |amplitude| over unit pairs, exp(T*Im(omega)/2), and the
+    levels achieving it: all of them where ``is_degenerate`` counts the
+    spectrum as real, level zero otherwise."""
     _check_duration(duration)
-    if is_degenerate(params):
-        return 1.0, tuple(range(n_max))
-    return _level0_scale(params, duration), (0,)
+    levels = tuple(range(n_max)) if is_degenerate(params) else (0,)
+    return _level0_scale(params, duration), levels
 
 
-@dataclass(frozen=True)
-class MaximizationResult:
+class MaximizationResult(NamedTuple):
     a: StateVec
     b: StateVec
     duration: float

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ POTENTIAL_TABLE = {
 FRAME_FACTOR = {Theory.UTT: 1 + 0j, Theory.ITT: -1j, Theory.FTT: -1 + 0j}
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class ModelParams(NamedTuple):
     """Validated model parameters with cached polar data.
 
     Construct through :func:`validate`; the cached fields are trusted
@@ -90,8 +89,7 @@ class ModelParams:
         return abs(self.theta) < math.pi / 2 - ANGLE_TOL
 
 
-@dataclass(frozen=True)
-class DerivedScales:
+class DerivedScales(NamedTuple):
     """Scalar scales derived from the parameters.
 
     ``m_eff`` is the complex mass appearing once position and momentum are
@@ -108,8 +106,7 @@ class DerivedScales:
     omega_anti: float
 
 
-@dataclass(frozen=True)
-class PhaseClassification:
+class PhaseClassification(NamedTuple):
     theory: Theory
     region: int
     potential: Potential
@@ -274,13 +271,14 @@ def eigenvalue(params: ModelParams, n: int) -> complex:
     return params.hbar * params.omega * (n + 0.5)
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
+class PhaseGrid(NamedTuple):
     """Phase classification of many angle-plane points, one array per field.
 
     All columns have the shape of the classified points.  ``theory`` indexes
     :data:`THEORIES` and ``potential`` indexes :data:`POTENTIALS`; ``region``
-    holds the region numbers 1..5 themselves.
+    holds the region numbers 1..5 themselves.  ``len`` is the number of
+    points, which ``_make`` and ``_replace`` take for the field count, so
+    neither applies: build a new grid instead.
     """
 
     theta_m: np.ndarray

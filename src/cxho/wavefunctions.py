@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -291,8 +291,7 @@ def cross_gram(params: ModelParams, n_max: int,
     return _finite_gram(gram, n_max, cause)
 
 
-@dataclass(frozen=True)
-class GramMatrices:
+class GramMatrices(NamedTuple):
     """Same-basis Gram matrix S, its inverse (the metric matrix), and the
     dual-basis cross matrix, with the condition number of S.
 

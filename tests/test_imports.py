@@ -10,10 +10,14 @@ for the benchmark harness, which times it.
 
 A fresh process loads only the modules its command uses: ``import cxho``
 loads no submodule and not numpy, and ``import cxho.cli`` loads ``params``
-and ``errors`` but none of the numeric modules.
+and ``errors`` but none of the numeric modules.  Only ``evolve`` and
+``wavefunction`` load the CSV cell writer ``_csvcells``.  No cxho module
+imports ``dataclasses`` and no command loads it: the records are named
+tuples or classes with ``__slots__``, which generate no code at import.
 """
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -52,6 +56,17 @@ def private_imports(source: str) -> list[str]:
                 node.level or node.module.split(".")[0] == "cxho"):
             found += [f"{alias.name} (line {node.lineno})"
                       for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute modules that ``source`` imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
     return found
 
 
@@ -99,6 +114,20 @@ def test_detects_a_private_import():
               "from __future__ import annotations\nfrom os import _exit\n")
     assert private_imports(source) == ["_sandwich (line 1)",
                                        "_legendre_rule (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+@pytest.mark.parametrize("source", [
+    "from dataclasses import dataclass\n",
+    "import math, dataclasses as dc\n",
+    "def f():\n    import dataclasses.fields\n",
+])
+def test_detects_a_dataclasses_import(source):
+    assert "dataclasses" in imported_modules(source)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "_kernels"],
@@ -169,4 +198,27 @@ def test_evolve_loads_only_its_numeric_modules():
     # return_inverse, say, would load numpy.ma on its first call
     loaded = imported("-m", "cxho.cli", "evolve", "--steps", "2000")
     assert loaded - imported("-c", "import cxho.cli") == {
-        "cxho.dynamics", "cxho.fock", "runpy"}
+        "cxho.dynamics", "cxho.fock", "cxho._csvcells", "runpy"}
+
+
+#: A small run of each command.
+COMMANDS = {"phase-diagram": ["--grid", "2"], "verify": ["--nmax", "4"],
+            "maximize": ["--nmax", "4"], "evolve": ["--steps", "2"],
+            "wavefunction": ["--points", "3"]}
+
+
+@functools.cache
+def command_imports(command: str) -> frozenset[str]:
+    """``imported`` for a fresh process running the small run of ``command``."""
+    return frozenset(imported("-m", "cxho.cli", command, *COMMANDS[command]))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_no_dataclasses(command):
+    assert "dataclasses" not in command_imports(command)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_only_the_csv_commands_load_the_csv_writer(command):
+    assert ("cxho._csvcells" in command_imports(command)) == (
+        command in ("evolve", "wavefunction"))

@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import warnings
 
@@ -115,7 +114,7 @@ class TestFormerForms:
                             lambda: amplitudes_matmul(a, b, duration, params))
         rep = build(params, n)
         result = maximize(duration, params, n, seed=seed)
-        drawn = dataclasses.replace(result, a=StateVec(a[0]), b=StateVec(b[0]))
+        drawn = result._replace(a=StateVec(a[0]), b=StateVec(b[0]))
         for res in (result, drawn):
             assert_same_outcome(lambda: max_weak_values(res, rep),
                                 lambda: max_weak_values_bra(res, rep))
@@ -131,6 +130,21 @@ class TestAnalyticMax:
         value, levels = analytic_max(10.0, params_real, 5)
         assert value == 1.0
         assert levels == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize("omega, duration, expected", [
+        (1 - 1e-13j, 1e13, math.exp(-0.5)), (1 - 1e-300j, 1e306, 0.0)])
+    def test_degenerate_branch_keeps_the_duration(self, omega, duration,
+                                                  expected):
+        # |Im w|/|w| < DEGENERACY_RTOL counts every level as a maximizer,
+        # but the supremum is still exp(T Im w / 2), which maximize reaches
+        params = validate(1, omega)
+        value, levels = analytic_max(duration, params, 4)
+        assert levels == (0, 1, 2, 3)
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        res = maximize(duration, params, 4, seed=0)
+        assert res.degenerate and res.converged
+        assert res.analytic_max == value
+        assert res.amplitude_abs == pytest.approx(value, rel=1e-12, abs=0.0)
 
     def test_short_duration_limit(self, params_damped):
         value, _ = analytic_max(1e-12, params_damped, 4)
