@@ -27,7 +27,8 @@ import numpy as np
 from .errors import CxhoError
 from .params import (POTENTIAL_TABLE, THEORIES, ModelParams, PhaseGrid,
                      check_energy_scale, check_length_scale,
-                     check_square_scales, phase_grid, validate)
+                     check_square_scales, grid_diagonals, phase_grid,
+                     validate)
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -142,18 +143,6 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return "[\n" + ",\n".join(pad + "  " + v for v in texts) + "\n" + pad + "]"
 
 
-def _float_cells(values: np.ndarray) -> np.ndarray:
-    """Each value of a 1-D float array as its ``.17g`` text, in an object array.
-
-    Each distinct bit pattern is formatted once, so -0.0 and 0.0 (and NaN
-    payloads) keep their own texts.
-    """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = [f"{x:.17g}" for x in distinct.view(np.float64).tolist()]
-    return np.array(texts, dtype=object)[inverse]
-
-
 def _gather(pieces: np.ndarray, first: str, last: str = "") -> str:
     """``first``, the texts of an object array in row order, then ``last``.
 
@@ -168,16 +157,19 @@ def _gather(pieces: np.ndarray, first: str, last: str = "") -> str:
 def _phase_text(grid: PhaseGrid, resolution: int, fmt: str) -> str:
     """Phase-diagram rows as CSV or JSON text.
 
-    A row of the output is three pieces: a head for its grid row, which
-    holds theta_m; the theta_omega cell; and a tail for its (theory,
-    region, normalizable) class, which holds the five labels.  The class
-    key ``theory*12 + region*2 + normalizable`` gives the labels back, so a
-    tail is built once per class present, a head once per grid row and a
-    cell once per distinct theta_omega; the text is one join of them all.
+    A row of the output is two pieces: a head for its grid row, which
+    holds theta_m, and a piece for its grid diagonal d = i - j + r - 1 and
+    its (theory, region, normalizable) class, which holds theta_omega and
+    the five labels.  ``phase_grid`` gives theta_omega one value per
+    diagonal (``grid_diagonals``), so the r theta_m and 2r - 1 theta_omega
+    values are each formatted once, with no sort.  The class key
+    ``theory*12 + region*2 + normalizable`` gives the labels back, so a
+    tail is built once per class present and a piece once per (diagonal,
+    class) pair present; the text is one join of them all.
     """
     key = grid.theory * 12 + grid.region * 2 + grid.normalizable
     counts = np.bincount(key)
-    tails = np.empty(counts.size, dtype=object)
+    tails = [""] * counts.size
     for k in np.flatnonzero(counts).tolist():
         theory, rest = divmod(k, 12)
         region, normalizable = divmod(rest, 2)
@@ -200,14 +192,21 @@ def _phase_text(grid: PhaseGrid, resolution: int, fmt: str) -> str:
     else:
         first, sep, last = "[\n", ",\n", "\n]\n"
         head = '  {{\n    "theta_m": {},\n    "theta_omega": '.format
-    theta_m = _float_cells(grid.theta_m[::resolution]).tolist()
-    pieces = np.empty((resolution, resolution, 3), dtype=object)
+    theta_m = list(map(_fmt, grid.theta_m[::resolution].tolist()))
+    diagonal = grid_diagonals(resolution)
+    by_diagonal = np.empty(2 * resolution - 1)
+    by_diagonal[diagonal.ravel()] = grid.theta_omega
+    theta_omega = list(map(_fmt, by_diagonal.tolist()))
+    pair = diagonal * counts.size + key.reshape(resolution, resolution)
+    cells = np.empty(len(theta_omega) * counts.size, dtype=object)
+    for p in np.flatnonzero(np.bincount(pair.ravel())).tolist():
+        d, k = divmod(p, counts.size)
+        cells[p] = theta_omega[d] + tails[k]
+    pieces = np.empty((resolution, resolution, 2), dtype=object)
     pieces[:, :, 0] = np.array([sep + head(m) for m in theta_m],
                                dtype=object)[:, None]
     pieces[0, 0, 0] = head(theta_m[0])  # no separator before the first row
-    pieces[:, :, 1] = _float_cells(grid.theta_omega).reshape(
-        resolution, resolution)
-    pieces[:, :, 2] = tails[key].reshape(resolution, resolution)
+    pieces[:, :, 1] = cells[pair]
     return _gather(pieces, first, last)
 
 
@@ -592,9 +591,15 @@ def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
         _fail_config(f"t-a and t-b must be finite, got {t_a!r} and {t_b!r}")
     if t_b <= t_a:
         _fail_config("t-b must exceed t-a")
+    if t_b - t_a == math.inf:
+        _fail_config(f"the time window t-b - t-a overflows: t-a = {t_a!r} and "
+                     f"t-b = {t_b!r}")
     for name, label in (("lambda-a", lambda_a), ("lambda-b", lambda_b)):
         if not cmath.isfinite(label):
             _fail_config(f"{name} must be finite, got {label!r}")
+        # coherent_coeffs forms |label|^2
+        if abs(label) * abs(label) == math.inf:
+            _fail_config(f"|{name}|^2 overflows: {name} = {label!r}")
     rep = fock.build(params, nmax)
     system = dynamics.TwoStateSystem(
         fock.coherent_coeffs(lambda_a, nmax).normalized(),
@@ -649,6 +654,10 @@ def cmd_wavefunction(m, omega, hbar, eps, eps_prime, n, basis, ray_angle,
     if half_width is None:
         check_length_scale(params)
         half_width = 12.0 * math.sqrt(params.hbar * (n + 1) / params.r)
+    # np.linspace forms the span 2*half-width
+    if 2 * half_width == math.inf:
+        _fail_config(f"half-width must be at most half the largest double, "
+                     f"got {half_width!r}")
     qs = np.linspace(-half_width, half_width, points) * np.exp(1j * ray_angle)
     psi = wavefunctions.eigenfunction(int(basis), n, qs, params)
     _write_output(output, csv_table(["q_re", "q_im", "psi_re", "psi_im"],

@@ -344,20 +344,32 @@ def classify_grid(theta_m, theta_omega) -> PhaseGrid:
                      normalizable=normalizable)
 
 
+def grid_diagonals(resolution: int) -> np.ndarray:
+    """The diagonal d = i - j + r - 1, in 0..2(r - 1), of each point (i, j)
+    of :func:`phase_grid`, as an r x r array; theta_omega depends on d
+    alone."""
+    steps = np.arange(resolution)
+    return steps[:, None] - steps + (resolution - 1)
+
+
 def phase_grid(resolution: int) -> PhaseGrid:
     """Uniform grid over the closed parallelogram with classifications.
 
     Points are ordered by theta_m, then theta_omega ascending inside each
     row, and the columns are flat.  ``resolution = 2`` yields exactly the
     four corners.
+
+    Row i has theta_m = pi*i/(r - 1), and its point j the theta_omega
+    lo + (hi - lo)*j/(r - 1) between lo = -theta_m/2 - pi/2 and
+    hi = -theta_m/2, which is -(pi/2)*d/(r - 1) on the diagonal
+    d = i - j + r - 1 (:func:`grid_diagonals`).  It is computed on that
+    lattice, as (pi/2)*(-d/(r - 1)): one value per diagonal, within 2 ulp
+    of the exact angle, and exactly +0.0, -pi/2 and -pi at d = 0, r - 1
+    and 2(r - 1).
     """
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    steps = np.arange(resolution)
-    # Same operation order as the scalar formulas theta_m = pi*i/(res-1) and
-    # theta_omega = lo + (hi - lo)*j/(res-1), so every angle is bit-identical.
-    theta_m = math.pi * steps / (resolution - 1)
-    hi = -theta_m / 2
-    lo = hi - math.pi / 2
-    theta_omega = lo[:, None] + (hi - lo)[:, None] * steps / (resolution - 1)
+    theta_m = math.pi * np.arange(resolution) / (resolution - 1)
+    # -d is an integer, so d = 0 gives +0.0
+    theta_omega = math.pi / 2 * (-grid_diagonals(resolution) / (resolution - 1))
     return classify_grid(np.repeat(theta_m, resolution), theta_omega.ravel())

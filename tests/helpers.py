@@ -4,8 +4,8 @@ matrix, a parameter strategy over the closed parallelogram, the recursive
 JSON writer the CLI's one-pass writer is checked against, the former
 per-branch forms of the weak-value, amplitude, coherent and regulated
 routes, which the merged routes must match bit for bit, the former scalar
-phase classifier, and the former monomial route of the regulated levels,
-run in mpmath."""
+phase classifier and phase grid, and the former monomial route of the
+regulated levels, run in mpmath."""
 
 import cmath
 import json
@@ -27,7 +27,9 @@ from cxho.params import (
     ANGLE_TOL,
     POTENTIAL_TABLE,
     PhaseClassification,
+    PhaseGrid,
     Theory,
+    classify_grid,
     regulated_momega,
     validate,
 )
@@ -275,6 +277,18 @@ def classify_phase_scalar(theta_m, theta_omega):
         excluded_corner=excluded_corner, normalizable=normalizable,
         frame_factor=frame_factor,
     )
+
+
+def phase_grid_former(resolution: int) -> PhaseGrid:
+    """The former ``params.phase_grid``, which formed theta_omega as
+    lo + (hi - lo)*j/(r - 1) from each row's ends (oracle for the labels
+    and theta_m of the lattice grid)."""
+    steps = np.arange(resolution)
+    theta_m = math.pi * steps / (resolution - 1)
+    hi = -theta_m / 2
+    lo = hi - math.pi / 2
+    theta_omega = lo[:, None] + (hi - lo)[:, None] * steps / (resolution - 1)
+    return classify_grid(np.repeat(theta_m, resolution), theta_omega.ravel())
 
 
 @st.composite

@@ -22,8 +22,8 @@ import cxho
 from cxho import cli, dynamics, fock, maximize as mx, wavefunctions
 from cxho.contour import rotated_path
 from cxho._csvcells import csv_table
-from cxho.cli import (PHASE_HEADER, _float_cells, _json_dumps, _phase_text,
-                      main, parse_complex)
+from cxho.cli import (PHASE_HEADER, _json_dumps, _phase_text, main,
+                      parse_complex)
 from cxho.errors import CoherentTailWarning, IllConditionedWarning
 from cxho.params import POTENTIALS, THEORIES, phase_grid, validate
 
@@ -82,18 +82,21 @@ REFERENCE_DIGESTS = {
         "b3b2a960de07febf65dd4332a9db2ed2523673a2eb56c9badfa81ffddc1b40de",
     "phase-diagram --grid 3 --format json":
         "920856ca228398a50fadb61782eaef6ef0f4af38fc2b12299c2699d3e8a45341",
+    # grids 33 and up re-recorded when theta_omega moved to the exact angle
+    # lattice, one value per grid diagonal: every label and theta_m cell
+    # stayed byte for byte (grids 2 and 3 did not change at all)
     "phase-diagram --grid 33":
-        "034abeec5d3392b50805caa9006a36f28f763d22938acb8b8ab3e835c3977f6b",
+        "af95f2d9205ff089d99e047786bbfb5b8607dddccdbd063c839e1ce6c15a8244",
     "phase-diagram --grid 33 --format json":
-        "f914457dd0700eb4cca9a6f48812c4ed1864bc132ca545c8be8097cfd3330a81",
+        "c68886ea9c3b4b7f170adb810636953bab34e699b1d310c2eb28278825fefbb6",
     "phase-diagram --grid 64":
-        "73f7d9efa6e14ca3f0ea2e5c0aee638d7fab9e6549c3d05670c922da4ff3eb83",
+        "a71183463f60ce55f438c707476a109a9a1ff23668092885752151700e7fb810",
     "phase-diagram --grid 64 --format json":
-        "64cad0bc0eb3e838e5df8ef285e3041a0fdbe9b8d559ca269e96d51f0c0f9591",
+        "3d31f8b49b532c3e975c53ec6bad068d8293a620995c4e251d66d4cea4dc703b",
     "phase-diagram --grid 201":
-        "af6faae1d65ff4c08877c32413876bb35035348377686b0e1901fed87577e292",
+        "94f56973a09b73079519be064993be3da4469587904c5f0691e25241b675b783",
     "phase-diagram --grid 201 --format json":
-        "a227cfdc1e0fdc1127c47856e451a5e04dc910b2211db71b769f16726215c412",
+        "8611a8e0ddea1862e01e42032af8eba689eacd74d6dc77fa700bf07f673c9b35",
     "evolve --lambda-a 1+0i --lambda-b 1+0i --omega 1-0.1i --steps 200":
         "d01ceaec51840da2f6e7919b9015efb193c98fb34ee99d7658f823dc01bac7a0",
     "evolve --m 0.9+0.3i --omega 1.1-0.3i --lambda-a 1+0.5i --lambda-b 0.3-0.7i "
@@ -114,14 +117,16 @@ REFERENCE_DIGESTS = {
         "11de509e350df701bdb88e126b1d93b018e24ef410f5884e240d20284b483028",
     "verify --m 0.8+0.3i --omega 0.9-0.3i --nmax 16 --seed 7":
         "5389ab6dfac5bfdcf0416d8923db4145ea8354f7e64e90dc94b812ce4dc19087",
-    # recorded from the one-f-string-per-cell formatter
+    # recorded from the one-f-string-per-cell formatter, and again for the
+    # angle lattice like the grids above
     "phase-diagram --grid 401":
-        "3b869a294c7d6de5ebecac2a86075f76aef7790fc1a2d14bdd3cde4f91aa79e3",
+        "01412ab88140ba7d8a6ecb8de79a9b48a018ff26033845d2bbe0a5c8976f18fd",
     "phase-diagram --grid 101 --format json":
-        "f39fb3709b7d44d78d2d1493b13e71561de8657de810d5fca1dcf6f5bb64b342",
-    # recorded from the per-row join of three zipped columns
+        "eadaf7a36f084eb1587805d62fd557d8ea54076775a633b0fca304665bff85c8",
+    # recorded from the per-row join of three zipped columns, and again for
+    # the angle lattice
     "phase-diagram --grid 101":
-        "4333906cf53fd435f062126dae3966f6e4d776d5348f5a1fa195fb566a3fb768",
+        "e15328907a74d9e94be0537be3df90b3280968099edbcf956793f0fa7a3a2c29",
     # recorded from the recursive JSON writer: a damped, a real (degenerate),
     # a near-real (25 sweeps) and an underflowing (amplitude 0) omega
     "maximize --omega 1-0.2i --T 10":
@@ -165,20 +170,6 @@ SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
                   *np.array([0x7FF0_0000_0000_0001, -1], dtype=np.int64)
                   .view(np.float64).tolist(),
                   5e-324, -5e-324, 2.2250738585072009e-308, 1.0, -1.0]
-
-
-@given(pool=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
-                     min_size=1, max_size=6),
-       picks=st.lists(st.integers(0, 5), max_size=60),
-       step=st.integers(2, 4))
-def test_float_cells_match_per_value_format(pool, picks, step):
-    x = np.array([pool[i % len(pool)] for i in picks], dtype=np.float64)
-    z = np.empty(x.size, dtype=np.complex128)
-    z.real, z.imag = x, x[::-1]
-    for values in (x, x[::step], z.real, z.imag, z.imag[::step]):
-        cells = _float_cells(values)
-        assert cells.dtype == object
-        assert cells.tolist() == [f"{v:.17g}" for v in values.tolist()]
 
 
 class _Level(enum.IntEnum):
@@ -365,6 +356,23 @@ class TestPhaseText:
         assert len(records) == resolution ** 2
         assert all(list(record) == PHASE_HEADER for record in records)
         assert [r["theta_omega"] for r in records] == grid.theta_omega.tolist()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_lattice_needs_no_dedup_sort(self, runner, monkeypatch, fmt):
+        # theta_omega has one text per grid diagonal, found by its index
+        # and not by sorting the grid's cells
+        monkeypatch.setattr(np, "unique", _no_unique)
+        result = runner.invoke(main, ["phase-diagram", "--grid", "201",
+                                      "--format", fmt])
+        assert result.exit_code == 0, result.output
+        lines = result.output.splitlines()
+        if fmt == "csv":
+            texts = [line.split(",")[1] for line in lines[1:]]
+        else:
+            texts = [line for line in lines
+                     if line.startswith('    "theta_omega": ')]
+        assert len(texts) == 201 ** 2
+        assert len(set(texts)) == 2 * 201 - 1
 
     def test_json_text_peak_memory(self):
         # the pieces and their cells, not copies of the whole text
@@ -883,12 +891,14 @@ def _evolve_text_per_cell(args: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_csv_commands_format_in_one_pass(runner, monkeypatch):
-    # evolve and wavefunction never fall back to per-cell formatting
-    def per_cell(values):
-        raise AssertionError("per-cell formatting")
+def _no_unique(*args, **kwargs):
+    raise AssertionError("np.unique: a sort of every cell")
 
-    monkeypatch.setattr(cli, "_float_cells", per_cell)
+
+def test_csv_commands_format_in_one_pass(runner, monkeypatch):
+    # evolve and wavefunction never sort their cells to format each
+    # distinct value once
+    monkeypatch.setattr(np, "unique", _no_unique)
     for args in (["evolve", "--steps", "3"],
                  ["evolve", "--omega", "1-200i", "--steps", "3"],
                  ["wavefunction", "--points", "3"]):
@@ -985,6 +995,57 @@ def test_numeric_overflow_is_one_error_line(args):
     assert line.startswith("error: OverflowError: ")
     # the line names the parameter the overflow comes from, and its value
     assert f" {args[1][2:]} = " in line
+
+
+#: sqrt of the largest double: the largest |label| whose square is finite
+_LABEL_MAX = math.sqrt(sys.float_info.max)
+
+
+OVERFLOWING_SPANS = [
+    # t-b - t-a overflows, which linspace would turn into nan times
+    (["evolve", "--steps", "3", "--t-a", "-1e308", "--t-b", "1e308"],
+     "error: the time window t-b - t-a overflows: t-a = -1e+308 and "
+     "t-b = 1e+308"),
+    # abs(label) ** 2 in fock.coherent_coeffs
+    (["evolve", "--steps", "3", "--lambda-a", "1e200+0i"],
+     "error: |lambda-a|^2 overflows: lambda-a = (1e+200+0j)"),
+    (["evolve", "--steps", "3", "--lambda-b",
+      f"0-{math.nextafter(_LABEL_MAX, math.inf)!r}i"],
+     "error: |lambda-b|^2 overflows: lambda-b = -1.3407807929942597e+154j"),
+    # np.linspace forms 2*half-width
+    (["wavefunction", "--points", "2", "--half-width", "1e308"],
+     "error: half-width must be at most half the largest double, got 1e+308"),
+    # the default half-width 12*sqrt(hbar*(n + 1)/|m*omega|)
+    (["wavefunction", "--hbar", "1e308", "--n", "10", "--points", "3"],
+     "error: half-width must be at most half the largest double, got inf"),
+]
+
+
+@pytest.mark.parametrize("args, line", OVERFLOWING_SPANS,
+                         ids=[" ".join(args) for args, _ in OVERFLOWING_SPANS])
+def test_overflowing_span_is_one_error_line(args, line):
+    # -W error turns a warning before the line into a traceback
+    out = _fresh_process("-W", "error", "-m", "cxho.cli", *args)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr.decode().splitlines() == [line]
+
+
+def test_largest_spans_still_run(runner):
+    half = sys.float_info.max / 2
+    result = runner.invoke(main, ["wavefunction", "--points", "2",
+                                  "--half-width", repr(half)])
+    assert result.exit_code == 0, result.output
+    # the largest label with a finite square passes the check and has no
+    # mass in double precision, as the coherent state says
+    result = runner.invoke(main, ["evolve", "--steps", "3", "--lambda-a",
+                                  repr(_LABEL_MAX)])
+    assert result.exit_code == 2
+    assert "coherent state lam = " in result.output
+    # the check is the overflow of abs(label) ** 2 itself
+    assert _LABEL_MAX ** 2 < math.inf
+    with pytest.raises(OverflowError):
+        math.nextafter(_LABEL_MAX, math.inf) ** 2
 
 
 @pytest.mark.parametrize("args", [

@@ -2,9 +2,10 @@ import cmath
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
-from helpers import classify_phase_scalar
+from helpers import classify_phase_scalar, phase_grid_former
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -321,19 +322,31 @@ class TestPhaseGrid:
                            grid.excluded_corner):
                 assert column.shape == (resolution * resolution,)
 
-    def test_angles_bit_identical_to_scalar_formulas(self):
-        for resolution in (2, 3, 33, 101):
+    def test_angles_on_the_exact_lattice(self):
+        for resolution in range(2, 402):
             grid = phase_grid(resolution)
-            expected = []
-            for i in range(resolution):
-                theta_m = math.pi * i / (resolution - 1)
-                hi = -theta_m / 2
-                lo = hi - math.pi / 2
-                expected.extend(
-                    (theta_m, lo + (hi - lo) * j / (resolution - 1))
-                    for j in range(resolution))
-            got = list(zip(grid.theta_m.tolist(), grid.theta_omega.tolist()))
-            assert got == expected
+            former = phase_grid_former(resolution)
+            # theta_m and every label are the former grid's
+            assert grid.theta_m.tobytes() == former.theta_m.tobytes()
+            for name in ("theory", "region", "potential", "normalizable"):
+                assert np.array_equal(getattr(grid, name),
+                                      getattr(former, name)), (resolution, name)
+            # theta_omega is one value per diagonal d = i - j + r - 1
+            theta_omega = grid.theta_omega.reshape(resolution, resolution)
+            by_diagonal = np.concatenate([theta_omega[0, ::-1],
+                                          theta_omega[1:, 0]])
+            i, j = np.indices(theta_omega.shape)
+            assert np.array_equal(theta_omega,
+                                  by_diagonal[i - j + resolution - 1])
+            last = 2 * (resolution - 1)
+            ends = by_diagonal[[0, resolution - 1, last]].tolist()
+            assert ends == [0.0, -PI / 2, -PI]
+            assert math.copysign(1.0, ends[0]) == 1.0
+            with mpmath.workdps(40):
+                errors = [float(abs(x + mpmath.pi / 2 * d / (resolution - 1)))
+                          for d, x in enumerate(by_diagonal.tolist())]
+            assert (np.array(errors) <= 2 * np.spacing(np.abs(by_diagonal))
+                    ).all(), resolution
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):

@@ -673,3 +673,106 @@ class TestSameBasisGramOracles:
         assert np.all(defect <= bound)
         # measured: 1.3e-15 at 5 degrees, 1.2e-14 at 10
         assert defect.max() <= (4e-15 if abs(degrees) == 5 else 4e-14)
+
+
+
+def _legendre_entry(m: int, n: int, theta_sign: int, sec) -> mpmath.mpc:
+    """S[m, n] = (i sgn theta)^mu sqrt(m!/n!) P_l^mu(sec theta)/sqrt(cos theta)
+    with l = (m + n)/2 and mu = (n - m)/2, from the type-3 associated
+    Legendre function; zero at m + n odd (oracle independent of the
+    ladder relations)."""
+    if (m + n) % 2:
+        return mpmath.mpc(0)
+    mu = (n - m) // 2
+    return ((1j * theta_sign) ** mu
+            * mpmath.sqrt(mpmath.factorial(m) / mpmath.factorial(n))
+            * mpmath.legenp((m + n) // 2, mu, sec, type=3) * mpmath.sqrt(sec))
+
+
+#: Entries m <= n of a 65-level S: corners and a fixed sample with m + n
+#: even (legenp is slow at large mu near sec theta = 1 and at large sec
+#: theta, so the sample is small); the lower triangle is their mirror.
+_SAMPLED_ENTRIES = [(0, 0), (0, 64), (64, 64), (1, 63), (3, 5), (17, 31)] + [
+    (min(m, n), max(m, n)) for m, n
+    in np.random.default_rng(10).integers(0, 65, (40, 2)).tolist()
+    if (m + n) % 2 == 0][:14]
+
+
+def _check_entries(theta: float, sec, bound) -> None:
+    """The sampled entries of S at ``theta`` within ``bound(m, n)`` of the
+    closed form at sec theta = ``sec`` (an mpf); the parity-forbidden
+    entries are exact zeros and the lower triangle the mirror."""
+    got = _same_basis_gram(theta, 65)
+    sign = 1 if theta > 0 else -1
+    for m, n in _SAMPLED_ENTRIES:
+        exact = _legendre_entry(m, n, sign, sec)
+        assert abs(exact - mpmath.mpc(got[m, n])) <= bound(m, n) * abs(exact), (
+            m, n)
+        assert got[n, m] == got[m, n].conjugate()
+    odd = np.add.outer(np.arange(65), np.arange(65)) % 2 == 1
+    assert np.all(got[odd] == 0)
+
+
+def _diagonal_errors(theta: float, sec) -> tuple[np.ndarray, np.ndarray]:
+    """S's diagonal up to n = 256 at ``theta`` and its distance from
+    P_n(sec theta)/sqrt(cos theta), relative, where it is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = _same_basis_gram(theta, 257).diagonal().real
+    errors = np.full(diagonal.size, np.nan)
+    for n in np.flatnonzero(np.isfinite(diagonal)).tolist():
+        exact = mpmath.legenp(n, 0, sec, type=3) * mpmath.sqrt(sec)
+        errors[n] = float(abs(exact - mpmath.mpf(diagonal[n])) / exact)
+    return diagonal, errors
+
+
+class TestSameBasisGramClosedForm:
+    # Oracles independent of the ladder relations, with the error bound of
+    # test_matches_mpmath_recurrence: an entry at most k = n_max levels deep
+    # carries at most 8 k + 2 roundings, so |S - S_exact| <= gamma_(8 k + 2)
+    # |S_exact|, against the closed form at the double theta itself.
+
+    @pytest.mark.parametrize("theta", [-1.2, -0.6, 0.2, 0.9])
+    def test_sampled_entries_match_legendre_functions(self, theta):
+        with mpmath.workdps(40):
+            _check_entries(theta, mpmath.sec(mpmath.mpf(theta)),
+                           lambda m, n: _gamma(8 * 65 + 2))
+
+    @pytest.mark.parametrize("theta", [-1.5, -1.2, -0.6, -0.1, 0.2, 0.9,
+                                       1.4, 1.5])
+    def test_diagonal_matches_legendre_polynomials(self, theta):
+        with mpmath.workdps(40):
+            diagonal, errors = _diagonal_errors(
+                theta, mpmath.sec(mpmath.mpf(theta)))
+        finite = np.isfinite(diagonal)
+        assert np.all(errors[finite] <= _gamma(8 * 257 + 2))
+        # P_n(sec theta) grows like (sec theta + |tan theta|)^n, which leaves
+        # the double range before n = 256 only at |theta| = 1.5 here
+        assert finite.all() == (abs(theta) < 1.5)
+        assert finite[:200].all()
+
+    @pytest.mark.parametrize("tan, sec", [(0.75, 1.25), (-0.75, 1.25),
+                                          (1.875, 2.125), (-1.875, 2.125)])
+    def test_exact_coefficients_leave_rounding_unshared(self, tan, sec):
+        # At theta = atan(3/4) and atan(15/8) the recurrence's tan and sec are
+        # exact doubles (sec^2 - tan^2 = 1 exactly), so S[0, 0] = 1/sqrt(cos)
+        # is the one rounded coefficient and no rounding is shared by every
+        # step.  The <= 8 roundings a level then add up like independent
+        # errors, each uniform on [-u, u] with deviation u/sqrt(3) (Higham &
+        # Mary, SIAM J. Sci. Comput. 41 (2019) A2815), and every entry out to
+        # level k = max(m, n) stays within four deviations of their sum,
+        # 4 u sqrt(8 (k + 1)/3), of the closed form; measured: at most
+        # 1.7 u sqrt(k + 1).  With sec or tan one unit in the last place off,
+        # that error is shared by every step and grows like k instead, and
+        # the diagonal misses this bound.
+        theta = math.atan(tan)
+        assert (math.tan(theta), 1.0 / math.cos(theta)) == (tan, sec)
+
+        def bound(m, n):
+            return 4 * 2.0**-53 * math.sqrt(8 * (max(m, n) + 1) / 3)
+
+        with mpmath.workdps(40):
+            if sec == 1.25:  # legenp is slower at atan(15/8)
+                _check_entries(theta, mpmath.mpf(sec), bound)
+            _, errors = _diagonal_errors(theta, mpmath.mpf(sec))
+        levels = np.arange(errors.size)
+        assert np.all(errors <= [bound(n, n) for n in levels])
