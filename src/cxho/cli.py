@@ -7,28 +7,28 @@ the same configuration and seed.  ``evolve`` and ``wavefunction`` write their
 CSV cells with numpy integer arithmetic (``_csvcells.csv_table``), which
 gives the bytes of ``'%.17g' % x`` for each value.
 
-Only ``params`` and ``errors`` are imported with this module; each command
-imports the numeric modules it uses, and the CSV writer, when it runs, so
-``phase-diagram`` loads none of them and ``verify``, ``maximize`` and
-``phase-diagram`` do not load the CSV writer.
+Only ``params`` and ``errors`` are imported with this module, and not
+numpy; each command imports numpy, the numeric modules it uses and the CSV
+writer when it runs, so ``phase-diagram``, which formats the exact angle
+lattice with the stdlib alone, loads none of them, and ``verify``,
+``maximize`` and ``phase-diagram`` do not load the CSV writer.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import sys
 import warnings
 
 import click
-import numpy as np
 
 from .errors import CxhoError
-from .params import (POTENTIAL_TABLE, THEORIES, ModelParams, PhaseGrid,
-                     check_energy_scale, check_length_scale,
-                     check_square_scales, grid_diagonals, phase_grid,
-                     validate)
+from .params import (POTENTIAL_TABLE, ModelParams, check_energy_scale,
+                     check_length_scale, check_square_scales, is_normalizable,
+                     region_of, theory_of, validate)
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -93,10 +93,7 @@ def _complex_text(z) -> str:
 
 #: Leaf texts by type; the exact type is looked up first, then its bases.
 _LEAF_TEXT = {type(None): lambda _: "null", bool: ("false", "true").__getitem__,
-              int: int.__repr__, np.integer: lambda i: str(int(i)),
-              float: _float_text, np.float64: _float_text,
-              np.floating: _float_text, complex: _complex_text,
-              np.complex128: _complex_text, np.complexfloating: _complex_text,
+              int: int.__repr__, float: _float_text, complex: _complex_text,
               str: json.encoder.encode_basestring_ascii}
 
 
@@ -124,10 +121,13 @@ def _json_dumps(obj, indent: int = 0) -> str:
         values = tuple(_json_dumps(v, indent + 2) for v in obj.values())
         return _record(list(map(str, obj)), pad) % values if obj else "{}"
     if not isinstance(obj, (list, tuple)):
-        # numpy scalars and subclasses of the Python scalars
-        for kind in type(obj).__mro__:
+        # a numpy scalar, which exists only once numpy is loaded, by its
+        # Python value; subclasses of the Python scalars by their base
+        numpy = sys.modules.get("numpy")
+        value = obj.item() if numpy and isinstance(obj, numpy.generic) else obj
+        for kind in type(value).__mro__:
             if kind in _LEAF_TEXT:
-                return _LEAF_TEXT[kind](obj)
+                return _LEAF_TEXT[kind](value)
         raise TypeError(f"cannot serialize {type(obj)!r}")
     if not obj:
         return "[]"
@@ -143,71 +143,97 @@ def _json_dumps(obj, indent: int = 0) -> str:
     return "[\n" + ",\n".join(pad + "  " + v for v in texts) + "\n" + pad + "]"
 
 
-def _gather(pieces: np.ndarray, first: str, last: str = "") -> str:
-    """``first``, the texts of an object array in row order, then ``last``.
+def _theta_m(i: int, last: int) -> float:
+    """theta_m = pi*i/(r - 1) of grid row i, with ``last`` = r - 1."""
+    return math.pi * i / last
 
-    The whole text is built by one join; ``first`` and ``last`` are glued
-    onto the first and last piece, so the joined text is never copied.
+
+def _theta_omega(d: int, last: int) -> float:
+    """theta_omega = (pi/2)*(-d/(r - 1)) of grid diagonal d = i - j + r - 1;
+    -d is an integer, so d = 0 gives +0.0, and d = r - 1 and 2(r - 1) give
+    -pi/2 and -pi exactly."""
+    return math.pi / 2 * (-d / last)
+
+
+def _column_region(j: int, last: int) -> int:
+    """The region of grid column j: that of its row-0 cell, where
+    theta_m = 0 and s = 2*theta_omega."""
+    return region_of(2 * _theta_omega(last - j, last))
+
+
+def _phase_text(resolution: int, fmt: str) -> str:
+    """Phase-diagram rows over the r x r angle lattice as CSV or JSON text.
+
+    Points are ordered by theta_m (grid row i), then theta_omega ascending
+    (grid column j).  On the lattice s = theta_m + 2*theta_omega is
+    pi*(j - (r - 1))/(r - 1) and theta_m + theta_omega is
+    (pi/2)*(i + j - (r - 1))/(r - 1), so the theory depends on the row
+    alone, the region on the column alone (``_column_region``), and
+    |theta_m + theta_omega| reaches pi/2 only at the corners (0, 0) and
+    (r - 1, r - 1).  That holds while the lattice spacing pi/(2(r - 1))
+    exceeds ANGLE_TOL plus the rounding of the angles, for r below ~1.5e9,
+    far beyond any grid whose text fits in memory.  So the predicates of
+    the phase rule run on the r rows, the r columns and the two corners.
+
+    A row of the output is two pieces: a head for its grid row, which holds
+    theta_m, and a cell, which holds theta_omega and the five labels.  Each
+    (theory, region) class has one column of cells, indexed by
+    e = j - i + r - 1 (the diagonal reversed), so the cells of a grid row
+    are one slice of a column per run of equal regions.  Every value is
+    formatted once, and the text is one join of a flat list of the 2r^2
+    pieces.
     """
-    pieces.flat[0] = first + pieces.flat[0]
-    pieces.flat[-1] = pieces.flat[-1] + last
-    return "".join(pieces.ravel().tolist())
+    last = resolution - 1
 
-
-def _phase_text(grid: PhaseGrid, resolution: int, fmt: str) -> str:
-    """Phase-diagram rows as CSV or JSON text.
-
-    A row of the output is two pieces: a head for its grid row, which
-    holds theta_m, and a piece for its grid diagonal d = i - j + r - 1 and
-    its (theory, region, normalizable) class, which holds theta_omega and
-    the five labels.  ``phase_grid`` gives theta_omega one value per
-    diagonal (``grid_diagonals``), so the r theta_m and 2r - 1 theta_omega
-    values are each formatted once, with no sort.  The class key
-    ``theory*12 + region*2 + normalizable`` gives the labels back, so a
-    tail is built once per class present and a piece once per (diagonal,
-    class) pair present; the text is one join of them all.
-    """
-    key = grid.theory * 12 + grid.region * 2 + grid.normalizable
-    counts = np.bincount(key)
-    tails = [""] * counts.size
-    for k in np.flatnonzero(counts).tolist():
-        theory, rest = divmod(k, 12)
-        region, normalizable = divmod(rest, 2)
-        labels = {"theory": THEORIES[theory].value,
-                  "region": region,
-                  "potential": POTENTIAL_TABLE[THEORIES[theory]][region].value,
-                  "normalizable": bool(normalizable),
+    def tail(theory, region, normalizable) -> str:
+        labels = {"theory": theory.value, "region": region,
+                  "potential": POTENTIAL_TABLE[theory][region].value,
+                  "normalizable": normalizable,
                   "excluded_corner": not normalizable}
         if fmt == "csv":
             # CSV cells are the JSON scalars without string quotes
-            tails[k] = "," + ",".join(_json_dumps(v).strip('"')
-                                      for v in labels.values()) + "\n"
-        else:
-            # the record after its two angles, in _json_dumps' layout for a
-            # record nested one level deep
-            tails[k] = ",\n" + _json_dumps(labels, indent=2)[2:]
+            return "," + ",".join(_json_dumps(v).strip('"')
+                                  for v in labels.values()) + "\n"
+        # the record after its two angles, in _json_dumps' layout for a
+        # record nested one level deep
+        return ",\n" + _json_dumps(labels, indent=2)[2:]
+
     if fmt == "csv":
-        first, sep, last = ",".join(PHASE_HEADER) + "\n", "", ""
+        first, sep, end = ",".join(PHASE_HEADER) + "\n", "", ""
         head = "{},".format
     else:
-        first, sep, last = "[\n", ",\n", "\n]\n"
+        first, sep, end = "[\n", ",\n", "\n]\n"
         head = '  {{\n    "theta_m": {},\n    "theta_omega": '.format
-    theta_m = list(map(_fmt, grid.theta_m[::resolution].tolist()))
-    diagonal = grid_diagonals(resolution)
-    by_diagonal = np.empty(2 * resolution - 1)
-    by_diagonal[diagonal.ravel()] = grid.theta_omega
-    theta_omega = list(map(_fmt, by_diagonal.tolist()))
-    pair = diagonal * counts.size + key.reshape(resolution, resolution)
-    cells = np.empty(len(theta_omega) * counts.size, dtype=object)
-    for p in np.flatnonzero(np.bincount(pair.ravel())).tolist():
-        d, k = divmod(p, counts.size)
-        cells[p] = theta_omega[d] + tails[k]
-    pieces = np.empty((resolution, resolution, 2), dtype=object)
-    pieces[:, :, 0] = np.array([sep + head(m) for m in theta_m],
-                               dtype=object)[:, None]
-    pieces[0, 0, 0] = head(theta_m[0])  # no separator before the first row
-    pieces[:, :, 1] = cells[pair]
-    return _gather(pieces, first, last)
+    theta_m = [_theta_m(i, last) for i in range(resolution)]
+    theories = list(map(theory_of, theta_m))
+    regions = [_column_region(j, last) for j in range(resolution)]
+    runs, j1 = [], 0  # (first column, end column, region)
+    for region, group in itertools.groupby(regions):
+        j0, j1 = j1, j1 + len(list(group))
+        runs.append((j0, j1, region))
+    omega_text = [_fmt(_theta_omega(d, last)) for d in range(2 * last, -1, -1)]
+    columns = {}
+    for theory in dict.fromkeys(theories):
+        for region in dict.fromkeys(regions):
+            labels = tail(theory, region, True)
+            columns[theory, region] = [w + labels for w in omega_text]
+
+    width = 2 * resolution
+    pieces = [""] * (width * resolution)
+    for i, (text, theory) in enumerate(zip(map(_fmt, theta_m), theories)):
+        row = width * i
+        pieces[row:row + width:2] = [sep + head(text)] * resolution
+        for j0, j1, region in runs:
+            pieces[row + 2 * j0 + 1:row + 2 * j1:2] = \
+                columns[theory, region][j0 - i + last:j1 - i + last]
+    pieces[0] = first + head(_fmt(theta_m[0]))  # no separator before it
+    # the corners, both on the diagonal d = e = r - 1
+    for i, k in ((0, 1), (last, -1)):
+        pieces[k] = omega_text[last] + tail(
+            theories[i], regions[i],
+            is_normalizable(theta_m[i] + _theta_omega(last, last)))
+    pieces[-1] += end
+    return "".join(pieces)
 
 
 def _write_output(path: str, text) -> None:
@@ -367,12 +393,14 @@ def main():
 @_config_option
 def cmd_phase_diagram(grid, fmt, output):
     """Classify a uniform grid over the allowed angle parallelogram."""
-    _write_output(output, _phase_text(phase_grid(grid), grid, fmt))
+    _write_output(output, _phase_text(grid, fmt))
 
 
 def _verify_checks(params: ModelParams, n_max: int, seed: int,
                    tol_override: float | None) -> list[dict]:
     """Run the cross-module property suite; one record per check."""
+    import numpy as np
+
     from . import dynamics, fock, maximize as mx, wavefunctions
     from .contour import rotated_path
 
@@ -561,8 +589,8 @@ def cmd_maximize(m, omega, hbar, eps, eps_prime, duration, nmax, tol,
         "iterations": result.iterations,
         "converged": result.converged,
         "seed": result.seed,
-        "a": list(result.a.coeffs),
-        "b": list(result.b.coeffs),
+        "a": result.a.coeffs.tolist(),
+        "b": result.b.coeffs.tolist(),
     }
     _write_output(output, _json_dumps(payload) + "\n")
 
@@ -583,6 +611,8 @@ def cmd_maximize(m, omega, hbar, eps, eps_prime, duration, nmax, tol,
 def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
                steps, nmax, output):
     """Weak-value time series for a coherent boundary pair (CSV)."""
+    import numpy as np
+
     from . import dynamics, fock
     from ._csvcells import csv_table
 
@@ -640,6 +670,8 @@ def cmd_evolve(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
 def cmd_wavefunction(m, omega, hbar, eps, eps_prime, n, basis, ray_angle,
                      half_width, points, output):
     """Sample a level wavefunction along a ray (CSV)."""
+    import numpy as np
+
     from . import wavefunctions
     from ._csvcells import csv_table
 

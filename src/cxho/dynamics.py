@@ -185,8 +185,7 @@ class Trajectory(NamedTuple):
 
     ``kept`` has one entry per input time and is False where the overlap
     vanishes; every other column holds only the kept samples, in input order.
-    ``len`` is the number of kept samples, so ``_replace`` does not apply
-    (as for ``params.PhaseGrid``).
+    ``len`` is the number of kept samples, so ``_replace`` does not apply.
     """
 
     t: np.ndarray

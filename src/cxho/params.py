@@ -20,8 +20,6 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     DegenerateDivisionError,
     KineticDivergenceError,
@@ -85,8 +83,8 @@ class ModelParams(NamedTuple):
 
     @property
     def normalizable(self) -> bool:
-        """True when |arg(m*omega)| < pi/2, i.e. Re(m*omega) > 0."""
-        return abs(self.theta) < math.pi / 2 - ANGLE_TOL
+        """:func:`is_normalizable` of theta = arg(m*omega)."""
+        return is_normalizable(self.theta)
 
 
 class DerivedScales(NamedTuple):
@@ -171,14 +169,54 @@ def validate(m: complex, omega: complex, hbar: float = 1.0,
     )
 
 
+def theory_of(theta_m: float) -> Theory:
+    """The theory by the sign of Re(m): UTT for theta_m in [0, pi/2), ITT on
+    the line pi/2, FTT for (pi/2, pi].  Raises OutOfDomainError outside
+    [0, pi] or at NaN."""
+    # written so that a NaN angle fails it
+    if not -ANGLE_TOL <= theta_m <= math.pi + ANGLE_TOL:
+        raise OutOfDomainError(f"theta_m = {theta_m:.6g} outside [0, pi]")
+    if abs(theta_m - math.pi / 2) <= ANGLE_TOL:
+        return Theory.ITT
+    return Theory.UTT if theta_m < math.pi / 2 else Theory.FTT
+
+
+def region_of(s: float) -> int:
+    """The region 1..5 by s = theta_m + 2*theta_omega through {0},
+    (-pi/2, 0), {-pi/2}, (-pi, -pi/2), {-pi}; boundary lines own their
+    labels.  Raises OutOfDomainError outside [-pi, 0] or at NaN."""
+    # written so that a NaN angle fails it
+    if not -math.pi - 2 * ANGLE_TOL <= s <= 2 * ANGLE_TOL:
+        raise OutOfDomainError(
+            f"theta_m + 2*theta_omega = {s:.6g} outside [-pi, 0]")
+    if abs(s) <= ANGLE_TOL:
+        return 1
+    if abs(s + math.pi / 2) <= ANGLE_TOL:
+        return 3
+    if abs(s + math.pi) <= ANGLE_TOL:
+        return 5
+    return 2 if s > -math.pi / 2 else 4
+
+
+def is_normalizable(theta: float) -> bool:
+    """True when |theta| < pi/2 for theta = theta_m + theta_omega =
+    arg(m*omega), i.e. Re(m*omega) > 0.  On the closed parallelogram
+    |theta| reaches pi/2 only at the two excluded corners (0, -pi/2) and
+    (pi, -pi/2)."""
+    return abs(theta) < math.pi / 2 - ANGLE_TOL
+
+
 def classify_phase(theta_m: float, theta_omega: float) -> PhaseClassification:
-    """:func:`classify_grid` at one point, with the theory's frame factor."""
-    grid = classify_grid(theta_m, theta_omega)
-    theory = THEORIES[grid.theory]
-    return PhaseClassification(theory, int(grid.region),
-                               POTENTIALS[grid.potential],
-                               bool(grid.excluded_corner),
-                               bool(grid.normalizable), FRAME_FACTOR[theory])
+    """The phase rule at one point: :func:`theory_of` theta_m,
+    :func:`region_of` s = theta_m + 2*theta_omega, the potential of that
+    pair, :func:`is_normalizable` theta_m + theta_omega, and the theory's
+    frame factor.  The domain is checked in that order."""
+    theory = theory_of(theta_m)
+    region = region_of(theta_m + 2 * theta_omega)
+    normalizable = is_normalizable(theta_m + theta_omega)
+    return PhaseClassification(theory, region, POTENTIAL_TABLE[theory][region],
+                               not normalizable, normalizable,
+                               FRAME_FACTOR[theory])
 
 
 def new_frame(params: ModelParams) -> tuple[complex, complex, complex]:
@@ -269,107 +307,3 @@ def eigenvalue(params: ModelParams, n: int) -> complex:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     return params.hbar * params.omega * (n + 0.5)
-
-
-class PhaseGrid(NamedTuple):
-    """Phase classification of many angle-plane points, one array per field.
-
-    All columns have the shape of the classified points.  ``theory`` indexes
-    :data:`THEORIES` and ``potential`` indexes :data:`POTENTIALS`; ``region``
-    holds the region numbers 1..5 themselves.  ``len`` is the number of
-    points, which ``_make`` and ``_replace`` take for the field count, so
-    neither applies: build a new grid instead.
-    """
-
-    theta_m: np.ndarray
-    theta_omega: np.ndarray
-    theory: np.ndarray
-    region: np.ndarray
-    potential: np.ndarray
-    normalizable: np.ndarray
-
-    @property
-    def excluded_corner(self) -> np.ndarray:
-        return ~self.normalizable
-
-    def __len__(self) -> int:
-        return self.theta_m.size
-
-
-#: Label tables for the integer codes of :class:`PhaseGrid`.
-THEORIES = tuple(Theory)
-POTENTIALS = tuple(Potential)
-
-# _POTENTIAL_CODE[theory code, region] is the potential code; column 0 unused.
-_POTENTIAL_CODE = np.array(
-    [[0] + [POTENTIALS.index(POTENTIAL_TABLE[theory][region])
-            for region in range(1, 6)] for theory in THEORIES],
-    dtype=np.intp)
-
-
-def classify_grid(theta_m, theta_omega) -> PhaseGrid:
-    """Classify the points of broadcast arrays of (theta_m, theta_omega).
-
-    The theory follows the sign of Re(m): UTT for theta_m in [0, pi/2), ITT
-    on the line pi/2, FTT for (pi/2, pi].  The region 1..5 follows
-    s = theta_m + 2*theta_omega through {0}, (-pi/2, 0), {-pi/2},
-    (-pi, -pi/2), {-pi}; boundary lines own their labels.  Raises
-    OutOfDomainError if a point is outside the parallelogram or NaN.
-    """
-    theta_m, theta_omega = np.broadcast_arrays(
-        np.asarray(theta_m, dtype=float), np.asarray(theta_omega, dtype=float))
-    # both tests are written so that a NaN angle fails them
-    bad = ~((theta_m >= -ANGLE_TOL) & (theta_m <= math.pi + ANGLE_TOL))
-    if bad.any():
-        raise OutOfDomainError(
-            f"theta_m = {theta_m[bad].flat[0]:.6g} outside [0, pi]")
-    s = theta_m + 2 * theta_omega
-    bad = ~((s >= -math.pi - 2 * ANGLE_TOL) & (s <= 2 * ANGLE_TOL))
-    if bad.any():
-        raise OutOfDomainError(
-            f"theta_m + 2*theta_omega = {s[bad].flat[0]:.6g} outside [-pi, 0]")
-
-    region = np.select(
-        [np.abs(s) <= ANGLE_TOL, np.abs(s + math.pi / 2) <= ANGLE_TOL,
-         np.abs(s + math.pi) <= ANGLE_TOL, s > -math.pi / 2],
-        [1, 3, 5, 2], 4)
-    theory = np.select(
-        [np.abs(theta_m - math.pi / 2) <= ANGLE_TOL, theta_m < math.pi / 2],
-        [THEORIES.index(Theory.ITT), THEORIES.index(Theory.UTT)],
-        THEORIES.index(Theory.FTT))
-    normalizable = np.abs(theta_m + theta_omega) < math.pi / 2 - ANGLE_TOL
-    return PhaseGrid(theta_m=theta_m, theta_omega=theta_omega, theory=theory,
-                     region=region,
-                     potential=np.asarray(_POTENTIAL_CODE[theory, region]),
-                     normalizable=normalizable)
-
-
-def grid_diagonals(resolution: int) -> np.ndarray:
-    """The diagonal d = i - j + r - 1, in 0..2(r - 1), of each point (i, j)
-    of :func:`phase_grid`, as an r x r array; theta_omega depends on d
-    alone."""
-    steps = np.arange(resolution)
-    return steps[:, None] - steps + (resolution - 1)
-
-
-def phase_grid(resolution: int) -> PhaseGrid:
-    """Uniform grid over the closed parallelogram with classifications.
-
-    Points are ordered by theta_m, then theta_omega ascending inside each
-    row, and the columns are flat.  ``resolution = 2`` yields exactly the
-    four corners.
-
-    Row i has theta_m = pi*i/(r - 1), and its point j the theta_omega
-    lo + (hi - lo)*j/(r - 1) between lo = -theta_m/2 - pi/2 and
-    hi = -theta_m/2, which is -(pi/2)*d/(r - 1) on the diagonal
-    d = i - j + r - 1 (:func:`grid_diagonals`).  It is computed on that
-    lattice, as (pi/2)*(-d/(r - 1)): one value per diagonal, within 2 ulp
-    of the exact angle, and exactly +0.0, -pi/2 and -pi at d = 0, r - 1
-    and 2(r - 1).
-    """
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
-    theta_m = math.pi * np.arange(resolution) / (resolution - 1)
-    # -d is an integer, so d = 0 gives +0.0
-    theta_omega = math.pi / 2 * (-grid_diagonals(resolution) / (resolution - 1))
-    return classify_grid(np.repeat(theta_m, resolution), theta_omega.ravel())

@@ -27,9 +27,7 @@ from cxho.params import (
     ANGLE_TOL,
     POTENTIAL_TABLE,
     PhaseClassification,
-    PhaseGrid,
     Theory,
-    classify_grid,
     regulated_momega,
     validate,
 )
@@ -236,7 +234,7 @@ def excited_regulated_ladder(basis, n, q, params, eps, eps_prime, dps=120):
 
 def classify_phase_scalar(theta_m, theta_omega):
     """The former scalar ``params.classify_phase``, one comparison at a
-    time (oracle for ``classify_grid``)."""
+    time (oracle for ``classify_phase`` and the phase-diagram labels)."""
     # both tests are written so that a NaN angle fails them
     if not -ANGLE_TOL <= theta_m <= math.pi + ANGLE_TOL:
         raise OutOfDomainError(f"theta_m = {theta_m:.6g} outside [0, pi]")
@@ -279,16 +277,35 @@ def classify_phase_scalar(theta_m, theta_omega):
     )
 
 
-def phase_grid_former(resolution: int) -> PhaseGrid:
+def phase_grid_former(resolution: int) -> dict[str, np.ndarray]:
     """The former ``params.phase_grid``, which formed theta_omega as
-    lo + (hi - lo)*j/(r - 1) from each row's ends (oracle for the labels
-    and theta_m of the lattice grid)."""
+    lo + (hi - lo)*j/(r - 1) from each row's ends, classified in one numpy
+    pass as the former ``params.classify_grid`` did.  Flat columns by
+    phase-diagram field, the theory and potential as their labels (oracle
+    for the labels and theta_m of the lattice grid)."""
     steps = np.arange(resolution)
     theta_m = math.pi * steps / (resolution - 1)
     hi = -theta_m / 2
     lo = hi - math.pi / 2
-    theta_omega = lo[:, None] + (hi - lo)[:, None] * steps / (resolution - 1)
-    return classify_grid(np.repeat(theta_m, resolution), theta_omega.ravel())
+    theta_omega = (lo[:, None] + (hi - lo)[:, None] * steps
+                   / (resolution - 1)).ravel()
+    theta_m = np.repeat(theta_m, resolution)
+    s = theta_m + 2 * theta_omega
+    region = np.select(
+        [np.abs(s) <= ANGLE_TOL, np.abs(s + math.pi / 2) <= ANGLE_TOL,
+         np.abs(s + math.pi) <= ANGLE_TOL, s > -math.pi / 2], [1, 3, 5, 2], 4)
+    theories = list(Theory)
+    theory = np.select([np.abs(theta_m - math.pi / 2) <= ANGLE_TOL,
+                        theta_m < math.pi / 2],
+                       [theories.index(Theory.ITT), theories.index(Theory.UTT)],
+                       theories.index(Theory.FTT))
+    potentials = np.array([[""] + [POTENTIAL_TABLE[t][g].value
+                                   for g in range(1, 6)] for t in theories])
+    normalizable = np.abs(theta_m + theta_omega) < math.pi / 2 - ANGLE_TOL
+    return {"theta_m": theta_m,
+            "theory": np.array([t.value for t in theories])[theory],
+            "region": region, "potential": potentials[theory, region],
+            "normalizable": normalizable, "excluded_corner": ~normalizable}
 
 
 @st.composite
@@ -308,6 +325,8 @@ def json_dumps_recursive(obj, indent=0):
     """The CLI's JSON layout, one recursive call per node (oracle for
     ``cxho.cli._json_dumps``)."""
     pad = " " * indent
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if obj is None:
         return "null"
     if obj is True:

@@ -11,10 +11,12 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from helpers import json_dumps_recursive
+from helpers import (classify_phase_scalar, json_dumps_recursive,
+                     phase_grid_former)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,9 @@ from cxho._csvcells import csv_table
 from cxho.cli import (PHASE_HEADER, _json_dumps, _phase_text, main,
                       parse_complex)
 from cxho.errors import CoherentTailWarning, IllConditionedWarning
-from cxho.params import POTENTIALS, THEORIES, phase_grid, validate
+from cxho.params import is_normalizable, theory_of, validate
+
+PI = math.pi
 
 
 @pytest.fixture
@@ -315,25 +319,68 @@ def test_csv_cells_match_per_value_format(values):
     assert lines[1:] == [f"{v:.17g}" for v in values]
 
 
-def _phase_text_per_row(grid, fmt: str) -> str:
-    """Phase-diagram text built record by record from each point's labels.
+def _lattice_point(resolution: int, i: int, j: int) -> tuple[float, float]:
+    """(theta_m, theta_omega) of cell (i, j) of the phase-diagram lattice."""
+    d = i - j + resolution - 1
+    return math.pi * i / (resolution - 1), math.pi / 2 * (-d / (resolution - 1))
+
+
+def _phase_text_per_row(resolution: int, fmt: str) -> str:
+    """Phase-diagram text built record by record from each lattice point's
+    labels under the scalar classifier.
 
     Every float goes through ``_json_dumps``' one-value formatter and the
     JSON layout is ``_json_dumps``' own for a list of records.
     """
-    records = [{"theta_m": float(grid.theta_m[i]),
-                "theta_omega": float(grid.theta_omega[i]),
-                "theory": THEORIES[grid.theory[i]].value,
-                "region": int(grid.region[i]),
-                "potential": POTENTIALS[grid.potential[i]].value,
-                "normalizable": bool(grid.normalizable[i]),
-                "excluded_corner": bool(grid.excluded_corner[i])}
-               for i in range(len(grid))]
+    records = []
+    for i in range(resolution):
+        for j in range(resolution):
+            theta_m, theta_omega = _lattice_point(resolution, i, j)
+            c = classify_phase_scalar(theta_m, theta_omega)
+            records.append({"theta_m": theta_m, "theta_omega": theta_omega,
+                            "theory": c.theory.value, "region": c.region,
+                            "potential": c.potential.value,
+                            "normalizable": c.normalizable,
+                            "excluded_corner": c.excluded_corner})
     if fmt == "json":
         return _json_dumps(records) + "\n"
     rows = [",".join(_json_dumps(v).strip('"') for v in record.values())
             for record in records]
     return "\n".join([",".join(PHASE_HEADER), *rows]) + "\n"
+
+
+# Hand enumeration of the 3x3 grid: regions follow s = theta_m+2*theta_omega
+# through {-pi, -pi/2, 0} in each row, theory follows theta_m, potential from
+# the per-theory interpretation tables.
+GRID3_EXPECTED = [
+    (0.0, -PI / 2, "UTT", 5, "IHO", True),
+    (0.0, -PI / 4, "UTT", 3, "FREE_IMAG", False),
+    (0.0, 0.0, "UTT", 1, "HO", False),
+    (PI / 2, -3 * PI / 4, "ITT", 5, "FREE_IMAG", False),
+    (PI / 2, -PI / 2, "ITT", 3, "HO", False),
+    (PI / 2, -PI / 4, "ITT", 1, "FREE_IMAG", False),
+    (PI, -PI, "FTT", 5, "HO", False),
+    (PI, -3 * PI / 4, "FTT", 3, "FREE_IMAG", False),
+    (PI, -PI / 2, "FTT", 1, "IHO", True),
+]
+
+
+@st.composite
+def lattice_cells(draw):
+    """A grid size r up to 1e6 and cells (i, j) of its lattice, weighted to
+    the corners and to the edge and middle rows and columns, where the
+    labels change."""
+    resolution = draw(st.integers(2, 10 ** 6)
+                      | st.sampled_from((2, 3, 4, 5, 10 ** 6 - 1, 10 ** 6)))
+    last = resolution - 1
+    near_line = st.builds(lambda line, k: min(max(line + k, 0), last),
+                          st.sampled_from((0, last // 2, (last + 1) // 2, last)),
+                          st.integers(-2, 2))
+    index = st.integers(0, last) | near_line
+    cells = draw(st.lists(st.tuples(index, index)
+                          | st.sampled_from(((0, 0), (last, last))),
+                          min_size=1, max_size=20))
+    return resolution, cells
 
 
 class TestPhaseText:
@@ -345,23 +392,84 @@ class TestPhaseText:
     @settings(max_examples=25)
     @given(resolution=st.integers(2, 120), fmt=st.sampled_from(["csv", "json"]))
     def test_matches_per_row_text(self, resolution, fmt):
-        grid = phase_grid(resolution)
-        assert (_phase_text(grid, resolution, fmt)
-                == _phase_text_per_row(grid, fmt))
+        assert (_phase_text(resolution, fmt)
+                == _phase_text_per_row(resolution, fmt))
 
-    @pytest.mark.parametrize("resolution", [2, 5, 33])
+    @pytest.mark.parametrize("resolution", [2, 5, 17, 33])
     def test_json_records(self, resolution):
-        grid = phase_grid(resolution)
-        records = json.loads(_phase_text(grid, resolution, "json"))
+        records = json.loads(_phase_text(resolution, "json"))
         assert len(records) == resolution ** 2
         assert all(list(record) == PHASE_HEADER for record in records)
-        assert [r["theta_omega"] for r in records] == grid.theta_omega.tolist()
+        assert [(r["theta_m"], r["theta_omega"]) for r in records] == [
+            _lattice_point(resolution, i, j)
+            for i in range(resolution) for j in range(resolution)]
+
+    def test_grid_two_gives_corners(self):
+        records = json.loads(_phase_text(2, "json"))
+        assert [(r["theta_m"], r["theta_omega"]) for r in records
+                if r["excluded_corner"]] == [(0.0, -PI / 2), (PI, -PI / 2)]
+
+    def test_grid_three_matches_hand_enumeration(self):
+        records = json.loads(_phase_text(3, "json"))
+        assert len(records) == 9
+        for record, (etm, etw, etheory, eregion, epot, eexcl) in zip(
+                records, GRID3_EXPECTED):
+            assert record["theta_m"] == pytest.approx(etm, abs=1e-15)
+            assert record["theta_omega"] == pytest.approx(etw, abs=1e-15)
+            assert (record["theory"], record["region"], record["potential"],
+                    record["excluded_corner"]) == (etheory, eregion, epot, eexcl)
+
+    def test_angles_on_the_exact_lattice(self):
+        for resolution in range(2, 402):
+            last = resolution - 1
+            # theta_m is the former grid's, bit for bit
+            theta_m = [cli._theta_m(i, last) for i in range(resolution)]
+            assert theta_m == (math.pi * np.arange(resolution) / last).tolist()
+            theta_omega = [cli._theta_omega(d, last) for d in range(2 * last + 1)]
+            ends = [theta_omega[0], theta_omega[last], theta_omega[-1]]
+            assert ends == [0.0, -PI / 2, -PI]
+            assert math.copysign(1.0, ends[0]) == 1.0
+            with mpmath.workdps(40):
+                errors = [float(abs(x + mpmath.pi / 2 * d / last))
+                          for d, x in enumerate(theta_omega)]
+            assert (np.array(errors)
+                    <= 2 * np.spacing(np.abs(theta_omega))).all(), resolution
+
+    def test_labels_are_the_former_grids(self):
+        # theta_m and every label cell are those of the former grid, whose
+        # theta_omega was formed from each row's ends and classified in one
+        # numpy pass
+        for resolution in [*range(2, 140), 201, 257, 401]:
+            text = _phase_text(resolution, "csv")
+            body = text[text.index("\n") + 1:-1].replace("\n", ",")
+            cells = np.array(body.split(",")).reshape(-1, 7).T
+            former = phase_grid_former(resolution)
+            assert np.array_equal(cells[0].astype(float), former["theta_m"])
+            for k, name in enumerate(PHASE_HEADER[2:], start=2):
+                expected = former[name]
+                if expected.dtype == bool:
+                    expected = np.where(expected, "true", "false")
+                assert np.array_equal(cells[k], expected.astype(str)), (
+                    resolution, name)
+
+    @given(lattice_cells())
+    def test_lattice_labels_match_each_cell(self, grid):
+        # the row, column and corner labels _phase_text builds the text
+        # from, against the scalar classifier at each cell's own floats
+        resolution, cells = grid
+        last = resolution - 1
+        corners = {(i, i): is_normalizable(cli._theta_m(i, last)
+                                           + cli._theta_omega(last, last))
+                   for i in (0, last)}
+        for i, j in cells:
+            expected = classify_phase_scalar(*_lattice_point(resolution, i, j))
+            assert theory_of(cli._theta_m(i, last)) == expected.theory
+            assert cli._column_region(j, last) == expected.region
+            assert corners.get((i, j), True) == expected.normalizable
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_lattice_needs_no_dedup_sort(self, runner, monkeypatch, fmt):
-        # theta_omega has one text per grid diagonal, found by its index
-        # and not by sorting the grid's cells
-        monkeypatch.setattr(np, "unique", _no_unique)
+    def test_one_theta_omega_text_per_diagonal(self, runner, fmt):
+        # theta_omega has one text per grid diagonal
         result = runner.invoke(main, ["phase-diagram", "--grid", "201",
                                       "--format", fmt])
         assert result.exit_code == 0, result.output
@@ -376,10 +484,9 @@ class TestPhaseText:
 
     def test_json_text_peak_memory(self):
         # the pieces and their cells, not copies of the whole text
-        grid = phase_grid(201)
         tracemalloc.start()
         try:
-            text = _phase_text(grid, 201, "json")
+            text = _phase_text(201, "json")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1141,6 +1248,18 @@ def test_json_dumps_rejects_non_finite_numbers(value):
             _json_dumps(tree)
 
 
+@pytest.mark.parametrize("value, text", [
+    (np.int64(-3), "-3"), (np.float32(0.1), "0.10000000149011612"),
+    (np.float64(0.1), "0.10000000000000001"),
+    (np.complex128(1 - 2j), '{"re": 1, "im": -2}'),
+    (np.bool_(True), "true"), (np.bool_(False), "false")])
+def test_json_dumps_writes_numpy_scalars_as_python_values(value, text):
+    # cli imports no numpy and its leaf table has no numpy type: a numpy
+    # scalar is written as the Python value it holds
+    assert _json_dumps(value) == _json_dumps(value.item()) == text
+    assert _json_dumps({"x": [value]}) == '{\n  "x": [%s]\n}' % text
+
+
 def test_explicit_width_needs_no_length_scale(runner):
     # the scale is checked where a default width is built from it
     result = runner.invoke(main, ["wavefunction", "--hbar", "1e300", "--m",
@@ -1155,10 +1274,10 @@ def test_explicit_width_needs_no_length_scale(runner):
     (MemoryError("grid too large"), "error: MemoryError: grid too large\n"),
 ])
 def test_memory_error_is_one_error_line(runner, monkeypatch, error, line):
-    def exhausted(resolution):
+    def exhausted(resolution, fmt):
         raise error
 
-    monkeypatch.setattr(cli, "phase_grid", exhausted)
+    monkeypatch.setattr(cli, "_phase_text", exhausted)
     result = runner.invoke(main, ["phase-diagram", "--grid", "2"])
     assert result.exit_code == 2
     assert result.stdout == ""

@@ -10,10 +10,11 @@ for the benchmark harness, which times it.
 
 A fresh process loads only the modules its command uses: ``import cxho``
 loads no submodule and not numpy, and ``import cxho.cli`` loads ``params``
-and ``errors`` but none of the numeric modules.  Only ``evolve`` and
-``wavefunction`` load the CSV cell writer ``_csvcells``.  No cxho module
-imports ``dataclasses`` and no command loads it: the records are named
-tuples or classes with ``__slots__``, which generate no code at import.
+and ``errors`` but none of the numeric modules and not numpy, nor does
+``phase-diagram``.  Only ``evolve`` and ``wavefunction`` load the CSV cell
+writer ``_csvcells``.  No cxho module imports ``dataclasses`` and no
+command loads it: the records are named tuples or classes with
+``__slots__``, which generate no code at import.
 """
 
 import ast
@@ -166,19 +167,26 @@ def cxho_imports(*args: str) -> set[str]:
     return {name for name in imported(*args) if name.split(".")[0] == "cxho"}
 
 
+def cxho_and_numpy(names: set[str]) -> set[str]:
+    """The cxho and numpy modules among ``names``."""
+    return {name for name in names if name.split(".")[0] in ("cxho", "numpy")}
+
+
 def test_package_import_loads_no_submodule_nor_numpy():
-    names = imported("-c", "import cxho; cxho.BACKEND")
-    assert {name for name in names if name.split(".")[0] in ("cxho", "numpy")} \
+    assert cxho_and_numpy(imported("-c", "import cxho; cxho.BACKEND")) \
         == {"cxho"}
 
 
 def test_cli_import_loads_no_numeric_module():
-    assert cxho_imports("-c", "import cxho.cli") == CLI_MODULES
+    assert cxho_and_numpy(imported("-c", "import cxho.cli")) == CLI_MODULES
+    assert cxho_and_numpy(imported("-c", "from cxho import params")) == {
+        "cxho", "cxho.errors", "cxho.params"}
 
 
 def test_phase_diagram_loads_no_numeric_module():
-    loaded = cxho_imports("-m", "cxho.cli", "phase-diagram", "--grid", "2")
-    assert loaded == CLI_MODULES - {"cxho.cli"}  # it runs as __main__
+    loaded = imported("-m", "cxho.cli", "phase-diagram", "--grid", "2")
+    # it runs as __main__
+    assert cxho_and_numpy(loaded) == CLI_MODULES - {"cxho.cli"}
 
 
 def test_submodule_import_by_name():
@@ -197,7 +205,7 @@ def test_evolve_loads_only_its_numeric_modules():
     # its CSV writer is numpy arithmetic alone: np.unique without
     # return_inverse, say, would load numpy.ma on its first call
     loaded = imported("-m", "cxho.cli", "evolve", "--steps", "2000")
-    assert loaded - imported("-c", "import cxho.cli") == {
+    assert loaded - imported("-c", "import cxho.cli, numpy") == {
         "cxho.dynamics", "cxho.fock", "cxho._csvcells", "runpy"}
 
 

@@ -2,10 +2,9 @@ import cmath
 import math
 import re
 
-import mpmath
 import numpy as np
 import pytest
-from helpers import classify_phase_scalar, phase_grid_former
+from helpers import classify_phase_scalar
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,18 +18,17 @@ from cxho.errors import (
 from cxho.params import (
     ANGLE_TOL,
     FRAME_FACTOR,
-    POTENTIALS,
-    THEORIES,
     Potential,
     Theory,
     check_length_scale,
-    classify_grid,
     classify_phase,
     derived,
     eigenvalue,
+    is_normalizable,
     new_frame,
-    phase_grid,
+    region_of,
     regulated_momega,
+    theory_of,
     validate,
 )
 
@@ -95,6 +93,47 @@ class TestValidate:
         assert p.r == pytest.approx(1.0)
         assert p.theta == pytest.approx(PI / 2 - PI / 3)
         assert p.momega_sq == pytest.approx(p.momega * p.omega)
+
+
+# Each predicate of the phase rule on and about its lines: a line owns the
+# points within ANGLE_TOL of it.
+TOL_IN, TOL_OUT = 0.99 * ANGLE_TOL, 1.01 * ANGLE_TOL
+
+
+@pytest.mark.parametrize("theta_m, theory", [
+    (-TOL_IN, Theory.UTT), (0.0, Theory.UTT), (PI / 2 - TOL_OUT, Theory.UTT),
+    (PI / 2 - TOL_IN, Theory.ITT), (PI / 2, Theory.ITT),
+    (PI / 2 + TOL_IN, Theory.ITT), (PI / 2 + TOL_OUT, Theory.FTT),
+    (PI + TOL_IN, Theory.FTT)])
+def test_theory_of(theta_m, theory):
+    assert theory_of(theta_m) is theory
+
+
+@pytest.mark.parametrize("s, region", [
+    (TOL_IN, 1), (-TOL_IN, 1), (-TOL_OUT, 2), (-PI / 2 + TOL_OUT, 2),
+    (-PI / 2 + TOL_IN, 3), (-PI / 2 - TOL_IN, 3), (-PI / 2 - TOL_OUT, 4),
+    (-PI + TOL_OUT, 4), (-PI + TOL_IN, 5), (-PI - TOL_IN, 5)])
+def test_region_of(s, region):
+    assert region_of(s) == region
+
+
+@pytest.mark.parametrize("predicate, value", [
+    (theory_of, -TOL_OUT), (theory_of, PI + TOL_OUT), (theory_of, math.nan),
+    (region_of, 2 * TOL_OUT), (region_of, -PI - 2 * TOL_OUT),
+    (region_of, math.nan)])
+def test_predicates_reject_points_outside(predicate, value):
+    with pytest.raises(OutOfDomainError, match="outside"):
+        predicate(value)
+
+
+def test_is_normalizable_is_the_params_property():
+    # |theta| < pi/2 by more than ANGLE_TOL
+    assert is_normalizable(PI / 2 - TOL_OUT) and is_normalizable(-PI / 2 + TOL_OUT)
+    assert not is_normalizable(PI / 2 - TOL_IN)
+    assert not is_normalizable(-PI / 2) and not is_normalizable(math.nan)
+    for theta_m, theta_omega in ((0.3, -0.2), (0.0, -PI / 2), (PI, -PI / 2)):
+        p = angles_to_params(theta_m, theta_omega)
+        assert p.normalizable is is_normalizable(p.theta)
 
 
 class TestClassifyPhase:
@@ -276,95 +315,6 @@ class TestEigenvalue:
         assert all(v == 0 for v in ims_real)
 
 
-# Hand enumeration of the 3x3 grid: regions follow s = theta_m+2*theta_omega
-# through {-pi, -pi/2, 0} in each row, theory follows theta_m, potential from
-# the per-theory interpretation tables.
-GRID3_EXPECTED = [
-    (0.0, -PI / 2, Theory.UTT, 5, Potential.IHO, True),
-    (0.0, -PI / 4, Theory.UTT, 3, Potential.FREE_IMAG, False),
-    (0.0, 0.0, Theory.UTT, 1, Potential.HO, False),
-    (PI / 2, -3 * PI / 4, Theory.ITT, 5, Potential.FREE_IMAG, False),
-    (PI / 2, -PI / 2, Theory.ITT, 3, Potential.HO, False),
-    (PI / 2, -PI / 4, Theory.ITT, 1, Potential.FREE_IMAG, False),
-    (PI, -PI, Theory.FTT, 5, Potential.HO, False),
-    (PI, -3 * PI / 4, Theory.FTT, 3, Potential.FREE_IMAG, False),
-    (PI, -PI / 2, Theory.FTT, 1, Potential.IHO, True),
-]
-
-
-class TestPhaseGrid:
-    def test_resolution_two_gives_corners(self):
-        grid = phase_grid(2)
-        assert len(grid) == 4
-        corner = grid.excluded_corner
-        excluded = list(zip(grid.theta_m[corner].tolist(),
-                            grid.theta_omega[corner].tolist()))
-        assert excluded == [(0.0, -PI / 2), (PI, -PI / 2)]
-
-    def test_resolution_three_matches_hand_enumeration(self):
-        grid = phase_grid(3)
-        assert len(grid) == 9
-        for k, (etm, etw, etheory, eregion, epot, eexcl) in enumerate(
-                GRID3_EXPECTED):
-            assert grid.theta_m[k] == pytest.approx(etm, abs=1e-15)
-            assert grid.theta_omega[k] == pytest.approx(etw, abs=1e-15)
-            assert THEORIES[grid.theory[k]] == etheory
-            assert grid.region[k] == eregion
-            assert POTENTIALS[grid.potential[k]] == epot
-            assert grid.excluded_corner[k] == eexcl
-
-    def test_every_grid_point_classifies(self):
-        for resolution in (2, 5, 17):
-            grid = phase_grid(resolution)
-            assert len(grid) == resolution * resolution
-            for column in (grid.theta_m, grid.theta_omega, grid.theory,
-                           grid.region, grid.potential, grid.normalizable,
-                           grid.excluded_corner):
-                assert column.shape == (resolution * resolution,)
-
-    def test_angles_on_the_exact_lattice(self):
-        for resolution in range(2, 402):
-            grid = phase_grid(resolution)
-            former = phase_grid_former(resolution)
-            # theta_m and every label are the former grid's
-            assert grid.theta_m.tobytes() == former.theta_m.tobytes()
-            for name in ("theory", "region", "potential", "normalizable"):
-                assert np.array_equal(getattr(grid, name),
-                                      getattr(former, name)), (resolution, name)
-            # theta_omega is one value per diagonal d = i - j + r - 1
-            theta_omega = grid.theta_omega.reshape(resolution, resolution)
-            by_diagonal = np.concatenate([theta_omega[0, ::-1],
-                                          theta_omega[1:, 0]])
-            i, j = np.indices(theta_omega.shape)
-            assert np.array_equal(theta_omega,
-                                  by_diagonal[i - j + resolution - 1])
-            last = 2 * (resolution - 1)
-            ends = by_diagonal[[0, resolution - 1, last]].tolist()
-            assert ends == [0.0, -PI / 2, -PI]
-            assert math.copysign(1.0, ends[0]) == 1.0
-            with mpmath.workdps(40):
-                errors = [float(abs(x + mpmath.pi / 2 * d / (resolution - 1)))
-                          for d, x in enumerate(by_diagonal.tolist())]
-            assert (np.array(errors) <= 2 * np.spacing(np.abs(by_diagonal))
-                    ).all(), resolution
-
-    def test_bad_resolution(self):
-        with pytest.raises(ValueError):
-            phase_grid(1)
-
-
-def assert_matches_scalar(grid, theta_m, theta_omega):
-    """Every point of a PhaseGrid carries the labels of the former scalar
-    classifier."""
-    for k, (tm, tw) in enumerate(zip(theta_m, theta_omega)):
-        c = classify_phase_scalar(tm, tw)
-        got = (THEORIES[grid.theory[k]], int(grid.region[k]),
-               POTENTIALS[grid.potential[k]], bool(grid.normalizable[k]),
-               bool(grid.excluded_corner[k]))
-        assert got == (c.theory, c.region, c.potential, c.normalizable,
-                       c.excluded_corner), (tm, tw)
-
-
 # Values of s = theta_m + 2*theta_omega on the region boundary lines, and of
 # theta_m on the domain edges and the imaginary-mass line.
 S_LINES = (0.0, -PI / 2, -PI)
@@ -421,79 +371,6 @@ def outside_points(draw):
     return theta_m, (s - theta_m) / 2
 
 
-class TestClassifyGrid:
-    @pytest.mark.parametrize("resolution", [2, 3, 5, 17, 33, 101])
-    def test_matches_scalar_on_every_grid_cell(self, resolution):
-        grid = phase_grid(resolution)
-        assert_matches_scalar(grid, grid.theta_m.tolist(),
-                              grid.theta_omega.tolist())
-
-    def test_matches_scalar_at_tolerance_edges(self):
-        steps = np.array([0.0, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 2.01, 3.0])
-        offsets = np.concatenate([-steps, steps]) * ANGLE_TOL
-        theta_m = np.clip(np.add.outer(THETA_M_LINES, offsets).ravel(),
-                          -ANGLE_TOL, PI + ANGLE_TOL)
-        s = np.clip(np.add.outer(S_LINES, offsets).ravel(),
-                    -PI - ANGLE_TOL, ANGLE_TOL)
-        theta_m, s = (a.ravel() for a in np.meshgrid(theta_m, s))
-        theta_omega = (s - theta_m) / 2
-        assert_matches_scalar(classify_grid(theta_m, theta_omega),
-                              theta_m.tolist(), theta_omega.tolist())
-
-    def test_points_just_outside_raise(self):
-        for theta_m, s in ((-1.01 * ANGLE_TOL, -1.0), (PI + 1.01 * ANGLE_TOL, -2.0),
-                           (1.0, 2.01 * ANGLE_TOL), (1.0, -PI - 2.01 * ANGLE_TOL)):
-            theta_omega = (s - theta_m) / 2
-            with pytest.raises(OutOfDomainError):
-                classify_phase(theta_m, theta_omega)
-            with pytest.raises(OutOfDomainError):
-                classify_grid([0.0, theta_m], [0.0, theta_omega])
-
-    @given(st.lists(plane_points(), min_size=1, max_size=40))
-    def test_matches_scalar_over_closed_parallelogram(self, points):
-        theta_m, theta_omega = map(list, zip(*points))
-        grid = classify_grid(np.array(theta_m), np.array(theta_omega))
-        assert len(grid) == len(points)
-        assert_matches_scalar(grid, theta_m, theta_omega)
-
-    @given(st.lists(plane_points(), max_size=20), outside_points(),
-           st.integers(0, 20))
-    def test_out_of_domain_raises(self, points, bad, where):
-        with pytest.raises(OutOfDomainError):
-            classify_phase_scalar(*bad)
-        points.insert(where, bad)
-        theta_m, theta_omega = map(np.array, zip(*points))
-        with pytest.raises(OutOfDomainError):
-            classify_grid(theta_m, theta_omega)
-
-    @pytest.mark.parametrize("theta_m, theta_omega, failed_test", [
-        (math.nan, -1.0, r"outside \[0, pi\]"),
-        (1.0, math.nan, r"outside \[-pi, 0\]"),
-        (math.nan, math.nan, r"outside \[0, pi\]")])
-    def test_nan_angle_raises(self, theta_m, theta_omega, failed_test):
-        with pytest.raises(OutOfDomainError, match=failed_test):
-            classify_phase_scalar(theta_m, theta_omega)
-        with pytest.raises(OutOfDomainError, match=failed_test):
-            classify_grid(theta_m, theta_omega)
-
-    def test_nan_in_valid_grid_raises(self):
-        grid = phase_grid(5)
-        for column in ("theta_m", "theta_omega"):
-            angles = {"theta_m": grid.theta_m.copy(),
-                      "theta_omega": grid.theta_omega.copy()}
-            angles[column][7] = math.nan
-            with pytest.raises(OutOfDomainError):
-                classify_grid(**angles)
-
-    def test_broadcasts_and_keeps_shape(self):
-        grid = classify_grid(np.array([[0.0], [PI]]), -PI / 2)
-        for column in (grid.theta_m, grid.theta_omega, grid.theory,
-                       grid.region, grid.potential, grid.excluded_corner):
-            assert column.shape == (2, 1)
-        assert grid.excluded_corner.tolist() == [[True], [True]]
-        assert classify_grid(0.0, 0.0).potential.shape == ()
-
-
 #: Offsets of the points drawn on or near a line: on it, at the tolerance
 #: edge and past it.
 LINE_OFFSETS = (0.0, ANGLE_TOL, -ANGLE_TOL, 3 * ANGLE_TOL, -3 * ANGLE_TOL)
@@ -520,10 +397,10 @@ def line_points(draw):
 
 
 class TestClassifyPhaseOracle:
-    """``classify_phase`` is ``classify_grid`` at one point; it must give
-    the former scalar classifier's labels, units and error texts."""
+    """``classify_phase`` is the phase rule at one point; it must give the
+    former scalar classifier's labels, units and error texts."""
 
-    @given(line_points())
+    @given(line_points() | plane_points() | outside_points())
     def test_matches_scalar_oracle(self, point):
         try:
             expected = classify_phase_scalar(*point)
@@ -535,6 +412,34 @@ class TestClassifyPhaseOracle:
         got = classify_phase(*point)
         assert got == expected
         assert type(got.region) is int and type(got.normalizable) is bool
+
+    def test_matches_scalar_at_tolerance_edges(self):
+        steps = np.array([0.0, 0.5, 0.99, 1.0, 1.01, 1.5, 2.0, 2.01, 3.0])
+        offsets = np.concatenate([-steps, steps]) * ANGLE_TOL
+        theta_m = np.clip(np.add.outer(THETA_M_LINES, offsets).ravel(),
+                          -ANGLE_TOL, PI + ANGLE_TOL)
+        s = np.clip(np.add.outer(S_LINES, offsets).ravel(),
+                    -PI - ANGLE_TOL, ANGLE_TOL)
+        for theta_m, s in zip(*(a.ravel().tolist()
+                                for a in np.meshgrid(theta_m, s))):
+            point = theta_m, (s - theta_m) / 2
+            assert classify_phase(*point) == classify_phase_scalar(*point), point
+
+    def test_points_just_outside_raise(self):
+        for theta_m, s in ((-1.01 * ANGLE_TOL, -1.0), (PI + 1.01 * ANGLE_TOL, -2.0),
+                           (1.0, 2.01 * ANGLE_TOL), (1.0, -PI - 2.01 * ANGLE_TOL)):
+            with pytest.raises(OutOfDomainError):
+                classify_phase(theta_m, (s - theta_m) / 2)
+
+    @pytest.mark.parametrize("theta_m, theta_omega, failed_test", [
+        (math.nan, -1.0, r"outside \[0, pi\]"),
+        (1.0, math.nan, r"outside \[-pi, 0\]"),
+        (math.nan, math.nan, r"outside \[0, pi\]")])
+    def test_nan_angle_raises(self, theta_m, theta_omega, failed_test):
+        with pytest.raises(OutOfDomainError, match=failed_test):
+            classify_phase_scalar(theta_m, theta_omega)
+        with pytest.raises(OutOfDomainError, match=failed_test):
+            classify_phase(theta_m, theta_omega)
 
     @given(line_points())
     def test_unit_of_each_theory(self, point):

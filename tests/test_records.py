@@ -18,8 +18,6 @@ FIELDS = {
     params.PhaseClassification: ("theory", "region", "potential",
                                  "excluded_corner", "normalizable",
                                  "frame_factor"),
-    params.PhaseGrid: ("theta_m", "theta_omega", "theory", "region",
-                       "potential", "normalizable"),
     contour.ContourPath: ("nodes", "weights", "direction",
                           "max_tangent_angle"),
     fock.FockRep: ("params", "n_max", "lowering", "raising", "h", "h_adj",
