@@ -186,7 +186,7 @@ def region_of(s: float) -> int:
     (-pi/2, 0), {-pi/2}, (-pi, -pi/2), {-pi}; boundary lines own their
     labels.  Raises OutOfDomainError outside [-pi, 0] or at NaN."""
     # written so that a NaN angle fails it
-    if not -math.pi - 2 * ANGLE_TOL <= s <= 2 * ANGLE_TOL:
+    if not -math.pi - ANGLE_TOL <= s <= ANGLE_TOL:
         raise OutOfDomainError(
             f"theta_m + 2*theta_omega = {s:.6g} outside [-pi, 0]")
     if abs(s) <= ANGLE_TOL:

@@ -6,8 +6,9 @@ the complex product m*omega enters everywhere a real frequency would in the
 textbook oscillator.  Overlaps between the two bases are analytic in
 m*omega and are computed on a contour rotated by -arg(m*omega)/2, which
 maps the integrand onto a real Gaussian.  Same-basis overlaps involve both
-m*omega and its conjugate; they depend on theta = arg(m*omega) alone and
-follow exactly from the ladder relations, with no quadrature nodes.
+m*omega and its conjugate; they depend on theta = arg(m*omega) alone and,
+like their inverse (the metric matrix), follow in closed form from the
+Hermite scaling identity, with no quadrature nodes and no factorization.
 """
 
 from __future__ import annotations
@@ -207,21 +208,6 @@ def parity_blocks(*mats: np.ndarray) -> list[list[np.ndarray]]:
             for p in range(min(2, len(mats[0])))]
 
 
-def _hermitian_cond(mat: np.ndarray) -> float:
-    """2-norm condition number of a Hermitian matrix whose entries at m + n
-    odd are 0, max|lambda| / min|lambda|.
-
-    Its eigenvalues are those of its two parity blocks and its singular
-    values are their moduli, so one ``eigvalsh`` per block, a quarter of
-    the full-size work in all, does what the SVD in ``np.linalg.cond`` does.
-    A zero eigenvalue gives inf.
-    """
-    moduli = np.abs(np.concatenate(
-        [np.linalg.eigvalsh(block) for block, in parity_blocks(mat)]))
-    smallest = moduli.min()
-    return float(moduli.max() / smallest) if smallest > 0 else math.inf
-
-
 def _mirrored_half(path: ContourPath) -> tuple[np.ndarray, np.ndarray]:
     """Nodes s >= 0 of a mirror-symmetric rule and their weights, doubled
     except at a middle node s = 0.
@@ -296,7 +282,8 @@ class GramMatrices(NamedTuple):
     dual-basis cross matrix, with the condition number of S.
 
     All three are full n_max x n_max matrices with exact zeros at m + n
-    odd; each is computed per parity block (``parity_blocks``).
+    odd; each is computed per parity block (``parity_blocks``).  S and the
+    metric are exactly Hermitian.
     """
 
     S: np.ndarray
@@ -305,63 +292,69 @@ class GramMatrices(NamedTuple):
     condition_number: float
 
 
-def _same_basis_gram(theta: float, n_max: int) -> np.ndarray:
-    """Same-basis Gram matrix S[m, n] = <psi_m|psi_n> from the ladder relations.
+def _triangular_factor(g: complex, h: complex, levels: np.ndarray) -> np.ndarray:
+    """Upper-triangular F[a, b] = g^(k+1/2) h^j sqrt(n!/k!)/j! between the
+    levels k = levels[a] and n = levels[b] = k + 2j of one parity.
 
-    S[0, 0] = 1/sqrt(cos theta), S[0, n] = i tan(theta) sqrt((n-1)/n) S[0, n-2]
-    and, for n > m, sqrt(m+1) S[m+1, n] = sec(theta) sqrt(n) S[m, n-1]
-    - i tan(theta) sqrt(m) S[m-1, n].  The upper triangle is filled one row
-    slice at a time and mirrored, so S is Hermitian by construction.
+    Each row is a running product along j, seeded by g^(k+1/2) on the
+    diagonal, whose step is h sqrt(n (n-1))/j.  The cells below the
+    diagonal are steps of 1 and are zeroed after the product, so they
+    cannot overflow.
     """
-    tan, sec = math.tan(theta), 1.0 / math.cos(theta)
-    roots = np.sqrt(np.arange(n_max))
-    evens = np.arange(2, n_max, 2)
-    # rows[m + 1] holds row m of S; rows[0] is the zero row S[-1]
-    rows = np.zeros((n_max + 1, n_max), dtype=np.complex128)
-    rows[1, ::2] = np.cumprod(np.r_[1.0 / math.sqrt(math.cos(theta)),
-                                    1j * tan * np.sqrt((evens - 1) / evens)])
-    for m in range(n_max - 1):
-        rows[m + 2, m + 1:] = (sec * roots[m + 1:] * rows[m + 1, m:-1]
-                               - 1j * tan * roots[m] * rows[m, m + 1:]) / roots[m + 1]
-    upper = np.triu(rows[1:], 1)
-    return upper + upper.conj().T + np.diag(rows[1:].diagonal().real)
+    j = (levels - levels[:, None]) // 2
+    steps = np.where(
+        j > 0, h * np.sqrt(levels * (levels - 1.0)) / np.maximum(j, 1), 1)
+    np.fill_diagonal(steps, g ** (levels + 0.5))
+    return np.triu(np.cumprod(steps, axis=1))
+
+
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^H)/2, Hermitian bit for bit with a real diagonal."""
+    return 0.5 * (mat + mat.conj().T)
 
 
 def gram_and_metric(params: ModelParams, n_max: int) -> GramMatrices:
     """Gram matrix of the mode basis, the metric matrix, and the cross matrix.
 
     The cross matrix comes first, so its Hermite overflow (as at n_max 128)
-    raises NonFiniteSampleError before S is built.  S comes from the ladder
-    recurrence, with no quadrature nodes; an S that overflows raises
-    NonFiniteSampleError too.  The condition number and the metric matrix
-    are computed per parity block, the metric as the inverse of each block
-    of S via its Cholesky factorization; a failed factorization warns once
-    and falls back to a generic inverse of each block.  Ill conditioning
-    beyond 1e12 is reported through IllConditionedWarning but the result is
-    still returned.
+    raises NonFiniteSampleError before S is built.  With gamma =
+    e^(i theta/2)/sqrt(cos theta), level n is sum_k R[k, n] e_k over the
+    orthonormal Hermite functions e_k of Re(m*omega) (times a chirp), where
+    R = ``_triangular_factor`` at g = gamma, h = i tan(theta)/2 follows from
+    H_n(gamma y) = sum_j n!/(j!(n-2j)!) gamma^(n-2j) (gamma^2-1)^j
+    H_(n-2j)(y).  Its inverse is the same identity read backwards, at
+    g = 1/gamma and h = (gamma^-2 - 1)/2 = -(i/2) sin(theta) e^(-i theta).
+    So, per parity block, S = R^H R and the metric is R^-1 R^-H, with no
+    quadrature nodes and no factorization; every term of an entry has the
+    same phase, so both are accurate entry by entry at any conditioning.
+    An S that overflows raises NonFiniteSampleError.  cond(S) is
+    lambda_max(S) lambda_max(S^-1), the well-conditioned end of both
+    spectra; beyond 1e12 it is reported through IllConditionedWarning, but
+    the result is still returned.
     """
     cross = cross_gram(params, n_max)
+    theta = params.theta
+    gamma = cmath.exp(0.5j * theta) / math.sqrt(math.cos(theta))
+    s_mat = np.zeros((n_max, n_max), dtype=np.complex128)
+    q_mat = np.zeros_like(s_mat)
+    blocks = parity_blocks(s_mat, q_mat)
     # an overflowing S is reported by _finite_gram alone
     with np.errstate(over="ignore", invalid="ignore"):
-        s_mat = _same_basis_gram(params.theta, n_max)
-    s_mat = _finite_gram(s_mat, n_max, f"S exceeds the double range at "
-                         f"arg(m*omega) = {params.theta:.6g}")
+        for parity, (s_block, q_block) in enumerate(blocks):
+            levels = np.arange(parity, n_max, 2)
+            r = _triangular_factor(gamma, 0.5j * math.tan(theta), levels)
+            r_inv = _triangular_factor(
+                1 / gamma, -0.5j * math.sin(theta) * cmath.exp(-1j * theta),
+                levels)
+            s_block[...] = _hermitian_part(r.conj().T @ r)
+            q_block[...] = _hermitian_part(r_inv @ r_inv.conj().T)
+    _finite_gram(s_mat, n_max, f"S exceeds the double range at "
+                 f"arg(m*omega) = {theta:.6g}")
 
-    cond = _hermitian_cond(s_mat)
+    s_max, q_max = (max(np.linalg.eigvalsh(block)[-1] for block in mats)
+                    for mats in zip(*blocks))
+    cond = float(s_max * q_max)
     if cond > COND_LIMIT:
         warnings.warn(f"Gram matrix condition number {cond:.3e} exceeds "
                       f"{COND_LIMIT:g}", IllConditionedWarning)
-    q_mat = np.zeros_like(s_mat)
-    blocks = parity_blocks(s_mat, q_mat)
-    try:
-        for s_block, q_block in blocks:
-            chol_inv = np.linalg.inv(np.linalg.cholesky(s_block))
-            q_block[...] = chol_inv.conj().T @ chol_inv
-    except np.linalg.LinAlgError:
-        warnings.warn("Cholesky failed; falling back to a generic inverse",
-                      IllConditionedWarning)
-        for s_block, q_block in blocks:
-            q_block[...] = np.linalg.inv(s_block)
-    q_mat = 0.5 * (q_mat + q_mat.conj().T)
-
     return GramMatrices(S=s_mat, Qmat=q_mat, cross=cross, condition_number=cond)

@@ -4,8 +4,9 @@ matrix, a parameter strategy over the closed parallelogram, the recursive
 JSON writer the CLI's one-pass writer is checked against, the former
 per-branch forms of the weak-value, amplitude, coherent and regulated
 routes, which the merged routes must match bit for bit, the former scalar
-phase classifier and phase grid, and the former monomial route of the
-regulated levels, run in mpmath."""
+phase classifier and phase grid, the former monomial route of the
+regulated levels, run in mpmath, and the former ladder recurrence of the
+same-basis Gram matrix."""
 
 import cmath
 import json
@@ -239,7 +240,7 @@ def classify_phase_scalar(theta_m, theta_omega):
     if not -ANGLE_TOL <= theta_m <= math.pi + ANGLE_TOL:
         raise OutOfDomainError(f"theta_m = {theta_m:.6g} outside [0, pi]")
     s = theta_m + 2 * theta_omega
-    if not -math.pi - 2 * ANGLE_TOL <= s <= 2 * ANGLE_TOL:
+    if not -math.pi - ANGLE_TOL <= s <= ANGLE_TOL:
         raise OutOfDomainError(
             f"theta_m + 2*theta_omega = {s:.6g} outside [-pi, 0]")
 
@@ -361,3 +362,26 @@ def json_dumps_recursive(obj, indent=0):
                            for v in items)
         return "[\n" + inner + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def same_basis_gram_ladder(theta: float, n_max: int) -> np.ndarray:
+    """The former same-basis Gram matrix S[m, n] = <psi_m|psi_n> from the
+    ladder relations (oracle for the closed form S = R^H R).
+
+    S[0, 0] = 1/sqrt(cos theta), S[0, n] = i tan(theta) sqrt((n-1)/n) S[0, n-2]
+    and, for n > m, sqrt(m+1) S[m+1, n] = sec(theta) sqrt(n) S[m, n-1]
+    - i tan(theta) sqrt(m) S[m-1, n].  The upper triangle is filled one row
+    slice at a time and mirrored, so S is Hermitian by construction.
+    """
+    tan, sec = math.tan(theta), 1.0 / math.cos(theta)
+    roots = np.sqrt(np.arange(n_max))
+    evens = np.arange(2, n_max, 2)
+    # rows[m + 1] holds row m of S; rows[0] is the zero row S[-1]
+    rows = np.zeros((n_max + 1, n_max), dtype=np.complex128)
+    rows[1, ::2] = np.cumprod(np.r_[1.0 / math.sqrt(math.cos(theta)),
+                                    1j * tan * np.sqrt((evens - 1) / evens)])
+    for m in range(n_max - 1):
+        rows[m + 2, m + 1:] = (sec * roots[m + 1:] * rows[m + 1, m:-1]
+                               - 1j * tan * roots[m] * rows[m, m + 1:]) / roots[m + 1]
+    upper = np.triu(rows[1:], 1)
+    return upper + upper.conj().T + np.diag(rows[1:].diagonal().real)

@@ -114,13 +114,17 @@ REFERENCE_DIGESTS = {
         "99319b74cd35bb6bef3c2141ea24c471acd07c933c1dbed9c8fe2d76a68e4c9f",
     # re-recorded for cxho's own Gauss-Legendre rule and the in-place cross
     # matrix: only dual_normalization, gram_head_entry and
-    # ground_dual_overlap moved, and none changed between passed and failed
+    # ground_dual_overlap moved, and none changed between passed and failed.
+    # Re-recorded when S and the metric moved to the closed-form triangular
+    # factor: only metric_inverse moved (2.842e-14 to 2.923e-14 at
+    # 0.866-0.5i, 3.3e-16 to 6.7e-16 at seed 7); at omega 1, S = I
+    # exactly in both routes.
     "verify --m 1+0i --omega 0.866-0.5i --nmax 12":
-        "80a265502c1ed55bf540358dec5dd33b5763b92fd111d23436bdc71894137e3f",
+        "a2e3383f2ac01fe8d26b988e4fad94ca81dddacb755098bc46ecd74e3349c496",
     "verify --omega 1 --nmax 12":
         "11de509e350df701bdb88e126b1d93b018e24ef410f5884e240d20284b483028",
     "verify --m 0.8+0.3i --omega 0.9-0.3i --nmax 16 --seed 7":
-        "5389ab6dfac5bfdcf0416d8923db4145ea8354f7e64e90dc94b812ce4dc19087",
+        "333a31acea2a1b3aff531cd4a9e59d5b56968c88373117b04c74c865f3b63987",
     # recorded from the one-f-string-per-cell formatter, and again for the
     # angle lattice like the grids above
     "phase-diagram --grid 401":
@@ -145,10 +149,11 @@ REFERENCE_DIGESTS = {
 
 #: Reports of runs that exit 3, recorded like REFERENCE_DIGESTS; plain
 #: ``verify`` fails dual_normalization at its default nmax 32 (re-recorded
-#: like the verify entries above).
+#: like the verify entries above; for the closed-form metric only
+#: metric_inverse moved, from 2.2e-16 to 0: omega 1 gives S = I exactly).
 FAILING_REPORT_DIGESTS = {
     "verify":
-        "9d5b22ff0b3702842a008ce84ba65aef7f9e9200c39d7b54fd26edeb888edbc3",
+        "6c62fe2713bd8f44c203c8c18db7c7616e868e217da8d9f3d855e81199250b51",
 }
 
 
@@ -607,23 +612,23 @@ class TestVerify:
         assert "n_max = 128" in line and "Hermite" in line
         assert "overflow" in line and "SVD" not in line
 
-    def test_cholesky_fallback_is_two_warning_lines(self):
-        # cond(S) 8.6e34: the metric falls back to a generic inverse, once
+    def test_ill_conditioned_gram_is_one_warning_line(self):
+        # cond(S) at 60 degrees, nmax 64 is 3.9503e42 (mpmath); the metric
+        # needs no factorization, so the warning is the one line
         out = _fresh_process("-m", "cxho.cli", "verify", "--omega",
                              "0.5-0.86602540378443865i", "--nmax", "64")
         assert out.returncode == 3
         assert out.stderr.decode().splitlines() == [
-            "warning: Gram matrix condition number 8.553e+34 exceeds 1e+12",
-            "warning: Cholesky failed; falling back to a generic inverse"]
+            "warning: Gram matrix condition number 3.950e+42 exceeds 1e+12"]
         failed = {c["name"] for c in json.loads(out.stdout)["checks"]
                   if not c["passed"]}
         assert {"metric_inverse", "metric_positivity"} <= failed
 
     def test_gram_step_factorizes_parity_blocks(self, runner, monkeypatch):
         # S, the metric and the cross matrix split into even and odd levels:
-        # at nmax 64 no eigvalsh, Cholesky or inverse sees more than 32 x 32,
-        # and the cross matrix's Hermite table is built on half of the
-        # 400-node rule
+        # at nmax 64 no eigvalsh sees more than 32 x 32, the metric needs no
+        # Cholesky factor, inverse or solve, and the cross matrix's Hermite
+        # table is built on half of the 400-node rule
         shapes = {}
 
         def recorded(module, name):
@@ -647,10 +652,8 @@ class TestVerify:
                                       "0.9-0.3i", "--nmax", "64"])
         # exit 3: the default cross rule does not resolve level 63
         assert result.exit_code in (0, 3), result.output
-        matrices = [shape for name in ("eigvalsh", "cholesky", "solve", "inv")
-                    for call in shapes.get(name, []) for shape in call]
-        assert shapes["eigvalsh"] and shapes["cholesky"] and shapes["inv"]
-        assert max(max(shape) for shape in matrices) == 32
+        assert set(shapes) == {"eigvalsh", "hermite_table"}
+        assert max(max(shape) for [shape] in shapes["eigvalsh"]) == 32
         # the other table is gram_head_entry's level 0 on its own rule
         assert [call for call in shapes["hermite_table"] if call[0] == 64] == [
             [64, (200,)]]
@@ -757,15 +760,15 @@ class TestVerify:
         assert checks["gram_head_entry"]["passed"]
 
     def test_gram_head_entry_is_independent_of_s(self, runner, monkeypatch):
-        # S[0, 0] is the recurrence's seed; the check integrates |psi_0|^2
-        same_basis_gram = wavefunctions._same_basis_gram
+        # S[0, 0] is |R[0, 0]|^2; the check integrates |psi_0|^2
+        triangular_factor = wavefunctions._triangular_factor
 
-        def perturbed(theta, n_max):
-            s_mat = same_basis_gram(theta, n_max)
-            s_mat[0, 0] *= 1 + 1e-6
-            return s_mat
+        def perturbed(g, h, levels):
+            factor = triangular_factor(g, h, levels)
+            factor[0, 0] *= 1 + 1e-6
+            return factor
 
-        monkeypatch.setattr(wavefunctions, "_same_basis_gram", perturbed)
+        monkeypatch.setattr(wavefunctions, "_triangular_factor", perturbed)
         result = runner.invoke(main, ["verify", "--m", "1+0i", "--omega",
                                       "0.866-0.5i", "--nmax", "10"])
         assert result.exit_code == 3

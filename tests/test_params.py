@@ -119,11 +119,22 @@ def test_region_of(s, region):
 
 @pytest.mark.parametrize("predicate, value", [
     (theory_of, -TOL_OUT), (theory_of, PI + TOL_OUT), (theory_of, math.nan),
-    (region_of, 2 * TOL_OUT), (region_of, -PI - 2 * TOL_OUT),
+    (region_of, TOL_OUT), (region_of, -PI - TOL_OUT),
     (region_of, math.nan)])
 def test_predicates_reject_points_outside(predicate, value):
     with pytest.raises(OutOfDomainError, match="outside"):
         predicate(value)
+
+
+@pytest.mark.parametrize("s", [1.5 * ANGLE_TOL, -PI - 1.5 * ANGLE_TOL])
+def test_region_of_domain_is_the_validated_one(s):
+    # validate admits s in [-pi - ANGLE_TOL, ANGLE_TOL]; a point past that
+    # lies outside the parallelogram and has no region
+    with pytest.raises(PotentialDivergenceError):
+        validate(1, cmath.exp(0.5j * s))
+    with pytest.raises(OutOfDomainError,
+                       match=r"theta_m \+ 2\*theta_omega = .* outside \[-pi, 0\]"):
+        region_of(s)
 
 
 def test_is_normalizable_is_the_params_property():
@@ -366,8 +377,8 @@ def outside_points(draw):
         s = draw(st.floats(-PI, 0.0))
     else:
         theta_m = draw(st.floats(0.0, PI))
-        s = draw(st.one_of(st.floats(-PI - 1.0, -PI - 2.01 * ANGLE_TOL),
-                           st.floats(2.01 * ANGLE_TOL, 1.0)))
+        s = draw(st.one_of(st.floats(-PI - 1.0, -PI - 1.01 * ANGLE_TOL),
+                           st.floats(1.01 * ANGLE_TOL, 1.0)))
     return theta_m, (s - theta_m) / 2
 
 
@@ -418,8 +429,12 @@ class TestClassifyPhaseOracle:
         offsets = np.concatenate([-steps, steps]) * ANGLE_TOL
         theta_m = np.clip(np.add.outer(THETA_M_LINES, offsets).ravel(),
                           -ANGLE_TOL, PI + ANGLE_TOL)
+        # theta_m + 2*theta_omega recomputed from (s - theta_m)/2 may round
+        # past s by a unit in the last place of pi; the domain's edges are
+        # kept that far inside it
+        margin = 4 * math.ulp(PI)
         s = np.clip(np.add.outer(S_LINES, offsets).ravel(),
-                    -PI - ANGLE_TOL, ANGLE_TOL)
+                    -PI - ANGLE_TOL + margin, ANGLE_TOL - margin)
         for theta_m, s in zip(*(a.ravel().tolist()
                                 for a in np.meshgrid(theta_m, s))):
             point = theta_m, (s - theta_m) / 2
@@ -427,7 +442,7 @@ class TestClassifyPhaseOracle:
 
     def test_points_just_outside_raise(self):
         for theta_m, s in ((-1.01 * ANGLE_TOL, -1.0), (PI + 1.01 * ANGLE_TOL, -2.0),
-                           (1.0, 2.01 * ANGLE_TOL), (1.0, -PI - 2.01 * ANGLE_TOL)):
+                           (1.0, 1.01 * ANGLE_TOL), (1.0, -PI - 1.01 * ANGLE_TOL)):
             with pytest.raises(OutOfDomainError):
                 classify_phase(theta_m, (s - theta_m) / 2)
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -19,8 +20,6 @@ from cxho.errors import (
 from cxho import wavefunctions
 from cxho.params import validate
 from cxho.wavefunctions import (
-    _hermitian_cond,
-    _same_basis_gram,
     coherent_wavefunction,
     cross_gram,
     eigenfunction,
@@ -32,7 +31,8 @@ from cxho.wavefunctions import (
 )
 from helpers import (assert_same_outcome, cross_gram_all_nodes,
                      excited_regulated_branches, excited_regulated_ladder,
-                     normalizable_params, regulated_branches)
+                     normalizable_params, regulated_branches,
+                     same_basis_gram_ladder)
 
 PI = math.pi
 
@@ -494,7 +494,7 @@ class TestGramAndMetric:
 
     def test_cross_overflow_raised_before_s_is_built(self, monkeypatch):
         built = []
-        monkeypatch.setattr(wavefunctions, "_same_basis_gram",
+        monkeypatch.setattr(wavefunctions, "_triangular_factor",
                             lambda *args: built.append(args))
         p = validate(0.8 + 0.3j, 0.9 - 0.3j)
         with pytest.raises(NonFiniteSampleError, match="n_max = 128.*Hermite"):
@@ -532,29 +532,6 @@ class TestGramAndMetric:
         assert g.condition_number == pytest.approx(np.linalg.cond(g.S),
                                                    rel=1e-8, abs=0)
 
-    @pytest.mark.parametrize("mat", [np.diag([2.0, 0.0, -1.0]),
-                                     np.zeros((3, 3))], ids=["singular", "zero"])
-    def test_singular_condition_number_is_inf(self, mat):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert _hermitian_cond(mat) == math.inf
-
-    def test_cholesky_fallback_warns_once(self):
-        # cond(S) 8.6e34: in double, S is not positive definite
-        p = validate(1, 0.5 - 0.86602540378443865j)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            g = gram_and_metric(p, 64)
-        messages = [str(w.message) for w in caught]
-        assert all(w.category is IllConditionedWarning for w in caught)
-        assert len(messages) == 2 and "condition number" in messages[0]
-        assert messages[1] == ("Cholesky failed; falling back to a generic "
-                               "inverse")
-        assert g.condition_number > 1e34
-        assert np.abs(g.Qmat - g.Qmat.conj().T).max() == 0.0
-        odd = np.add.outer(np.arange(64), np.arange(64)) % 2 == 1
-        assert np.all(g.Qmat[odd] == 0)
-
     def test_ill_conditioning_reported_not_fatal(self):
         p = validate(cmath.exp(1j * (PI - 0.1)), cmath.exp(-1j * PI / 2))
         assert p.theta == pytest.approx(PI / 2 - 0.1)
@@ -588,6 +565,43 @@ def _gamma(k: int) -> float:
     return k * u / (1 - k * u)
 
 
+def _closed_form_bound(theta: float, n_max: int) -> float:
+    """Relative error bound on every entry of gram_and_metric's S and
+    metric matrix at n_max levels, against their exact values at the
+    double theta.
+
+    An entry k + 2j < n_max of R or R^-1 (``_triangular_factor``) is the
+    seed g^(k+1/2) times j steps, counted in roundings.  g = gamma or
+    1/gamma carries <= 7 (exp, cos, sqrt and the quotient; 3 for the
+    complex reciprocal), which its power multiplies by k + 1/2; the power,
+    exp((k+1/2) log g), adds (k+1/2) |log g| + 4.  A step h sqrt(n (n-1))/j
+    carries <= 8 (h: <= 5 for -(i/2) sin(theta) e^(-i theta); the root, the
+    product, the quotient) and its complex product in the running product
+    <= 3.  So a factor entry carries <= (k+1/2)(7 + L) + 4 + 11 j <=
+    (7 + L) n_max + 4, L = |log gamma|.  An entry of R^H R or R^-1 R^-H
+    sums <= n_max/2 products of two factor entries (3 each) that share one
+    phase, so nothing cancels and the sum adds n_max/2; the Hermitian part
+    adds 1.
+    """
+    log_gamma = abs(complex(-0.5 * math.log(math.cos(theta)), 0.5 * theta))
+    return _gamma(math.ceil((14.5 + 2 * log_gamma) * n_max) + 12)
+
+
+def _gram_at(theta: float, n_max: int):
+    """(params, gram_and_metric) at arg(m*omega) = theta, |m*omega| = 1,
+    with the cross matrix stubbed out: the Gram step does not read it, and
+    its default rule's Hermite table overflows from n_max 128 on.
+    IllConditionedWarning is ignored."""
+    m, omega = ((cmath.exp(2j * theta), cmath.exp(-1j * theta)) if theta > 0
+                else (1, cmath.exp(1j * theta)))
+    p = validate(m, omega)
+    with (mock.patch.object(wavefunctions, "cross_gram",
+                            lambda params, n: np.eye(n)),
+          warnings.catch_warnings()):
+        warnings.simplefilter("ignore", IllConditionedWarning)
+        return p, gram_and_metric(p, n_max)
+
+
 class TestSameBasisGramOracles:
     @pytest.mark.parametrize("theta", [-1.45, -1.0, -0.5, -0.1, 0.0, 0.3,
                                        PI / 3, 1.2, 1.45])
@@ -601,7 +615,7 @@ class TestSameBasisGramOracles:
         n_max = 48
         with mpmath.workdps(60):
             exact = _mpmath_gram(theta, n_max)
-            got = _same_basis_gram(theta, n_max)
+            got = same_basis_gram_ladder(theta, n_max)
             err = np.array([[float(abs(exact[m][n] - mpmath.mpc(got[m, n])))
                              for n in range(n_max)] for m in range(n_max)])
             size = np.array([[float(abs(exact[m][n])) for n in range(n_max)]
@@ -609,6 +623,7 @@ class TestSameBasisGramOracles:
         assert np.all(err <= _gamma(8 * n_max + 2) * size)
         assert err.max() <= _gamma(8 * n_max + 2) * np.abs(got).max()
 
+    @pytest.mark.filterwarnings("ignore::cxho.errors.IllConditionedWarning")
     @pytest.mark.parametrize("m, omega", [
         (1, 0.866 - 0.5j), (0.8 + 0.3j, 0.9 - 0.3j), (1, 1),
         (2 * cmath.exp(2.5j), 0.7 * cmath.exp(-1.5j)),
@@ -626,28 +641,28 @@ class TestSameBasisGramOracles:
         weights = w * np.exp(y * y) * scale
         quad = (np.conj(psi) * weights) @ psi.T
         magnitude = (np.abs(psi) * weights) @ np.abs(psi).T
-        got = _same_basis_gram(p.theta, n_max)
+        got = gram_and_metric(p, n_max).S
         assert np.all(np.abs(got - quad) <= 64 * n_max * 2.0**-53 * magnitude)
 
     @pytest.mark.parametrize("theta, expected", [
         (PI / 3, 1.795e9), (-PI / 6, 3.343e4), (0.1, 8.005), (-1.2, 1.754e11)])
     def test_condition_number_matches_mpmath(self, theta, expected):
-        # Weyl: each eigenvalue moves by at most ||dS||_2 <= ||dS||_F, with
-        # |dS| <= gamma_(8n+2) |S| from the recurrence and n u ||S||_2 from
-        # eigvalsh; cond then moves by at most 2 cond times that over
-        # lambda_min.
+        # cond = lambda_max(S) lambda_max(S^-1).  Weyl: each moves by at most
+        # ||dM||_2 <= ||dM||_F, with |dM| <= _closed_form_bound |M| entrywise,
+        # and eigvalsh adds n u ||M||_2; cond moves by the sum of both.
         n_max = 16
+        p, g = _gram_at(theta, n_max)
         with mpmath.workdps(60):
-            exact = mpmath.matrix(_mpmath_gram(theta, n_max))
+            exact = mpmath.matrix(_mpmath_gram(p.theta, n_max))
             moduli = [abs(e) for e in mpmath.eighe(exact, eigvals_only=True)]
             cond = float(max(moduli) / min(moduli))
         assert cond == pytest.approx(expected, rel=1e-3)
-        s_mat = _same_basis_gram(theta, n_max)
-        norm2 = float(max(moduli))
-        perturbation = (_gamma(8 * n_max + 2) * np.linalg.norm(s_mat)
-                        + n_max * 2.0**-53 * norm2)
-        assert _hermitian_cond(s_mat) == pytest.approx(
-            cond, rel=2 * cond * perturbation / norm2, abs=0)
+        bound = _closed_form_bound(p.theta, n_max)
+        perturbation = sum(
+            bound * np.linalg.norm(mat) / np.linalg.eigvalsh(mat)[-1]
+            + n_max * 2.0**-53 for mat in (g.S, g.Qmat))
+        assert g.condition_number == pytest.approx(cond, rel=perturbation,
+                                                   abs=0)
 
     @pytest.mark.parametrize("degrees", [5, -5, 10, -10])
     def test_dual_identity_on_leading_block(self, degrees):
@@ -661,10 +676,10 @@ class TestSameBasisGramOracles:
         # oracle there; neither is it one for the truncated inverse verify
         # uses.
         n_max, head = 120, 16
-        s_long = _same_basis_gram(math.radians(degrees), 2 * n_max)
+        s_long = same_basis_gram_ladder(math.radians(degrees), 2 * n_max)
         s_mat = s_long[:n_max, :n_max]
-        assert np.array_equal(s_mat, _same_basis_gram(math.radians(degrees),
-                                                      n_max))
+        assert np.array_equal(s_mat, same_basis_gram_ladder(
+            math.radians(degrees), n_max))
         defect = np.abs((s_mat @ s_mat.conj())[:head, :head] - np.eye(head))
         size = np.abs(s_mat) @ np.abs(s_mat)
         tail = np.abs(s_long[:head, n_max:]) @ np.abs(s_long[n_max:, :head])
@@ -698,11 +713,11 @@ _SAMPLED_ENTRIES = [(0, 0), (0, 64), (64, 64), (1, 63), (3, 5), (17, 31)] + [
     if (m + n) % 2 == 0][:14]
 
 
-def _check_entries(theta: float, sec, bound) -> None:
-    """The sampled entries of S at ``theta`` within ``bound(m, n)`` of the
-    closed form at sec theta = ``sec`` (an mpf); the parity-forbidden
-    entries are exact zeros and the lower triangle the mirror."""
-    got = _same_basis_gram(theta, 65)
+def _check_entries(got: np.ndarray, theta: float, sec, bound) -> None:
+    """The sampled entries of a 65-level S at ``theta`` within
+    ``bound(m, n)`` of the closed form at sec theta = ``sec`` (an mpf); the
+    parity-forbidden entries are exact zeros and the lower triangle the
+    mirror."""
     sign = 1 if theta > 0 else -1
     for m, n in _SAMPLED_ENTRIES:
         exact = _legendre_entry(m, n, sign, sec)
@@ -713,42 +728,42 @@ def _check_entries(theta: float, sec, bound) -> None:
     assert np.all(got[odd] == 0)
 
 
-def _diagonal_errors(theta: float, sec) -> tuple[np.ndarray, np.ndarray]:
-    """S's diagonal up to n = 256 at ``theta`` and its distance from
-    P_n(sec theta)/sqrt(cos theta), relative, where it is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = _same_basis_gram(theta, 257).diagonal().real
-    errors = np.full(diagonal.size, np.nan)
-    for n in np.flatnonzero(np.isfinite(diagonal)).tolist():
-        exact = mpmath.legenp(n, 0, sec, type=3) * mpmath.sqrt(sec)
-        errors[n] = float(abs(exact - mpmath.mpf(diagonal[n])) / exact)
-    return diagonal, errors
+def _diagonal_errors(diagonal: np.ndarray, sec) -> np.ndarray:
+    """The distance of S's diagonal from P_n(sec theta)/sqrt(cos theta),
+    relative."""
+    exact = [mpmath.legenp(n, 0, sec, type=3) * mpmath.sqrt(sec)
+             for n in range(diagonal.size)]
+    return np.array([float(abs(e - mpmath.mpf(value)) / e)
+                     for e, value in zip(exact, diagonal.tolist())])
 
 
 class TestSameBasisGramClosedForm:
-    # Oracles independent of the ladder relations, with the error bound of
-    # test_matches_mpmath_recurrence: an entry at most k = n_max levels deep
-    # carries at most 8 k + 2 roundings, so |S - S_exact| <= gamma_(8 k + 2)
-    # |S_exact|, against the closed form at the double theta itself.
+    # Oracles independent of the ladder relations and of R: the S of
+    # gram_and_metric within _closed_form_bound, and the recurrence's
+    # rounding, against the closed form at the double theta itself.
 
     @pytest.mark.parametrize("theta", [-1.2, -0.6, 0.2, 0.9])
     def test_sampled_entries_match_legendre_functions(self, theta):
+        p, g = _gram_at(theta, 65)
+        bound = _closed_form_bound(p.theta, 65)
         with mpmath.workdps(40):
-            _check_entries(theta, mpmath.sec(mpmath.mpf(theta)),
-                           lambda m, n: _gamma(8 * 65 + 2))
+            _check_entries(g.S, p.theta, mpmath.sec(mpmath.mpf(p.theta)),
+                           lambda m, n: bound)
 
     @pytest.mark.parametrize("theta", [-1.5, -1.2, -0.6, -0.1, 0.2, 0.9,
                                        1.4, 1.5])
     def test_diagonal_matches_legendre_polynomials(self, theta):
-        with mpmath.workdps(40):
-            diagonal, errors = _diagonal_errors(
-                theta, mpmath.sec(mpmath.mpf(theta)))
-        finite = np.isfinite(diagonal)
-        assert np.all(errors[finite] <= _gamma(8 * 257 + 2))
         # P_n(sec theta) grows like (sec theta + |tan theta|)^n, which leaves
         # the double range before n = 256 only at |theta| = 1.5 here
-        assert finite.all() == (abs(theta) < 1.5)
-        assert finite[:200].all()
+        n_max = 257 if abs(theta) < 1.5 else 200
+        if n_max < 257:
+            with pytest.raises(NonFiniteSampleError, match="S exceeds"):
+                _gram_at(theta, 257)
+        p, g = _gram_at(theta, n_max)
+        with mpmath.workdps(40):
+            errors = _diagonal_errors(g.S.diagonal().real,
+                                      mpmath.sec(mpmath.mpf(p.theta)))
+        assert np.all(errors <= _closed_form_bound(p.theta, n_max))
 
     @pytest.mark.parametrize("tan, sec", [(0.75, 1.25), (-0.75, 1.25),
                                           (1.875, 2.125), (-1.875, 2.125)])
@@ -772,7 +787,74 @@ class TestSameBasisGramClosedForm:
 
         with mpmath.workdps(40):
             if sec == 1.25:  # legenp is slower at atan(15/8)
-                _check_entries(theta, mpmath.mpf(sec), bound)
-            _, errors = _diagonal_errors(theta, mpmath.mpf(sec))
+                _check_entries(same_basis_gram_ladder(theta, 65), theta,
+                               mpmath.mpf(sec), bound)
+            errors = _diagonal_errors(
+                same_basis_gram_ladder(theta, 257).diagonal().real,
+                mpmath.mpf(sec))
         levels = np.arange(errors.size)
         assert np.all(errors <= [bound(n, n) for n in levels])
+
+
+def _lower_inverse(low: mpmath.matrix) -> list[list]:
+    """The inverse of a lower-triangular mpmath matrix by forward
+    substitution, column by column, as rows of mpmath numbers."""
+    size = low.rows
+    inv = [[mpmath.mpc(0)] * size for _ in range(size)]
+    for j in range(size):
+        inv[j][j] = 1 / low[j, j]
+        for i in range(j + 1, size):
+            inv[i][j] = -mpmath.fsum(low[i, k] * inv[k][j]
+                                     for k in range(j, i)) / low[i, i]
+    return inv
+
+
+def _sampled_pairs(size: int) -> list[tuple[int, int]]:
+    """Entries a <= b of a size x size parity block: corners, the diagonal
+    ends and a fixed sample."""
+    rng = np.random.default_rng(size)
+    return [(0, 0), (0, size - 1), (size - 1, size - 1), (1, size - 2)] + [
+        (min(a, b), max(a, b)) for a, b in rng.integers(0, size, (20, 2)).tolist()]
+
+
+class TestMetricClosedForm:
+    @pytest.mark.parametrize("degrees, n_max, expected", [
+        (-10, 32, 4.275e3), (30, 32, 1.686e10), (-20, 64, 1.451e15),
+        (45, 64, 5.198e31), (-60, 64, 3.950e42), (-30, 128, 3.562e45)])
+    def test_matches_mpmath_block_inverse(self, degrees, n_max, expected):
+        # The oracle, per parity block: S by the ladder recurrence in mpmath
+        # and its inverse L^-H L^-1 through mpmath's Cholesky factor L, at
+        # 2 log10(cond) + 30 digits.  Sampled entries of S and of the metric
+        # lie within _closed_form_bound of it, which is <= 1e-12 here.
+        # cond = lambda_max(S) ||L^-1||_2^2 from the oracle's matrices
+        # rounded to double, which moves either factor by <= sqrt(n) u
+        # relative (Weyl).  A metric from a Cholesky factor in double was
+        # off by 1e-9 (10 degrees, 32) to 4e5 (45 degrees, 64) relative,
+        # and the eigvalsh ratio by 8 orders at 45 and 60 degrees, 64.
+        p, g = _gram_at(math.radians(degrees), n_max)
+        bound = _closed_form_bound(p.theta, n_max)
+        assert bound <= 1e-12
+        lambda_s = lambda_q = 0.0
+        with mpmath.workdps(2 * math.ceil(math.log10(expected)) + 30):
+            exact = _mpmath_gram(p.theta, n_max)
+            for parity, (s_block, q_block) in enumerate(
+                    parity_blocks(g.S, g.Qmat)):
+                levels = range(parity, n_max, 2)
+                s_exact = mpmath.matrix([[exact[m][n] for n in levels]
+                                         for m in levels])
+                l_inv = _lower_inverse(mpmath.cholesky(s_exact))
+                for a, b in _sampled_pairs(len(levels)):
+                    q_exact = mpmath.fsum(
+                        mpmath.conj(l_inv[k][a]) * l_inv[k][b]
+                        for k in range(b, len(levels)))
+                    for got, want in ((s_block[a, b], s_exact[a, b]),
+                                      (q_block[a, b], q_exact)):
+                        assert abs(mpmath.mpc(got) - want) <= bound * abs(want), (
+                            parity, a, b)
+                lambda_s = max(lambda_s, np.linalg.eigvalsh(
+                    np.array(s_exact.tolist(), dtype=complex))[-1])
+                lambda_q = max(lambda_q, np.linalg.norm(
+                    np.array(l_inv, dtype=complex), 2) ** 2)
+        cond = float(lambda_s * lambda_q)
+        assert cond == pytest.approx(expected, rel=1e-3)
+        assert g.condition_number == pytest.approx(cond, rel=1e-2)
