@@ -20,10 +20,13 @@ def hermite_table(n_max: int, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     out = np.empty((n_max, z.size), dtype=np.complex128)
     out[0] = 1.0
+    z2 = 2.0 * z
     if n_max > 1:
-        out[1] = 2.0 * z
+        out[1] = z2
+    # in place, with the operations and order of 2 z H_k - 2 k H_{k-1}
     for k in range(1, n_max - 1):
-        out[k + 1] = 2.0 * z * out[k] - 2.0 * k * out[k - 1]
+        np.multiply(z2, out[k], out=out[k + 1])
+        out[k + 1] -= (2.0 * k) * out[k - 1]
     return out
 
 

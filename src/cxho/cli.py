@@ -451,8 +451,7 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     blocks = wavefunctions.parity_blocks(gram.S, gram.Qmat)
     add("metric_inverse",
         max(np.abs(s @ q - np.eye(len(s))).max() for s, q in blocks), 1e-8)
-    add("metric_positivity",
-        max(0.0, -min(np.linalg.eigvalsh(q).min() for _, q in blocks)), 0.0)
+    add("metric_positivity", max(0.0, -gram.metric_min_eigenvalue), 0.0)
     # Ground overlaps on [-half, half] of the real axis (tail e^-36), in
     # Gauss-Legendre panels: the chirp exp(-i Im(mw) q^2/hbar) reaches
     # 36|tan theta| rad at the ends, and each panel resolves 400 rad of it.

@@ -8,7 +8,10 @@ m*omega and are computed on a contour rotated by -arg(m*omega)/2, which
 maps the integrand onto a real Gaussian.  Same-basis overlaps involve both
 m*omega and its conjugate; they depend on theta = arg(m*omega) alone and,
 like their inverse (the metric matrix), follow in closed form from the
-Hermite scaling identity, with no quadrature nodes and no factorization.
+Hermite scaling identity, with no quadrature nodes and no factorization:
+each parity block is a real symmetric block times the exact phase pattern
+i^(b - a), and one real eigvalsh per block of each gives the condition
+number of S and the smallest eigenvalue of the metric.
 """
 
 from __future__ import annotations
@@ -279,17 +282,20 @@ def cross_gram(params: ModelParams, n_max: int,
 
 class GramMatrices(NamedTuple):
     """Same-basis Gram matrix S, its inverse (the metric matrix), and the
-    dual-basis cross matrix, with the condition number of S.
+    dual-basis cross matrix, with the condition number of S and the
+    smallest eigenvalue of the metric.
 
-    All three are full n_max x n_max matrices with exact zeros at m + n
+    All three matrices are full n_max x n_max with exact zeros at m + n
     odd; each is computed per parity block (``parity_blocks``).  S and the
-    metric are exactly Hermitian.
+    metric are exactly Hermitian: each block is the phase pattern
+    i^(b - a) times a real symmetric block, whose eigenvalues it shares.
     """
 
     S: np.ndarray
     Qmat: np.ndarray
     cross: np.ndarray
     condition_number: float
+    metric_min_eigenvalue: float
 
 
 def _triangular_factor(g: complex, h: complex, levels: np.ndarray) -> np.ndarray:
@@ -308,11 +314,6 @@ def _triangular_factor(g: complex, h: complex, levels: np.ndarray) -> np.ndarray
     return np.triu(np.cumprod(steps, axis=1))
 
 
-def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(mat + mat^H)/2, Hermitian bit for bit with a real diagonal."""
-    return 0.5 * (mat + mat.conj().T)
-
-
 def gram_and_metric(params: ModelParams, n_max: int) -> GramMatrices:
     """Gram matrix of the mode basis, the metric matrix, and the cross matrix.
 
@@ -320,41 +321,55 @@ def gram_and_metric(params: ModelParams, n_max: int) -> GramMatrices:
     raises NonFiniteSampleError before S is built.  With gamma =
     e^(i theta/2)/sqrt(cos theta), level n is sum_k R[k, n] e_k over the
     orthonormal Hermite functions e_k of Re(m*omega) (times a chirp), where
-    R = ``_triangular_factor`` at g = gamma, h = i tan(theta)/2 follows from
-    H_n(gamma y) = sum_j n!/(j!(n-2j)!) gamma^(n-2j) (gamma^2-1)^j
-    H_(n-2j)(y).  Its inverse is the same identity read backwards, at
-    g = 1/gamma and h = (gamma^-2 - 1)/2 = -(i/2) sin(theta) e^(-i theta).
-    So, per parity block, S = R^H R and the metric is R^-1 R^-H, with no
-    quadrature nodes and no factorization; every term of an entry has the
-    same phase, so both are accurate entry by entry at any conditioning.
-    An S that overflows raises NonFiniteSampleError.  cond(S) is
-    lambda_max(S) lambda_max(S^-1), the well-conditioned end of both
-    spectra; beyond 1e12 it is reported through IllConditionedWarning, but
-    the result is still returned.
+    R[k, k+2j] = gamma^(k+1/2) (i tan(theta)/2)^j sqrt((k+2j)!/k!)/j!
+    follows from H_n(gamma y) = sum_j n!/(j!(n-2j)!) gamma^(n-2j)
+    (gamma^2-1)^j H_(n-2j)(y).  Its inverse is the same identity read
+    backwards, with 1/gamma and (gamma^-2 - 1)/2 = -(i/2) sin(theta)
+    e^(-i theta).  Both differ from the real ``_triangular_factor`` at
+    g = 1/sqrt(cos theta), h = tan(theta)/2 (R~) and at g = sqrt(cos
+    theta), h = -sin(theta)/2 (R~^-1) only by phases that cancel in the
+    products up to i^(b - a), so per parity block S = P o R~^T R~ and the
+    metric is P o R~^-1 R~^-T, with P[a, b] = i^(b - a) taken elementwise,
+    exactly.  No quadrature nodes and no factorization: every term of an
+    entry has the same sign, so both are accurate entry by entry at any
+    conditioning.  An S that overflows raises NonFiniteSampleError.  One
+    eigvalsh per real block of each gives cond(S) = lambda_max(S)
+    lambda_max(S^-1), the well-conditioned end of both spectra, and the
+    metric's smallest eigenvalue; a cond beyond 1e12 is reported through
+    IllConditionedWarning, but the result is still returned.
     """
     cross = cross_gram(params, n_max)
     theta = params.theta
-    gamma = cmath.exp(0.5j * theta) / math.sqrt(math.cos(theta))
+    cos = math.cos(theta)
     s_mat = np.zeros((n_max, n_max), dtype=np.complex128)
     q_mat = np.zeros_like(s_mat)
-    blocks = parity_blocks(s_mat, q_mat)
-    # an overflowing S is reported by _finite_gram alone
-    with np.errstate(over="ignore", invalid="ignore"):
-        for parity, (s_block, q_block) in enumerate(blocks):
-            levels = np.arange(parity, n_max, 2)
-            r = _triangular_factor(gamma, 0.5j * math.tan(theta), levels)
-            r_inv = _triangular_factor(
-                1 / gamma, -0.5j * math.sin(theta) * cmath.exp(-1j * theta),
-                levels)
-            s_block[...] = _hermitian_part(r.conj().T @ r)
-            q_block[...] = _hermitian_part(r_inv @ r_inv.conj().T)
-    _finite_gram(s_mat, n_max, f"S exceeds the double range at "
-                 f"arg(m*omega) = {theta:.6g}")
-
-    s_max, q_max = (max(np.linalg.eigvalsh(block)[-1] for block in mats)
-                    for mats in zip(*blocks))
+    # P[a, b] = i^(b - a) on the even block; the odd block's is its corner
+    index = np.arange((n_max + 1) // 2)
+    phase = np.array([1, 1j, -1, -1j])[(index - index[:, None]) % 4]
+    s_max = q_max = 0.0
+    q_min = math.inf
+    for parity, (s_block, q_block) in enumerate(parity_blocks(s_mat, q_mat)):
+        levels = np.arange(parity, n_max, 2)
+        # each product is one buffer times its transpose, which numpy hands
+        # to BLAS's symmetric rank-k update: symmetric bit for bit.  An
+        # overflowing S is reported by _finite_gram alone.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = _triangular_factor(1 / math.sqrt(cos), 0.5 * math.tan(theta),
+                                   levels)
+            r_inv = _triangular_factor(math.sqrt(cos), -0.5 * math.sin(theta),
+                                       levels)
+            s_real = _finite_gram(r.T @ r, n_max, f"S exceeds the double "
+                                  f"range at arg(m*omega) = {theta:.6g}")
+            q_real = r_inv @ r_inv.T
+        s_eig, q_eig = np.linalg.eigvalsh(s_real), np.linalg.eigvalsh(q_real)
+        s_max, q_max = max(s_max, s_eig[-1]), max(q_max, q_eig[-1])
+        q_min = min(q_min, q_eig[0])
+        corner = phase[:len(levels), :len(levels)]
+        np.multiply(corner, s_real, out=s_block)
+        np.multiply(corner, q_real, out=q_block)
     cond = float(s_max * q_max)
     if cond > COND_LIMIT:
         warnings.warn(f"Gram matrix condition number {cond:.3e} exceeds "
                       f"{COND_LIMIT:g}", IllConditionedWarning)
-    return GramMatrices(S=s_mat, Qmat=q_mat, cross=cross, condition_number=cond)
+    return GramMatrices(S=s_mat, Qmat=q_mat, cross=cross, condition_number=cond,
+                        metric_min_eigenvalue=float(q_min))

@@ -5,8 +5,9 @@ JSON writer the CLI's one-pass writer is checked against, the former
 per-branch forms of the weak-value, amplitude, coherent and regulated
 routes, which the merged routes must match bit for bit, the former scalar
 phase classifier and phase grid, the former monomial route of the
-regulated levels, run in mpmath, and the former ladder recurrence of the
-same-basis Gram matrix."""
+regulated levels, run in mpmath, the former ladder recurrence of the
+same-basis Gram matrix, its former complex closed form, and the former
+out-of-place Hermite recurrence."""
 
 import cmath
 import json
@@ -32,7 +33,7 @@ from cxho.params import (
     regulated_momega,
     validate,
 )
-from cxho.wavefunctions import _hermite_level
+from cxho.wavefunctions import _hermite_level, _triangular_factor, parity_blocks
 
 PI = math.pi
 
@@ -385,3 +386,38 @@ def same_basis_gram_ladder(theta: float, n_max: int) -> np.ndarray:
                                - 1j * tan * roots[m] * rows[m, m + 1:]) / roots[m + 1]
     upper = np.triu(rows[1:], 1)
     return upper + upper.conj().T + np.diag(rows[1:].diagonal().real)
+
+
+def gram_and_metric_complex(theta: float, n_max: int):
+    """The former complex route to S and the metric (oracle for the real
+    blocks): per parity block, S = R^H R and R^-1 R^-H from the complex
+    factors R = F(gamma, i tan(theta)/2) and R^-1 = F(1/gamma,
+    -(i/2) sin(theta) e^(-i theta)), F the triangular factor and gamma =
+    e^(i theta/2)/sqrt(cos theta), each made Hermitian as (M + M^H)/2."""
+    gamma = cmath.exp(0.5j * theta) / math.sqrt(math.cos(theta))
+    s_mat = np.zeros((n_max, n_max), dtype=np.complex128)
+    q_mat = np.zeros_like(s_mat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for parity, (s_block, q_block) in enumerate(parity_blocks(s_mat, q_mat)):
+            levels = np.arange(parity, n_max, 2)
+            r = _triangular_factor(gamma, 0.5j * math.tan(theta), levels)
+            r_inv = _triangular_factor(
+                1 / gamma, -0.5j * math.sin(theta) * cmath.exp(-1j * theta),
+                levels)
+            for block, mat in ((s_block, r.conj().T @ r),
+                               (q_block, r_inv @ r_inv.conj().T)):
+                block[...] = 0.5 * (mat + mat.conj().T)
+    return s_mat, q_mat
+
+
+def hermite_table_former(n_max: int, z: np.ndarray) -> np.ndarray:
+    """The Hermite table by the recurrence written out of place, one new
+    row per step (oracle for the in-place kernel)."""
+    z = np.asarray(z, dtype=np.complex128)
+    out = np.empty((n_max, z.size), dtype=np.complex128)
+    out[0] = 1.0
+    if n_max > 1:
+        out[1] = 2.0 * z
+    for k in range(1, n_max - 1):
+        out[k + 1] = 2.0 * z * out[k] - 2.0 * k * out[k - 1]
+    return out

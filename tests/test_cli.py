@@ -118,13 +118,17 @@ REFERENCE_DIGESTS = {
     # Re-recorded when S and the metric moved to the closed-form triangular
     # factor: only metric_inverse moved (2.842e-14 to 2.923e-14 at
     # 0.866-0.5i, 3.3e-16 to 6.7e-16 at seed 7); at omega 1, S = I
-    # exactly in both routes.
+    # exactly in both routes.  Re-recorded when S and the metric moved to
+    # real blocks under the phase pattern i^(b - a): metric_inverse moved
+    # (2.923e-14 to 3.367e-14 at 0.866-0.5i, 6.7e-16 to 8.9e-16 at seed 7),
+    # and at seed 7 gram_head_entry too (4.4e-16 to 6.7e-16: S[0,0] =
+    # (1/sqrt(cos theta))^(1/2) squared, in real arithmetic).
     "verify --m 1+0i --omega 0.866-0.5i --nmax 12":
-        "a2e3383f2ac01fe8d26b988e4fad94ca81dddacb755098bc46ecd74e3349c496",
+        "e5f978a70fc0e229726d6fe0b777e3f6af1d9099ff9b84c5f15d66a2d5555a2e",
     "verify --omega 1 --nmax 12":
         "11de509e350df701bdb88e126b1d93b018e24ef410f5884e240d20284b483028",
     "verify --m 0.8+0.3i --omega 0.9-0.3i --nmax 16 --seed 7":
-        "333a31acea2a1b3aff531cd4a9e59d5b56968c88373117b04c74c865f3b63987",
+        "3186520f02111effd08ff9b564e5ff2744f30c9b47827d5ffdc49430d5c504ef",
     # recorded from the one-f-string-per-cell formatter, and again for the
     # angle lattice like the grids above
     "phase-diagram --grid 401":
@@ -626,18 +630,23 @@ class TestVerify:
 
     def test_gram_step_factorizes_parity_blocks(self, runner, monkeypatch):
         # S, the metric and the cross matrix split into even and odd levels:
-        # at nmax 64 no eigvalsh sees more than 32 x 32, the metric needs no
-        # Cholesky factor, inverse or solve, and the cross matrix's Hermite
-        # table is built on half of the 400-node rule
-        shapes = {}
+        # at nmax 64 the Gram step makes one eigvalsh per real 32 x 32 block
+        # of S and of the metric, and verify's metric_positivity reads the
+        # smallest metric eigenvalue from it, with no decomposition of its
+        # own; the metric needs no Cholesky factor, inverse or solve, and
+        # the cross matrix's Hermite table is built on half of the 400-node
+        # rule
+        calls = {}
 
         def recorded(module, name):
             original = getattr(module, name)
 
             def record(*args, **kwargs):
-                shapes.setdefault(name, []).append(
-                    [np.shape(a) if isinstance(a, np.ndarray) else a
-                     for a in args])
+                caller = sys._getframe(1).f_code.co_filename
+                calls.setdefault(name, []).append(
+                    (Path(caller).name,
+                     [(np.shape(a), a.dtype) if isinstance(a, np.ndarray)
+                      else a for a in args]))
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, record)
 
@@ -652,11 +661,12 @@ class TestVerify:
                                       "0.9-0.3i", "--nmax", "64"])
         # exit 3: the default cross rule does not resolve level 63
         assert result.exit_code in (0, 3), result.output
-        assert set(shapes) == {"eigvalsh", "hermite_table"}
-        assert max(max(shape) for [shape] in shapes["eigvalsh"]) == 32
+        assert set(calls) == {"eigvalsh", "hermite_table"}
+        assert calls["eigvalsh"] == [
+            ("wavefunctions.py", [((32, 32), np.dtype(np.float64))])] * 4
         # the other table is gram_head_entry's level 0 on its own rule
-        assert [call for call in shapes["hermite_table"] if call[0] == 64] == [
-            [64, (200,)]]
+        assert [args for _, args in calls["hermite_table"] if args[0] == 64] == [
+            [64, ((200,), np.dtype(np.complex128))]]
 
     def test_dynamics_checks_build_few_state_vectors(self, runner,
                                                       monkeypatch):

@@ -28,7 +28,8 @@ FIELDS = {
                                   "analytic_max", "ground_overlap",
                                   "degenerate", "iterations", "converged",
                                   "seed", "history"),
-    wavefunctions.GramMatrices: ("S", "Qmat", "cross", "condition_number"),
+    wavefunctions.GramMatrices: ("S", "Qmat", "cross", "condition_number",
+                                 "metric_min_eigenvalue"),
 }
 
 

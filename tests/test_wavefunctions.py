@@ -31,8 +31,8 @@ from cxho.wavefunctions import (
 )
 from helpers import (assert_same_outcome, cross_gram_all_nodes,
                      excited_regulated_branches, excited_regulated_ladder,
-                     normalizable_params, regulated_branches,
-                     same_basis_gram_ladder)
+                     gram_and_metric_complex, normalizable_params,
+                     regulated_branches, same_basis_gram_ladder)
 
 PI = math.pi
 
@@ -567,10 +567,12 @@ def _gamma(k: int) -> float:
 
 def _closed_form_bound(theta: float, n_max: int) -> float:
     """Relative error bound on every entry of gram_and_metric's S and
-    metric matrix at n_max levels, against their exact values at the
-    double theta.
+    metric matrix at n_max levels, and of the former complex route's
+    (``helpers.gram_and_metric_complex``), against their exact values at
+    the double theta.
 
-    An entry k + 2j < n_max of R or R^-1 (``_triangular_factor``) is the
+    Counted for the complex factors: an entry k + 2j < n_max of R or R^-1
+    (``_triangular_factor`` at complex g and h) is the
     seed g^(k+1/2) times j steps, counted in roundings.  g = gamma or
     1/gamma carries <= 7 (exp, cos, sqrt and the quotient; 3 for the
     complex reciprocal), which its power multiplies by k + 1/2; the power,
@@ -581,7 +583,10 @@ def _closed_form_bound(theta: float, n_max: int) -> float:
     (7 + L) n_max + 4, L = |log gamma|.  An entry of R^H R or R^-1 R^-H
     sums <= n_max/2 products of two factor entries (3 each) that share one
     phase, so nothing cancels and the sum adds n_max/2; the Hermitian part
-    adds 1.
+    adds 1.  The real factors of gram_and_metric carry fewer: g = 1/sqrt(cos)
+    or sqrt(cos) <= 3, its power <= 3 (k+1/2) + 2, a step <= 4 and its product
+    1, so an entry <= 3 n_max + 1 and a product entry <= 6.5 n_max + 3; the
+    phase pattern i^(b - a) multiplies exactly.
     """
     log_gamma = abs(complex(-0.5 * math.log(math.cos(theta)), 0.5 * theta))
     return _gamma(math.ceil((14.5 + 2 * log_gamma) * n_max) + 12)
@@ -858,3 +863,52 @@ class TestMetricClosedForm:
         cond = float(lambda_s * lambda_q)
         assert cond == pytest.approx(expected, rel=1e-3)
         assert g.condition_number == pytest.approx(cond, rel=1e-2)
+
+
+class TestGramRealBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(theta=st.floats(-1.45, 1.45), n_max=st.integers(1, 64))
+    def test_phase_pattern_times_real_blocks(self, theta, n_max):
+        # Per parity block, S = P o R~^T R~ and the metric P o R~^-1 R~^-T,
+        # with the real factors R~ = F(1/sqrt(cos), tan/2) and R~^-1 =
+        # F(sqrt(cos), -sin/2) and P[a, b] = i^(b - a), whose products are
+        # exact; both are Hermitian bit for bit.  The former complex route
+        # carries the same phases in complex factors: both lie within
+        # _closed_form_bound of the exact values, so within twice it of
+        # each other.  Near theta = 0 the far entries, (tan/2)^j, fall into
+        # the subnormal range, where a rounding is absolute; the factors
+        # there are all below ~1, so the smallest normal covers it.
+        p, g = _gram_at(theta, n_max)
+        cos = math.cos(p.theta)
+        for parity, (s_block, q_block) in enumerate(parity_blocks(g.S, g.Qmat)):
+            levels = np.arange(parity, n_max, 2)
+            index = np.arange(len(levels))
+            phase = np.array([1, 1j, -1, -1j])[(index - index[:, None]) % 4]
+            r = wavefunctions._triangular_factor(
+                1 / math.sqrt(cos), 0.5 * math.tan(p.theta), levels)
+            r_inv = wavefunctions._triangular_factor(
+                math.sqrt(cos), -0.5 * math.sin(p.theta), levels)
+            for block, real in ((s_block, r.T @ r), (q_block, r_inv @ r_inv.T)):
+                assert real.dtype == np.float64
+                assert np.array_equal(block, phase * real)
+                assert np.array_equal((np.conj(phase) * block).imag, 0 * real)
+        for mat in (g.S, g.Qmat):
+            assert np.array_equal(mat, mat.conj().T)
+        bound = _closed_form_bound(p.theta, n_max)
+        for got, former in zip((g.S, g.Qmat),
+                               gram_and_metric_complex(p.theta, n_max)):
+            assert np.all(np.abs(got - former)
+                          <= 2 * bound / (1 - bound) * np.abs(former)
+                          + np.finfo(float).tiny)
+
+    @settings(max_examples=40, deadline=None)
+    @given(theta=st.floats(-1.45, 1.45), n_max=st.integers(1, 64))
+    def test_metric_min_eigenvalue_is_the_complex_blocks(self, theta, n_max):
+        # P o Q~ = D^H Q~ D with D = diag(i^a) unitary, so the real and the
+        # complex block share their spectrum; each eigvalsh is within
+        # n u ||Q||_2 of it
+        p, g = _gram_at(theta, n_max)
+        spectra = [np.linalg.eigvalsh(q) for q, in parity_blocks(g.Qmat)]
+        norm = max(spectrum[-1] for spectrum in spectra)
+        assert abs(g.metric_min_eigenvalue - min(s[0] for s in spectra)) <= (
+            2 * n_max * 2.0**-53 * norm)
