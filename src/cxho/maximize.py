@@ -55,16 +55,44 @@ def amplitudes(a: np.ndarray, b: np.ndarray, duration: float,
     return overlaps(level_phases(params.omega, duration, a.shape[1]) * a, b)
 
 
+#: SplitMix64's increment, the odd integer nearest 2^64 / golden ratio, and
+#: the multipliers of its output mix (Steele, Lea & Flood, OOPSLA 2014)
+_GAMMA, _MIX1, _MIX2 = (np.uint64(0x9E3779B97F4A7C15),
+                        np.uint64(0xBF58476D1CE4E5B9),
+                        np.uint64(0x94D049BB133111EB))
+
+
+def uniform_draws(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Seeded draws on [-1, 1) in an array of ``shape``: the SplitMix64
+    stream from the state ``seed``, in C order.
+
+    Draw k is output k of the generator: the state seed + (k + 1)*gamma
+    mod 2^64, mixed by two xor-shift-multiply rounds and a last xor-shift,
+    all wrapping uint64 array arithmetic.  Its top 53 bits u give
+    u/2^52 - 1 exactly.  A seed outside [0, 2^64) raises ValueError.
+    """
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed!r}")
+    z = np.arange(1, math.prod(shape) + 1, dtype=np.uint64) * _GAMMA
+    z += np.uint64(seed)
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z ^= z >> np.uint64(31)
+    top = (z >> np.uint64(11)).astype(np.int64) - (1 << 52)
+    return np.ldexp(top, -52).reshape(shape)
+
+
 def unit_pairs(seed: int, pairs: int, n: int) -> np.ndarray:
     """Seeded pairs (a, b) of random unit vectors as a (pairs, 2, n) array.
 
-    One (pairs, 4, n) draw holds the values of 4*pairs successive
-    ``standard_normal(n)`` draws: re a, im a, re b, im b for each pair.
-    Each vector is divided by its norm with ``np.linalg.norm``'s arithmetic
-    for a complex vector, sqrt(re.re + im.im), as stacked matmuls making the
-    same BLAS dots, so it has the bits of ``v / np.linalg.norm(v)``.
+    One (pairs, 4, n) array of ``uniform_draws`` holds re a, im a, re b and
+    im b for each pair: points of the cube, normalized, so not uniform on
+    the sphere.  Each vector is divided by its norm with
+    ``np.linalg.norm``'s arithmetic for a complex vector,
+    sqrt(re.re + im.im), as stacked matmuls making the same BLAS dots, so
+    it has the bits of ``v / np.linalg.norm(v)``.
     """
-    x = np.random.default_rng(seed).standard_normal((pairs, 4, n))
+    x = uniform_draws(seed, (pairs, 4, n))
     vecs = x[:, 0::2] + 1j * x[:, 1::2]
     re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
     sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
@@ -132,7 +160,7 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
 
 def maximize(duration: float, params: ModelParams, n_max: int,
              tol: float = 1e-12, max_iters: int = 10000,
-             seed: int | None = 0,
+             seed: int = 0,
              start: StateVec | None = None) -> MaximizationResult:
     """Find boundary states maximizing |amplitude| by alternating updates.
 
@@ -155,8 +183,10 @@ def maximize(duration: float, params: ModelParams, n_max: int,
     the states do, and the vanishing of the coordinate weak values needs
     the states themselves.)  ``iterations`` counts sweeps and
     ``max_iters`` caps them; ``converged=False`` flags hitting the cap,
-    and the result is still returned.  An exponent omega*(n_max - 1/2)*T
-    or a start norm that overflows, or a start norm of 0, raises
+    and the result is still returned.  Without ``start``, a starts from
+    the first 2*n_max ``uniform_draws`` of ``seed``, its real parts then
+    its imaginary parts.  An exponent omega*(n_max - 1/2)*T, a start norm
+    that overflows, a start norm of 0 or a seed outside [0, 2^64) raises
     ValueError; a start whose image under the scaled kernel has norm 0 in
     double precision raises VanishingOverlapError.
     """
@@ -179,8 +209,8 @@ def maximize(duration: float, params: ModelParams, n_max: int,
                 f"start has length {a_vec.size}, expected {n_max}")
         used_seed = None
     else:
-        rng = np.random.default_rng(seed)
-        a_vec = rng.standard_normal(n_max) + 1j * rng.standard_normal(n_max)
+        re, im = uniform_draws(seed, (2, n_max))
+        a_vec = re + 1j * im
         used_seed = seed
     with np.errstate(over="ignore"):
         a_norm = np.linalg.norm(a_vec)

@@ -6,8 +6,9 @@ per-branch forms of the weak-value, amplitude, coherent and regulated
 routes, which the merged routes must match bit for bit, the former scalar
 phase classifier and phase grid, the former monomial route of the
 regulated levels, run in mpmath, the former ladder recurrence of the
-same-basis Gram matrix, its former complex closed form, and the former
-out-of-place Hermite recurrence."""
+same-basis Gram matrix, its former complex closed form, the former
+out-of-place Hermite recurrence, and SplitMix64 in Python integers, which
+the seeded array draws are checked against."""
 
 import cmath
 import json
@@ -325,7 +326,7 @@ def normalizable_params(draw):
 
 def json_dumps_recursive(obj, indent=0):
     """The CLI's JSON layout, one recursive call per node (oracle for
-    ``cxho.cli._json_dumps``)."""
+    ``cxho.command.json_dumps``)."""
     pad = " " * indent
     if isinstance(obj, np.generic):
         obj = obj.item()
@@ -421,3 +422,22 @@ def hermite_table_former(n_max: int, z: np.ndarray) -> np.ndarray:
     for k in range(1, n_max - 1):
         out[k + 1] = 2.0 * z * out[k] - 2.0 * k * out[k - 1]
     return out
+
+
+def splitmix64(seed, count):
+    """The first ``count`` outputs of SplitMix64 from the state ``seed``
+    (Steele, Lea & Flood, OOPSLA 2014), in Python integers reduced mod
+    2^64 at each step."""
+    mask, state, out = 2**64 - 1, seed, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def splitmix64_uniform(seed, count):
+    """``splitmix64``'s outputs on [-1, 1): the top 53 bits u as
+    u/2^52 - 1, each step exact in double precision."""
+    return [(z >> 11) / 2**52 - 1 for z in splitmix64(seed, count)]

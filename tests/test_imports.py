@@ -6,15 +6,20 @@ an import behind.  No cxho module imports an underscore name from another:
 what two modules share is public in one of them.  No module but
 ``_kernels`` names ``poly_gauss_eval``: the level wavefunctions have one
 evaluation, the scaled Hermite function, and the monomial kernel stays only
-for the benchmark harness, which times it.
+for the benchmark harness, which times it.  No module names
+``numpy.random``: the seeded draws are SplitMix64 in numpy's integer
+arithmetic (``maximize.uniform_draws``).
 
 A fresh process loads only the modules its command uses: ``import cxho``
-loads no submodule and not numpy, and ``import cxho.cli`` loads ``params``
-and ``errors`` but none of the numeric modules and not numpy, nor does
-``phase-diagram``.  Only ``evolve`` and ``wavefunction`` load the CSV cell
-writer ``_csvcells``.  No cxho module imports ``dataclasses`` and no
-command loads it: the records are named tuples or classes with
-``__slots__``, which generate no code at import.
+loads no submodule and not numpy, and ``import cxho.cli`` loads ``errors``
+alone, none of the command modules and not numpy.  Each command loads its
+own ``cmd_*`` module, ``command`` and ``params``, and no other command's
+module; ``phase-diagram`` loads no numeric module, nor numpy.  Only
+``evolve`` and ``wavefunction`` load the CSV cell writer ``_csvcells``, no
+command loads ``numpy.random``, and a ``verify`` whose Gram step fails
+loads neither ``dynamics`` nor ``maximize``.  No cxho module imports
+``dataclasses`` and no command loads it: the records are named tuples or
+classes with ``__slots__``, which generate no code at import.
 """
 
 import ast
@@ -85,10 +90,18 @@ def names_used(source: str) -> set[str]:
     return found
 
 
+#: The module of each command.
+COMMAND_MODULES = {"phase-diagram": "cxho.cmd_phase_diagram",
+                   "verify": "cxho.cmd_verify",
+                   "maximize": "cxho.cmd_maximize",
+                   "evolve": "cxho.cmd_evolve",
+                   "wavefunction": "cxho.cmd_wavefunction"}
+
+
 def test_modules_found():
     assert {p.stem for p in MODULES} >= {
-        "cli", "contour", "dynamics", "fock", "maximize", "params",
-        "wavefunctions"}
+        "cli", "command", "contour", "dynamics", "fock", "maximize", "params",
+        "wavefunctions", *(name.split(".")[1] for name in COMMAND_MODULES.values())}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -146,18 +159,59 @@ def test_detects_a_poly_gauss_eval_reference(source):
     assert "poly_gauss_eval" in names_used(source)
 
 
+def names_numpy_random(source: str) -> bool:
+    """Whether ``source`` imports ``numpy.random`` or reads the attribute
+    ``random`` of a name bound to numpy."""
+    numpy_names = {"numpy"}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[:2] == ["numpy", "random"]:
+                    return True
+                if alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.split(".")
+            if module[:2] == ["numpy", "random"] or (
+                    module == ["numpy"]
+                    and any(alias.name == "random" for alias in node.names)):
+                return True
+    return any(isinstance(node, ast.Attribute) and node.attr == "random"
+               and isinstance(node.value, ast.Name)
+               and node.value.id in numpy_names
+               for node in ast.walk(ast.parse(source)))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_numpy_random(path):
+    assert not names_numpy_random(path.read_text())
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import numpy as np\nx = np.random.default_rng(0)\n", True),
+    ("import numpy\nnumpy.random.seed(1)\n", True),
+    ("import numpy.random\n", True),
+    ("from numpy.random import default_rng\n", True),
+    ("from numpy import random as r\n", True),
+    ("import numpy as np\nimport random\nrandom.random()\n", False),
+    ("import numpy as np\nx = np.uint64(1)\n", False),
+])
+def test_detects_a_numpy_random_reference(source, found):
+    assert names_numpy_random(source) is found
+
+
 #: What ``import cxho.cli`` loads of the package.
-CLI_MODULES = {"cxho", "cxho.cli", "cxho.errors", "cxho.params"}
+CLI_MODULES = {"cxho", "cxho.cli", "cxho.errors"}
 
 
-def imported(*args: str) -> set[str]:
+def imported(*args: str, code: int = 0) -> set[str]:
     """Modules that ``python -X importtime *args`` imports in a new process,
-    with this tree on its path."""
+    with this tree on its path; the process must exit with ``code``."""
     src = str(Path(cxho.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-X", "importtime", *args],
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == code, out.stderr
     return {line.rsplit("|", 1)[1].strip() for line in out.stderr.splitlines()
             if line.startswith("import time:") and "|" in line}
 
@@ -185,8 +239,10 @@ def test_cli_import_loads_no_numeric_module():
 
 def test_phase_diagram_loads_no_numeric_module():
     loaded = imported("-m", "cxho.cli", "phase-diagram", "--grid", "2")
-    # it runs as __main__
-    assert cxho_and_numpy(loaded) == CLI_MODULES - {"cxho.cli"}
+    # cxho.cli runs as __main__, and no command module imports it by name
+    assert cxho_and_numpy(loaded) == {
+        "cxho", "cxho.errors", "cxho.params", "cxho.command",
+        "cxho.cmd_phase_diagram"}
 
 
 def test_submodule_import_by_name():
@@ -205,8 +261,9 @@ def test_evolve_loads_only_its_numeric_modules():
     # its CSV writer is numpy arithmetic alone: np.unique without
     # return_inverse, say, would load numpy.ma on its first call
     loaded = imported("-m", "cxho.cli", "evolve", "--steps", "2000")
-    assert loaded - imported("-c", "import cxho.cli, numpy") == {
-        "cxho.dynamics", "cxho.fock", "cxho._csvcells", "runpy"}
+    shared = imported("-c", "import cxho.cli, cxho.command, cxho.params, numpy")
+    assert loaded - shared == {"cxho.cmd_evolve", "cxho.dynamics", "cxho.fock",
+                               "cxho._csvcells", "runpy"}
 
 
 #: A small run of each command.
@@ -230,3 +287,23 @@ def test_command_loads_no_dataclasses(command):
 def test_only_the_csv_commands_load_the_csv_writer(command):
     assert ("cxho._csvcells" in command_imports(command)) == (
         command in ("evolve", "wavefunction"))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_its_own_module_alone(command):
+    loaded = {name for name in command_imports(command)
+              if name.startswith("cxho.cmd_")}
+    assert loaded == {COMMAND_MODULES[command]}
+
+
+@pytest.mark.parametrize("command", ["verify", "maximize"])
+def test_seeded_commands_load_no_numpy_random(command):
+    assert {name for name in command_imports(command)
+            if name.split(".")[:2] == ["numpy", "random"]} == set()
+
+
+def test_gram_failure_loads_no_dynamics_nor_maximize():
+    # the Hermite polynomials overflow at nmax 128: exit 2 at the Gram step
+    loaded = imported("-m", "cxho.cli", "verify", "--nmax", "128", code=2)
+    assert "cxho.wavefunctions" in loaded
+    assert not {"cxho.dynamics", "cxho.maximize"} & loaded

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 from helpers import (amplitudes_matmul, assert_same_outcome,
-                     max_weak_values_bra, normalizable_params)
+                     max_weak_values_bra, normalizable_params, splitmix64,
+                     splitmix64_uniform)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from cxho.maximize import (
     analytic_max,
     max_weak_values,
     maximize,
+    uniform_draws,
 )
 from cxho.params import validate
 
@@ -120,6 +122,49 @@ class TestFormerForms:
                                 lambda: max_weak_values_bra(res, rep))
 
 
+class TestUniformDraws:
+    def test_reference_matches_published_output(self):
+        # the first output of SplitMix64 seeded with 1234567
+        assert splitmix64(1234567, 1) == [6457827717110365317]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1234567, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (5,), (2, 8), (3, 4, 5)])
+    def test_bits_match_python_integers(self, seed, shape):
+        draws = uniform_draws(seed, shape)
+        expected = np.array(splitmix64_uniform(seed, math.prod(shape)))
+        assert draws.shape == shape and draws.dtype == np.float64
+        assert np.array_equal(draws.ravel().view(np.uint64),
+                              expected.view(np.uint64))
+
+    @given(seed=st.integers(0, 2**64 - 1))
+    def test_draws_are_53_bit_grid_points_of_the_half_open_interval(self, seed):
+        draws = uniform_draws(seed, (64,))
+        assert ((-1.0 <= draws) & (draws < 1.0)).all()
+        assert np.array_equal(np.ldexp(draws, 52) % 1, np.zeros(64))
+
+    def test_distinct_seeds_give_distinct_draws(self):
+        seeds = [0, 1, 2, 3, 7, 12345, 2**32, 2**63, 2**64 - 1]
+        rows = {uniform_draws(seed, (8,)).tobytes() for seed in seeds}
+        assert len(rows) == len(seeds)
+        firsts = {mx.unit_pairs(seed, 1, 4).tobytes() for seed in range(200)}
+        assert len(firsts) == 200
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_state_range_raises(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            uniform_draws(seed, (2,))
+        with pytest.raises(ValueError, match="seed must be in"):
+            maximize(10.0, validate(1, 1 - 0.2j), 4, seed=seed)
+
+    @given(seed=st.integers(0, 2**64 - 1), pairs=st.integers(1, 50),
+           n=st.integers(1, 64))
+    def test_unit_pairs_have_unit_norm(self, seed, pairs, n):
+        units = mx.unit_pairs(seed, pairs, n)
+        assert units.shape == (pairs, 2, n)
+        norms = np.linalg.norm(units, axis=-1)
+        assert np.abs(norms - 1.0).max() <= 4 * n * np.finfo(float).eps
+
+
 class TestAnalyticMax:
     def test_damped_value_and_argmax(self, params_damped):
         value, levels = analytic_max(10.0, params_damped, 8)
@@ -200,8 +245,8 @@ class TestMaximize:
         assert res.converged
         assert res.iterations == 1
         assert res.amplitude_abs == pytest.approx(1.0, abs=1e-12)
-        start = np.random.default_rng(3)
-        v = start.standard_normal(8) + 1j * start.standard_normal(8)
+        draws = splitmix64_uniform(3, 16)
+        v = np.array(draws[:8]) + 1j * np.array(draws[8:])
         v /= np.linalg.norm(v)
         v *= abs(v[0]) / v[0]
         assert abs(np.vdot(res.a.coeffs, v)) == pytest.approx(1.0, abs=1e-12)
