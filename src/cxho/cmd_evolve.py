@@ -10,26 +10,21 @@ from __future__ import annotations
 import cmath
 import math
 
-import click
-
-from .command import (COMPLEX, at_least, fail_config, g17, model_options,
-                      nmax_option, output_option, write_output)
+from .command import (MODEL_FLAGS, NMAX, OUTPUT, Flag, fail_config, g17,
+                      integer, parse_complex, real, subcommand, write_output)
 from .params import validate
 
 
-@click.command("evolve")
-@model_options
-@click.option("--lambda-a", type=COMPLEX, default="1+0i", show_default=True,
-              help="Coherent label of the initial state.")
-@click.option("--lambda-b", type=COMPLEX, default="1+0i", show_default=True,
-              help="Coherent label of the final state.")
-@click.option("--t-a", type=float, default=0.0, show_default=True)
-@click.option("--t-b", type=float, default=10.0, show_default=True)
-@click.option("--steps", type=int, default=100, show_default=True,
-              callback=at_least(1),
-              help="Number of grid intervals between t-a and t-b.")
-@nmax_option
-@output_option
+@subcommand("evolve", *MODEL_FLAGS,
+            Flag("lambda-a", parse_complex, "1+0i",
+                 "Coherent label of the initial state."),
+            Flag("lambda-b", parse_complex, "1+0i",
+                 "Coherent label of the final state."),
+            Flag("t-a", real, "0.0"),
+            Flag("t-b", real, "10.0"),
+            Flag("steps", integer, "100",
+                 "Number of grid intervals between t-a and t-b.", low=1),
+            NMAX, OUTPUT)
 def command(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
             steps, nmax, output):
     """Weak-value time series for a coherent boundary pair (CSV)."""

@@ -4,23 +4,18 @@ from __future__ import annotations
 
 import math
 
-import click
-
-from .command import (at_least, fail_config, json_dumps, model_options,
-                      nmax_option, output_option, seed_option, write_output)
+from .command import (MODEL_FLAGS, NMAX, OUTPUT, SEED, Flag, fail_config,
+                      integer, json_dumps, real, subcommand, write_output)
 from .params import validate
 
 
-@click.command("maximize")
-@model_options
-@click.option("--T", "duration", type=float, default=10.0, show_default=True,
-              help="Time span between the boundary states.")
-@nmax_option
-@click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--max-iters", type=int, default=10000, show_default=True,
-              callback=at_least(1))
-@seed_option
-@output_option
+@subcommand("maximize", *MODEL_FLAGS,
+            Flag("T", real, "10.0", "Time span between the boundary states.",
+                 dest="duration"),
+            NMAX,
+            Flag("tol", real, "1e-10"),
+            Flag("max-iters", integer, "10000", low=1),
+            SEED, OUTPUT)
 def command(m, omega, hbar, eps, eps_prime, duration, nmax, tol, max_iters,
             seed, output):
     """Maximize the transition amplitude over boundary states."""

@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 
-import click
-
-from .command import (at_least, config_option, g17, json_dumps, output_option,
-                      write_output)
+from .command import (OUTPUT, Flag, choice, g17, integer, json_dumps,
+                      subcommand, write_output)
 from .params import POTENTIAL_TABLE, is_normalizable, region_of, theory_of
 
 PHASE_HEADER = ["theta_m", "theta_omega", "theory", "region", "potential",
@@ -37,8 +36,9 @@ def _column_region(j: int, last: int) -> int:
     return region_of(2 * _theta_omega(last - j, last))
 
 
-def _phase_text(resolution: int, fmt: str) -> str:
-    """Phase-diagram rows over the r x r angle lattice as CSV or JSON text.
+def _phase_text(resolution: int, fmt: str) -> Iterator[str]:
+    """Phase-diagram rows over the r x r angle lattice as CSV or JSON text,
+    one piece per grid row.
 
     Points are ordered by theta_m (grid row i), then theta_omega ascending
     (grid column j).  On the lattice s = theta_m + 2*theta_omega is
@@ -56,8 +56,9 @@ def _phase_text(resolution: int, fmt: str) -> str:
     (theory, region) class has one column of cells, indexed by
     e = j - i + r - 1 (the diagonal reversed), so the cells of a grid row
     are one slice of a column per run of equal regions.  Every value is
-    formatted once, and the text is one join of a flat list of the 2r^2
-    pieces.
+    formatted once, and the text of a grid row is one join of its cells
+    with its head.  Every classification runs before the first row is
+    made, so an error leaves before any output.
     """
     last = resolution - 1
 
@@ -94,32 +95,34 @@ def _phase_text(resolution: int, fmt: str) -> str:
             labels = tail(theory, region, True)
             columns[theory, region] = [w + labels for w in omega_text]
 
-    width = 2 * resolution
-    pieces = [""] * (width * resolution)
-    for i, (text, theory) in enumerate(zip(map(g17, theta_m), theories)):
-        row = width * i
-        pieces[row:row + width:2] = [sep + head(text)] * resolution
-        for j0, j1, region in runs:
-            pieces[row + 2 * j0 + 1:row + 2 * j1:2] = \
-                columns[theory, region][j0 - i + last:j1 - i + last]
-    pieces[0] = first + head(g17(theta_m[0]))  # no separator before it
     # the corners, both on the diagonal d = e = r - 1
-    for i, k in ((0, 1), (last, -1)):
-        pieces[k] = omega_text[last] + tail(
-            theories[i], regions[i],
-            is_normalizable(theta_m[i] + _theta_omega(last, last)))
-    pieces[-1] += end
-    return "".join(pieces)
+    corners = [omega_text[last] + tail(
+        theories[i], regions[i],
+        is_normalizable(theta_m[i] + _theta_omega(last, last)))
+        for i in (0, last)]
+
+    def rows() -> Iterator[str]:
+        for i, (text, theory) in enumerate(zip(map(g17, theta_m), theories)):
+            cells = []
+            for j0, j1, region in runs:
+                cells += columns[theory, region][j0 - i + last:j1 - i + last]
+            if i == 0:
+                cells[0] = corners[0]
+            if i == last:
+                cells[-1] = corners[1] + end
+            head_text = sep + head(text)
+            # no separator before the first row
+            yield (first + head(text) if i == 0 else head_text) \
+                + head_text.join(cells)
+
+    return rows()
 
 
-@click.command("phase-diagram")
-@click.option("--grid", type=int, default=64, show_default=True,
-              callback=at_least(2),
-              help="Points per angle direction (>= 2).")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@output_option
-@config_option
+@subcommand("phase-diagram",
+            Flag("grid", integer, "64", "Points per angle direction (>= 2).",
+                 low=2),
+            Flag("format", choice("csv", "json"), "csv", dest="fmt"),
+            OUTPUT)
 def command(grid, fmt, output):
     """Classify a uniform grid over the allowed angle parallelogram."""
     write_output(output, _phase_text(grid, fmt))

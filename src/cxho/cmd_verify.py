@@ -11,10 +11,8 @@ from __future__ import annotations
 import math
 import sys
 
-import click
-
-from .command import (EXIT_VERIFY, fail_config, json_dumps, model_options,
-                      nmax_option, output_option, seed_option, write_output)
+from .command import (EXIT_VERIFY, MODEL_FLAGS, NMAX, OUTPUT, SEED, Flag,
+                      fail_config, json_dumps, real, subcommand, write_output)
 from .errors import CxhoError
 from .params import (ModelParams, check_energy_scale, check_length_scale,
                      check_square_scales, validate)
@@ -156,13 +154,9 @@ def _verify_checks(params: ModelParams, n_max: int, seed: int,
     return checks
 
 
-@click.command("verify")
-@model_options
-@nmax_option
-@click.option("--tol", type=float, default=None,
-              help="Override every per-check tolerance.")
-@seed_option
-@output_option
+@subcommand("verify", *MODEL_FLAGS, NMAX,
+            Flag("tol", real, None, "Override every per-check tolerance."),
+            SEED, OUTPUT)
 def command(m, omega, hbar, eps, eps_prime, nmax, tol, seed, output):
     """Run the cross-module property suite and report defects."""
     params = validate(m, omega, hbar=hbar, eps=eps, eps_prime=eps_prime)

@@ -4,26 +4,20 @@ from __future__ import annotations
 
 import math
 
-import click
-
-from .command import (at_least, fail_config, model_options, output_option,
-                      write_output)
+from .command import (MODEL_FLAGS, OUTPUT, Flag, choice, fail_config,
+                      integer, real, subcommand, write_output)
 from .params import check_length_scale, validate
 
 
-@click.command("wavefunction")
-@model_options
-@click.option("--n", type=int, default=0, show_default=True,
-              help="Level index.")
-@click.option("--basis", type=click.Choice(["1", "2"]), default="1",
-              show_default=True)
-@click.option("--ray-angle", type=float, default=0.0, show_default=True,
-              help="Angle of the sampling ray in the complex plane.")
-@click.option("--half-width", type=float, default=None,
-              help="Half-extent of the ray; defaults to a level-scaled value.")
-@click.option("--points", type=int, default=401, show_default=True,
-              callback=at_least(2))
-@output_option
+@subcommand("wavefunction", *MODEL_FLAGS,
+            Flag("n", integer, "0", "Level index."),
+            Flag("basis", choice("1", "2"), "1"),
+            Flag("ray-angle", real, "0.0",
+                 "Angle of the sampling ray in the complex plane."),
+            Flag("half-width", real, None,
+                 "Half-extent of the ray; defaults to a level-scaled value."),
+            Flag("points", integer, "401", low=2),
+            OUTPUT)
 def command(m, omega, hbar, eps, eps_prime, n, basis, ray_angle, half_width,
             points, output):
     """Sample a level wavefunction along a ray (CSV)."""

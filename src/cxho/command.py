@@ -1,20 +1,24 @@
-"""What the commands share: options, ``--config`` loading and output.
+"""What the commands share: flags, their parsing, ``--config`` and output.
 
-Each command module imports this one and none imports ``cxho.cli``, which
-runs as ``__main__`` under ``python -m cxho.cli`` and would be compiled a
-second time under its own name.  Reports are JSON written in one pass
-(``json_dumps``) with 17 significant digits; a write to a path that fails
-exits 1, and a bad value exits 2 with one ``error:`` line.
+Each command module builds its ``Command`` once, at import, and none
+imports ``cxho.cli``, which runs as ``__main__`` under ``python -m
+cxho.cli`` and would be compiled a second time under its own name.  Every
+flag takes one value.  argparse parses them, after each flag is joined with
+the token that follows it into the ``--flag=value`` form, so that a value
+such as ``-0.8+1.1i`` is not read as a flag.  A usage error, a bad value
+and a count below its floor each exit 2 with one ``error:`` line.  Reports
+are JSON written in one pass (``json_dumps``) with 17 significant digits;
+a write to a path that fails exits 1, and so does a write to a stdout
+whose reader has gone, silently (``cxho.cli.main`` catches it).
 """
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import json
 import math
 import sys
-
-import click
 
 EXIT_IO = 1
 EXIT_CONFIG = 2
@@ -42,19 +46,40 @@ def parse_complex(text: str) -> complex:
     return complex(float(body[:split]), float(body[split:]))
 
 
-class ComplexParam(click.ParamType):
-    name = "complex"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, complex):
-            return value
-        try:
-            return parse_complex(str(value))
-        except ValueError as exc:
-            self.fail(str(exc), param, ctx)
+def integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid integer.") from None
 
 
-COMPLEX = ComplexParam()
+def real(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid float.") from None
+
+
+def path(text: str) -> str:
+    return text
+
+
+def choice(*names: str):
+    """Converter that accepts one of ``names``, exactly."""
+
+    def convert(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"{text!r} is not one of "
+                             f"{', '.join(map(repr, names))}.")
+        return text
+
+    convert.metavar = "{" + ",".join(names) + "}"
+    return convert
+
+
+# the value's kind in --help
+parse_complex.metavar, integer.metavar = "COMPLEX", "INTEGER"
+real.metavar, path.metavar = "FLOAT", "PATH"
 
 
 #: '%.17g' % x is format(float(x), ".17g"): 17 significant digits
@@ -131,8 +156,6 @@ def write_output(path: str, text) -> None:
     ("-" is stdout)."""
     pieces = [text] if isinstance(text, str) else text
     if path == "-":
-        # not click.echo: on a non-tty it runs an ANSI-stripping regex over
-        # the whole text, and this text never holds an escape sequence
         for piece in pieces:
             sys.stdout.write(piece)
         sys.stdout.flush()
@@ -141,13 +164,16 @@ def write_output(path: str, text) -> None:
         with open(path, "w", newline="") as fh:
             fh.writelines(pieces)
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc}", err=True)
-        sys.exit(EXIT_IO)
+        fail_config(f"cannot write {path}: {exc}", EXIT_IO)
 
 
-def fail_config(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(EXIT_CONFIG)
+
+
+def fail_config(message: str, code: int = EXIT_CONFIG) -> None:
+    """Exit ``code`` (2, a usage, configuration or validity error, unless
+    given) after one ``error:`` line on stderr."""
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(code)
 
 
 def _unique_pairs(pairs: list[tuple[str, object]]) -> dict:
@@ -160,90 +186,160 @@ def _unique_pairs(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
-def _load_config(ctx: click.Context, param: click.Parameter,
-                 path: str | None) -> None:
-    """Load a JSON config file into ``ctx.default_map``.
+class Flag:
+    """A flag that takes one value: ``--<name> VALUE`` sets the parameter
+    ``dest`` (``name`` with underscores by default).
+
+    ``convert`` reads the value's text and raises ValueError, whose text
+    says why, when it cannot; the default is text converted alike, or None.
+    An integer below ``low``, or at or above ``below``, exits 2 with one
+    ``error:`` line naming the flag.
+    """
+
+    __slots__ = ("name", "dest", "convert", "default", "help", "low", "below")
+
+    def __init__(self, name: str, convert, default: str | None, help: str = "",
+                 dest: str | None = None, low: int | None = None,
+                 below: int | None = None):
+        self.name, self.convert, self.low, self.below = name, convert, low, below
+        self.dest = dest or name.replace("-", "_")
+        self.default = None if default is None else convert(default)
+        self.help = (help if default is None
+                     else f"{help} [default: {default}]".lstrip())
+
+    def check(self, value):
+        if self.low is not None and value < self.low:
+            fail_config(f"{self.name} must be >= {self.low}, got {value}")
+        if self.below is not None and value >= self.below:
+            fail_config(f"{self.name} must be < {self.below}, got {value}")
+        return value
+
+
+def _load_config(path: str, flags) -> dict:
+    """The values a JSON config file sets, by parameter.
 
     Keys are parameter or flag names, dashes or underscores alike; a null
-    leaves the default and flags given explicitly win; any other value but
-    a string is read from its JSON text, as a flag would be.  Unknown keys,
-    a repeated key and two keys naming one parameter are rejected.
+    leaves the default; any other value but a string is read from its JSON
+    text, as a flag would be.  Unknown keys, a repeated key and two keys
+    naming one parameter are rejected.
     """
-    if path is None:
-        return
     try:
         with open(path) as fh:
             config = json.load(fh, object_pairs_hook=_unique_pairs)
     except OSError as exc:
-        click.echo(f"error: cannot read config {path}: {exc}", err=True)
-        sys.exit(EXIT_IO)
+        fail_config(f"cannot read config {path}: {exc}", EXIT_IO)
     except json.JSONDecodeError as exc:
         fail_config(f"config {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         fail_config(f"config {path} must hold a JSON object")
-    by_key = {name.lstrip("-").replace("-", "_"): option
-              for option in ctx.command.params if option.expose_value
-              for name in [option.name, *option.opts]}
-    default_map, key_of = {}, {}
+    by_key = {key.replace("-", "_"): flag
+              for flag in flags for key in (flag.dest, flag.name)}
+    values, key_of = {}, {}
     for key, raw in config.items():
-        option = by_key.get(key.replace("-", "_"))
-        if option is None:
+        flag = by_key.get(key.replace("-", "_"))
+        if flag is None:
             fail_config(f"unknown config field {key!r}")
-        if option.name in key_of:
-            fail_config(f"config fields {key_of[option.name]!r} and {key!r} "
-                        f"both set {option.name!r}")
-        key_of[option.name] = key
+        if flag.dest in key_of:
+            fail_config(f"config fields {key_of[flag.dest]!r} and {key!r} "
+                        f"both set {flag.dest!r}")
+        key_of[flag.dest] = key
         if raw is not None:
-            text = raw if isinstance(raw, str) else json.dumps(raw)
             try:
-                default_map[option.name] = option.type.convert(text, option, ctx)
-            except click.BadParameter as exc:
+                values[flag.dest] = flag.convert(
+                    raw if isinstance(raw, str) else json.dumps(raw))
+            except ValueError as exc:
                 fail_config(f"config field {key!r}: {exc}")
-    ctx.default_map = default_map
+    return values
 
 
-config_option = click.option(
-    "--config", type=click.Path(), is_eager=True, expose_value=False,
-    callback=_load_config,
-    help="JSON file mirroring the flags; flags override it.")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> None:
+        """A usage error: one ``error:`` line, without the usage text."""
+        fail_config(message)
 
 
-def at_least(low: int, below: int | None = None):
-    """Option callback: a value below ``low``, or at or above ``below``,
-    given or from ``--config``, exits 2 with one ``error:`` line naming the
-    flag."""
+class Command:
+    """A command: its flags, the argparse parser built from them once, and
+    the function that runs on their values (its docstring is the command's
+    description)."""
 
-    def check(ctx: click.Context, param: click.Parameter, value: int) -> int:
-        if value < low:
-            fail_config(f"{param.opts[0][2:]} must be >= {low}, got {value}")
-        if below is not None and value >= below:
-            fail_config(f"{param.opts[0][2:]} must be < {below}, got {value}")
-        return value
+    def __init__(self, name: str, run, flags):
+        self.run, self.flags = run, flags
+        self.parser = _Parser(prog=f"cxho {name}", description=run.__doc__,
+                              allow_abbrev=False, add_help=False,
+                              argument_default=argparse.SUPPRESS)
+        self.options = {}
+        for flag in (*flags, CONFIG):
+            option = "--" + flag.name
+            self.parser.add_argument(option, dest=flag.dest, help=flag.help,
+                                     metavar=flag.convert.metavar)
+            self.options[option] = flag
+        self.parser.add_argument("--help", action="help",
+                                 help="Show this message and exit.")
 
-    return check
+    def _joined(self, args: list[str]) -> tuple[list[str], dict]:
+        """``args`` with each flag joined with the token after it into
+        ``--flag=value`` (none after ``--``), and the flags found, in the
+        order they first appear (a dict's keys)."""
+        tokens, given = [], {}
+        rest = iter(args)
+        for token in rest:
+            if token == "--":
+                tokens += [token, *rest]
+                break
+            flag = self.options.get(token.partition("=")[0])
+            if flag is not None:
+                given[flag] = None
+                if "=" not in token:
+                    value = next(rest, None)
+                    if value is not None:
+                        token += "=" + value
+            tokens.append(token)
+        return tokens, given
+
+    def __call__(self, args: list[str]) -> None:
+        """Parse ``args`` and run the command on the values.
+
+        The values are converted and checked in a fixed order, which picks
+        the error line of a run with several bad ones: ``--config`` first,
+        then the flags given, in the order given, then the rest, each from
+        the config file if it sets it, else its default.
+        """
+        tokens, given = self._joined(args)
+        texts = vars(self.parser.parse_args(tokens))
+        config = (_load_config(texts.pop("config"), self.flags)
+                  if "config" in texts else {})
+        values = {}
+        for flag in dict.fromkeys([*given, *self.flags]):
+            if flag is CONFIG:
+                continue
+            if flag.dest in texts:
+                try:
+                    value = flag.convert(texts[flag.dest])
+                except ValueError as exc:
+                    fail_config(f"argument --{flag.name}: {exc}")
+            else:
+                value = config.get(flag.dest, flag.default)
+            values[flag.dest] = flag.check(value)
+        self.run(**values)
 
 
-nmax_option = click.option("--nmax", type=int, default=32, show_default=True,
-                           callback=at_least(2))
+def subcommand(name: str, *flags: Flag):
+    """Decorator that makes a function the ``Command`` ``name``."""
+    return lambda run: Command(name, run, flags)
+
+
+#: The oscillator's flags, which every command but phase-diagram takes.
+MODEL_FLAGS = (
+    Flag("m", parse_complex, "1+0i", "Complex mass, '<re>[+/-]<im>i'."),
+    Flag("omega", parse_complex, "1+0i", "Complex angular frequency."),
+    Flag("hbar", real, "1.0"),
+    Flag("eps", real, "0.001", "Coordinate regulator."),
+    Flag("eps-prime", real, "0.001", "Momentum regulator."),
+)
+NMAX = Flag("nmax", integer, "32", low=2)
+CONFIG = Flag("config", path, None,
+              "JSON file mirroring the flags; flags override it.")
 #: a seed selects a SplitMix64 stream, whose state is one 64-bit word
-seed_option = click.option("--seed", type=int, default=0, show_default=True,
-                           callback=at_least(0, below=2**64))
-output_option = click.option("--output", type=click.Path(), default="-",
-                             show_default=True)
-
-
-def model_options(func):
-    for option in reversed([
-        click.option("--m", type=COMPLEX, default="1+0i", show_default=True,
-                     help="Complex mass, '<re>[+/-]<im>i'."),
-        click.option("--omega", type=COMPLEX, default="1+0i", show_default=True,
-                     help="Complex angular frequency."),
-        click.option("--hbar", type=float, default=1.0, show_default=True),
-        click.option("--eps", type=float, default=1e-3, show_default=True,
-                     help="Coordinate regulator."),
-        click.option("--eps-prime", type=float, default=1e-3, show_default=True,
-                     help="Momentum regulator."),
-        config_option,
-    ]):
-        func = option(func)
-    return func
+SEED = Flag("seed", integer, "0", low=0, below=2**64)
+OUTPUT = Flag("output", path, "-")

@@ -7,12 +7,16 @@ routes, which the merged routes must match bit for bit, the former scalar
 phase classifier and phase grid, the former monomial route of the
 regulated levels, run in mpmath, the former ladder recurrence of the
 same-basis Gram matrix, its former complex closed form, the former
-out-of-place Hermite recurrence, and SplitMix64 in Python integers, which
-the seeded array draws are checked against."""
+out-of-place Hermite recurrence, SplitMix64 in Python integers, which
+the seeded array draws are checked against, and ``invoke``, which runs the
+command line in process with its output captured."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -21,6 +25,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from cxho._kernels import hermite_table
+from cxho.cli import main
 from cxho.contour import rotated_path
 from cxho.dynamics import level_phases
 from cxho.errors import ConvergenceViolatedError, OutOfDomainError
@@ -441,3 +446,48 @@ def splitmix64_uniform(seed, count):
     """``splitmix64``'s outputs on [-1, 1): the top 53 bits u as
     u/2^52 - 1, each step exact in double precision."""
     return [(z >> 11) / 2**52 - 1 for z in splitmix64(seed, count)]
+
+
+class Invocation(NamedTuple):
+    """What one ``cxho`` run wrote, and its exit code; ``output`` is stdout
+    and stderr interleaved as written."""
+
+    exit_code: int
+    stdout_bytes: bytes
+    stderr_bytes: bytes
+    output: str
+
+    @property
+    def stdout(self) -> str:
+        return self.stdout_bytes.decode()
+
+    @property
+    def stderr(self) -> str:
+        return self.stderr_bytes.decode()
+
+
+class _Captured(io.StringIO):
+    """A captured stream that also writes to the shared ``output``."""
+
+    def __init__(self, output: io.StringIO):
+        super().__init__()
+        self.output = output
+
+    def write(self, text: str) -> int:
+        self.output.write(text)
+        return super().write(text)
+
+
+def invoke(args) -> Invocation:
+    """``cxho <args>`` in process, ``main(args, standalone_mode=False)``
+    with stdout and stderr captured; an exception other than SystemExit
+    propagates."""
+    output = io.StringIO()
+    out, err = _Captured(output), _Captured(output)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args), standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    return Invocation(code, out.getvalue().encode(), err.getvalue().encode(),
+                      output.getvalue())

@@ -10,11 +10,15 @@ for the benchmark harness, which times it.  No module names
 ``numpy.random``: the seeded draws are SplitMix64 in numpy's integer
 arithmetic (``maximize.uniform_draws``).
 
+No module under ``src`` or ``tests`` imports click: argparse parses the
+flags.
+
 A fresh process loads only the modules its command uses: ``import cxho``
 loads no submodule and not numpy, and ``import cxho.cli`` loads ``errors``
-alone, none of the command modules and not numpy.  Each command loads its
-own ``cmd_*`` module, ``command`` and ``params``, and no other command's
-module; ``phase-diagram`` loads no numeric module, nor numpy.  Only
+alone, none of the command modules, not numpy and not click.  Each command
+loads its own ``cmd_*`` module, ``command`` and ``params``, and no other
+command's module, nor click; ``phase-diagram`` loads no numeric module,
+nor numpy.  Only
 ``evolve`` and ``wavefunction`` load the CSV cell writer ``_csvcells``, no
 command loads ``numpy.random``, and a ``verify`` whose Gram step fails
 loads neither ``dynamics`` nor ``maximize``.  No cxho module imports
@@ -34,6 +38,7 @@ import pytest
 import cxho
 
 MODULES = sorted(Path(cxho.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -144,6 +149,21 @@ def test_detects_a_dataclasses_import(source):
     assert "dataclasses" in imported_modules(source)
 
 
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_imports_click(path):
+    assert "click" not in imported_modules(path.read_text())
+
+
+@pytest.mark.parametrize("source", [
+    "import click\n",
+    "from click.testing import CliRunner\n",
+    "def f():\n    import click.core as core\n",
+])
+def test_detects_a_click_import(source):
+    assert "click" in imported_modules(source)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "_kernels"],
                          ids=lambda p: p.name)
 def test_no_module_but_kernels_names_poly_gauss_eval(path):
@@ -232,7 +252,9 @@ def test_package_import_loads_no_submodule_nor_numpy():
 
 
 def test_cli_import_loads_no_numeric_module():
-    assert cxho_and_numpy(imported("-c", "import cxho.cli")) == CLI_MODULES
+    loaded = imported("-c", "import cxho.cli")
+    assert cxho_and_numpy(loaded) == CLI_MODULES
+    assert not {name for name in loaded if name.split(".")[0] == "click"}
     assert cxho_and_numpy(imported("-c", "from cxho import params")) == {
         "cxho", "cxho.errors", "cxho.params"}
 
@@ -262,8 +284,9 @@ def test_evolve_loads_only_its_numeric_modules():
     # return_inverse, say, would load numpy.ma on its first call
     loaded = imported("-m", "cxho.cli", "evolve", "--steps", "2000")
     shared = imported("-c", "import cxho.cli, cxho.command, cxho.params, numpy")
+    # argparse's gettext loads locale when the command's parser is built
     assert loaded - shared == {"cxho.cmd_evolve", "cxho.dynamics", "cxho.fock",
-                               "cxho._csvcells", "runpy"}
+                               "cxho._csvcells", "runpy", "locale", "_locale"}
 
 
 #: A small run of each command.
@@ -281,6 +304,12 @@ def command_imports(command: str) -> frozenset[str]:
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_loads_no_dataclasses(command):
     assert "dataclasses" not in command_imports(command)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_no_click(command):
+    assert not {name for name in command_imports(command)
+                if name.split(".")[0] == "click"}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
