@@ -2,7 +2,8 @@
 
 Its cells are written with numpy integer arithmetic
 (``_csvcells.csv_table``), which gives the bytes of ``'%.17g' % x`` for
-each value.
+each value; the amplitude and the ``h_herm`` weak value, constants of the
+motion, are formatted once as text cells.
 """
 
 from __future__ import annotations
@@ -58,14 +59,14 @@ def command(m, omega, hbar, eps, eps_prime, lambda_a, lambda_b, t_a, t_b,
               "p_op_re", "p_op_im", "q_herm_re", "q_herm_im", "p_herm_re",
               "p_herm_im", "h_herm_re", "h_herm_im", "status"]
     # trajectory keeps every time or none; a dropped time has blank cells,
-    # and a kept one the same amplitude
+    # and a kept one the same amplitude and h_herm, each two text cells
     if traj.kept.all():
-        amplitude = traj.amplitude[0]
+        amplitude, h_herm = traj.amplitude[0], traj.h_herm[0]
         columns = [times, g17(amplitude.real), g17(amplitude.imag)]
-        for name in dynamics.WEAK_VALUE_OPERATORS:
+        for name in dynamics.WEAK_VALUE_OPERATORS[:-1]:
             column = getattr(traj, name)
             columns += [column.real, column.imag]
-        columns.append("ok")
+        columns += [g17(h_herm.real), g17(h_herm.imag), "ok"]
     else:
         columns = [times, *[""] * 12, "vanishing_overlap"]
     write_output(output, csv_table(header, columns))

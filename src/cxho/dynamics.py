@@ -185,7 +185,9 @@ class Trajectory(NamedTuple):
 
     ``kept`` has one entry per input time and is False where the overlap
     vanishes; every other column holds only the kept samples, in input order.
-    ``len`` is the number of kept samples, so ``_replace`` does not apply.
+    ``amplitude`` and ``h_herm`` are constants of the motion, one value
+    repeated bit for bit.  ``len`` is the number of kept samples, so
+    ``_replace`` does not apply.
     """
 
     t: np.ndarray
@@ -237,9 +239,13 @@ def trajectory(system: TwoStateSystem, times) -> Trajectory:
     super-diagonal and exp(i*omega*(t-t_b)) times the one over its
     sub-diagonal.  The sums are formed once per call, so a time's digits do
     not depend on the other times; they agree with ``states_at``,
-    ``q_inner`` and ``weak_value`` to rounding.  ``kept`` is False at every
-    time if the overlap vanishes.  Raises ValueError for a NaN time or one
-    outside the window, and an amplitude or numerator that is not finite.
+    ``q_inner`` and ``weak_value`` to rounding.  ``h_herm`` is diagonal
+    (its off-diagonal sums are zeros, which change no nonzero sum), so its
+    weak value is the diagonal sum over the amplitude, one number like the
+    amplitude; the phases combine the other four operators' sums.
+    ``kept`` is False at every time if the overlap vanishes.  Raises
+    ValueError for a NaN time or one outside the window, and an amplitude
+    or numerator that is not finite.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
@@ -258,14 +264,19 @@ def trajectory(system: TwoStateSystem, times) -> Trajectory:
         d = level_phases(omega, system.t_b - system.t_a, a0.size)
         products = b0 * a0 * d
         amplitude = products.sum()
-        numerators = (products @ diag
+        diag_sums = products @ diag
+        # h_herm, the last operator, takes no phase
+        numerators = (diag_sums[:-1]
                       + np.exp(-1j * omega * (times - system.t_a))[:, None]
-                      * ((b0[:-1] * a0[1:] * d[:-1]) @ upper)
+                      * ((b0[:-1] * a0[1:] * d[:-1]) @ upper)[:-1]
                       + np.exp(1j * omega * (times - system.t_b))[:, None]
-                      * ((b0[1:] * a0[:-1] * d[:-1]) @ lower))
-    if not (np.isfinite(amplitude) and np.isfinite(numerators).all()):
+                      * ((b0[1:] * a0[:-1] * d[:-1]) @ lower)[:-1])
+    if not (np.isfinite(amplitude) and np.isfinite(diag_sums[-1])
+            and np.isfinite(numerators).all()):
         raise ValueError("evolved states must be finite")
     kept = np.full(times.size, abs(amplitude) > OVERLAP_GUARD)
-    weak = numerators[kept].T / amplitude
-    return Trajectory(t=times[kept], amplitude=np.full(kept.sum(), amplitude),
+    count = kept.sum()
+    weak = [*(numerators[kept].T / amplitude),
+            np.full(count, diag_sums[-1]) / amplitude]
+    return Trajectory(t=times[kept], amplitude=np.full(count, amplitude),
                       kept=kept, **dict(zip(WEAK_VALUE_OPERATORS, weak)))

@@ -146,11 +146,13 @@ def _block_max(bands: np.ndarray, stop: int) -> np.ndarray:
 
 
 def commutator_defect(rep: FockRep, full_block: bool = False) -> float:
-    """Largest violation of [A, R] = 1 and [q_herm, p_herm] = i*hbar.
+    """Largest violation of [A, R] = 1 and [q_herm, p_herm]/hbar = i.
 
-    By default the last row and column are excluded, since they carry the
-    truncation artifact; ``full_block=True`` includes them.  Every entry of
-    the block is checked, the two diagonals of each side included.
+    The coordinate commutator is compared relative to hbar, whose rounding
+    it carries.  By default the last row and column are excluded, since
+    they carry the truncation artifact; ``full_block=True`` includes them.
+    Every entry of the block is checked, the two diagonals of each side
+    included.
     """
     ops = np.array([rep.lowering, rep.raising, rep.q_herm, rep.p_herm])
     products = _product(ops, ops[[1, 0, 3, 2]])
@@ -158,7 +160,8 @@ def commutator_defect(rep: FockRep, full_block: bool = False) -> float:
     commutators[0, 2] -= 1
     commutators[1, 2] -= 1j * rep.params.hbar
     stop = rep.n_max if full_block else rep.n_max - 1
-    return float(_block_max(commutators, stop).max())
+    ladder, coordinates = _block_max(commutators, stop)
+    return float(np.maximum(ladder, coordinates / rep.params.hbar))
 
 
 def herm_split_defect(rep: FockRep) -> tuple[float, float, float]:
@@ -211,7 +214,8 @@ def coherent_coeffs(lam: complex, n_max: int) -> StateVec:
     Raises ValueError when the kept coefficients have norm 0 in double
     precision, and warns when the mass sum_{n >= n_max} |f(n)|^2 beyond the
     kept levels exceeds COHERENT_TAIL_BOUND, signalling that ``n_max`` is
-    too small for this ``lam``.
+    too small for this ``lam``; the warning names the smallest ``n_max``
+    whose mass beyond is within the bound.
     """
     f = np.empty(n_max, dtype=np.complex128)
     f[0] = math.exp(-0.5 * abs(lam) ** 2)
@@ -223,14 +227,24 @@ def coherent_coeffs(lam: complex, n_max: int) -> StateVec:
     # the terms past the kept levels by the same recurrence (1 - sum would
     # cancel); past the peak at n = |lam|^2 they fall geometrically
     r, tail, term, n = abs(lam), 0.0, float(abs(f[-1])), n_max
+    masses = []  # |f(k)|^2 for k = n_max .. n - 1
     while not (n > r * r and term * term <= 2.0**-53 * tail):
         term *= r / math.sqrt(n)
-        tail += term * term
+        masses.append(term * term)
+        tail += masses[-1]
         n += 1
     if tail > COHERENT_TAIL_BOUND:
+        # the smallest truncation whose tail is within the bound, summing
+        # the masses from the far end, smallest first
+        beyond = 0.0
+        for mass in reversed(masses):
+            if beyond + mass > COHERENT_TAIL_BOUND:
+                break
+            beyond += mass
+            n -= 1
         warnings.warn(
             f"coherent tail mass {tail:.3e} beyond level {n_max - 1} exceeds "
-            f"{COHERENT_TAIL_BOUND:g}; increase n_max",
+            f"{COHERENT_TAIL_BOUND:g}; increase n_max to {n}",
             CoherentTailWarning)
     return StateVec(f)
 

@@ -108,6 +108,18 @@ REFERENCE_DIGESTS = {
         "7827439fa728222a86f4428a4773f0b25b8e35065db6270db515df3760636ebe",
     "evolve --omega 1-137.95510557964275i --steps 400":
         "4f2dd518657e409e323a5866f2deda43cbdf05b85c978c2fc39f5c8afa2187d4",
+    # shaped like the benchmark's evolve requests (complex m, omega and
+    # labels, nmax 32 and 64, about 2000 steps); recorded while h_herm was
+    # still one float cell per row
+    "evolve --m -0.65+0.24i --omega -0.27-1.18i --lambda-a -0.97-0.53i "
+    "--lambda-b 0.7-1.2i --nmax 32 --steps 1840":
+        "e280d2d0414e2380ca3dcadee419fc8e34d7f3f611fc48118afd1288f3a16a61",
+    "evolve --m 0.25+0.55i --omega 0.34-1.05i --lambda-a 1+0.1i "
+    "--lambda-b -0.23-1.05i --nmax 64 --steps 1797":
+        "af4b87a6a516d8a8d8b0af5b93c5894f60837907338f80a8ce1ef274fd318e46",
+    "evolve --m -0.3+1.34i --omega 0.46-0.65i --lambda-a 0.8+0.44i "
+    "--lambda-b 1.22+0.34i --nmax 64 --steps 2000":
+        "bd2e60438e0546402c5e2763de405f4b2d8cdc57530ae0ce308f1ced14563f6f",
     "wavefunction --n 3 --omega 0.9-0.3i --points 801":
         "99319b74cd35bb6bef3c2141ea24c471acd07c933c1dbed9c8fe2d76a68e4c9f",
     # re-recorded for cxho's own Gauss-Legendre rule and the in-place cross
@@ -639,6 +651,16 @@ class TestVerify:
                    if c["name"] == "h_herm_weak_value"]
         assert check["passed"] and check["tolerance"] == 1e-12
 
+    @pytest.mark.parametrize("hbar", ["100", "1e-3"])
+    def test_commutator_relative_to_hbar(self, hbar):
+        # [q_herm, p_herm] - i*hbar carries rounding of size hbar; compared
+        # relative to hbar, it passes at the default tolerance
+        result = invoke(["verify", "--hbar", hbar, "--nmax", "12"])
+        assert result.exit_code == 0, result.output
+        [check] = [c for c in json.loads(result.stdout)["checks"]
+                   if c["name"] == "ladder_commutator"]
+        assert check["passed"] and check["tolerance"] == 1e-13
+
     def test_corner_rejected(self):
         result = invoke(["verify", "--omega", "0-1i"])
         assert result.exit_code == 2
@@ -943,6 +965,21 @@ class TestEvolve:
             assert abs(amp - first) <= 1e-12
             assert cells[-1] == "ok"
 
+    def test_h_herm_cells_constant(self):
+        # h_herm is diagonal, so its weak value is one text on every row
+        result = invoke([
+            "evolve", "--m", "0.25+0.55i", "--omega", "0.34-1.05i",
+            "--lambda-a", "1+0.1i", "--lambda-b", "-0.23-1.05i",
+            "--nmax", "64", "--steps", "50"])
+        assert result.exit_code == 0
+        header, *rows = [line.split(",")
+                         for line in result.stdout.splitlines()]
+        i_re, i_im = header.index("h_herm_re"), header.index("h_herm_im")
+        assert len(rows) == 51
+        assert {(row[i_re], row[i_im], row[-1]) for row in rows} == {
+            (rows[0][i_re], rows[0][i_im], "ok")}
+        assert float(rows[0][i_re]) != 0
+
     def test_tail_warning_is_one_line(self):
         out = _fresh_process("-m", "cxho.cli", "evolve", "--lambda-a", "8",
                              "--steps", "2", "--nmax", "32")
@@ -950,7 +987,7 @@ class TestEvolve:
         assert out.stdout.count(b"\n") == 4
         assert out.stderr.decode().splitlines() == [
             "warning: coherent tail mass 1.000e+00 beyond level 31 exceeds "
-            "1e-12; increase n_max"]
+            "1e-12; increase n_max to 129"]
 
     def test_tail_mass_warns_past_a_tiny_last_coefficient(self):
         # |f(31)| = 1.2e-64 is far below the bound, yet levels 0 .. 31 keep
@@ -960,7 +997,7 @@ class TestEvolve:
         assert out.returncode == 0
         assert out.stderr.decode().splitlines() == [
             "warning: coherent tail mass 1.000e+00 beyond level 31 exceeds "
-            "1e-12; increase n_max"]
+            "1e-12; increase n_max to 550"]
 
     def test_zero_kept_mass_is_one_line(self):
         # exp(-|lambda|^2 / 2) underflows, so every kept coefficient is 0

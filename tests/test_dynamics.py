@@ -524,6 +524,27 @@ class TestTrajectoryMatchesPerTimeRoute:
         times = data.draw(window_times(system))
         assert_matches_per_time_route(system, times)
 
+    @given(st.data())
+    def test_h_herm_is_one_value(self, data):
+        # h_herm is diagonal in the mode basis, so its weak value is a
+        # constant of the motion: one value, repeated bit for bit, within
+        # rounding of the per-time route at every time
+        system = data.draw(two_state_systems())
+        times = data.draw(window_times(system))
+        traj = trajectory(system, times)
+        assert (traj.h_herm.tobytes()
+                == np.repeat(traj.h_herm[:1], len(traj)).tobytes())
+        op = system.rep.h_herm
+        for i, t in enumerate(traj.t.tolist()):
+            a, b = system.states_at(t)
+            amplitude = q_inner(b, a)
+            if abs(amplitude) <= OVERLAP_GUARD:
+                continue  # dropped by rounding; see test_every_column_matches
+            got, per_time = traj.h_herm[i], weak_value(op, a, b)
+            assert abs(got - per_time) <= weak_value_bound(
+                *per_time_route_bounds(system, t, op),
+                (traj.amplitude[i], amplitude), (got, per_time)), t
+
     def test_partly_vanishing_overlap(self):
         # the per-time route keeps some of these times and skips others, by
         # rounding: |amplitude| sits just below OVERLAP_GUARD

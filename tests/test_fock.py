@@ -213,6 +213,20 @@ class TestCommutatorDefect:
             rep = build(params_tilted, n)
             assert commutator_defect(rep) <= 1e-14
 
+    @pytest.mark.parametrize("hbar", [1e-3, 1.0, 100.0, 1e4])
+    def test_relative_to_hbar(self, hbar):
+        params = validate(0.8 + 0.3j, 0.9 - 0.3j, hbar=hbar)
+        assert commutator_defect(build(params, 12)) <= 1e-14
+
+    def test_wrong_target_fails_at_large_hbar(self):
+        # coordinates with [q_herm, p_herm] = i, not i*hbar, are off by
+        # 1 - 1/hbar relative to hbar = 100
+        params = validate(0.8 + 0.3j, 0.9 - 0.3j, hbar=100.0)
+        unit = build(validate(0.8 + 0.3j, 0.9 - 0.3j), 12)
+        rep = build(params, 12)._replace(q_herm=unit.q_herm,
+                                         p_herm=unit.p_herm)
+        assert commutator_defect(rep) == pytest.approx(0.99, rel=1e-12)
+
     def test_full_block_truncation_corner(self, params_real):
         # corner entry of [A, R] - 1 is -n_max; with hbar = 1 the coordinate
         # commutator carries the same size
@@ -303,6 +317,25 @@ class TestCoherentCoeffs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             coherent_coeffs(lam, n_max)
+
+    @pytest.mark.parametrize("lam, needed", [
+        (1.0, 15), (2j, 26), (-4.0, 52), (8.0, 129),
+        (16 * cmath.exp(1j), 377)])
+    def test_tail_warning_names_smallest_n_max(self, lam, needed):
+        # the mass beyond level N - 1 is the Poisson tail P(N, |lam|^2);
+        # N is the first truncation that brings it within the bound
+        with mpmath.workdps(30):
+            def mass(n_max):
+                return mpmath.gammainc(n_max, 0, abs(lam) ** 2,
+                                       regularized=True)
+            assert mass(needed) < fock.COHERENT_TAIL_BOUND < mass(needed - 1)
+        with pytest.warns(CoherentTailWarning) as caught:
+            coherent_coeffs(lam, 2)
+        [message] = [str(w.message) for w in caught]
+        assert message.endswith(f"; increase n_max to {needed}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coherent_coeffs(lam, needed)
 
     def test_small_last_coefficient_large_tail_warns(self):
         # |f(31)| = 1.2e-64, but levels 0 .. 31 keep a mass of only 1.2e-127
